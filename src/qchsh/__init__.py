@@ -18,8 +18,6 @@ from .correlation import (
     correlation_matrix,
 )
 from .numerics import (
-    EigenDecomposition,
-    hermitian_eigendecomposition,
     operator_norm,
     tensor_product,
     trace_inner_product,
@@ -27,9 +25,7 @@ from .numerics import (
 from .optimizer import (
     SeesawConfig,
     SeesawResult,
-    closed_form_party_update,
     ghz_optimal_settings,
-    optimal_mixing_angle,
     random_search_max,
     seesaw_maximize,
     traceless_linear_max,
@@ -40,7 +36,6 @@ from .representation import (
     build_gellmann_basis,
     expand_observable,
     is_admissible,
-    kernel_class,
     max_admissible_norm,
     observable_from_coefficients,
     project_to_admissible,
@@ -59,7 +54,6 @@ __all__ = [
     "BoundsReport",
     "ChshSettings",
     "CorrelationMatrix",
-    "EigenDecomposition",
     "GellMannBasis",
     "SeesawConfig",
     "SeesawResult",
@@ -70,22 +64,18 @@ __all__ = [
     "chsh_expectation_direct",
     "chsh_expectation_from_correlations",
     "chsh_operator",
-    "closed_form_party_update",
     "correlation_matrix",
     "expand_observable",
     "ghz_chsh_maximum",
     "ghz_correlation_matrix",
     "ghz_optimal_settings",
     "ghz_state",
-    "hermitian_eigendecomposition",
     "horodecki_two_qubit",
     "is_admissible",
-    "kernel_class",
     "load_state_file",
     "max_admissible_norm",
     "observable_from_coefficients",
     "operator_norm",
-    "optimal_mixing_angle",
     "project_to_admissible",
     "random_search_max",
     "random_two_qudit_state",

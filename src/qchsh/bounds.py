@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .errors import InvalidDimension, WrongDimension
-from .representation import max_admissible_norm
+from .errors import WrongDimension
+from .representation import check_dim, max_admissible_norm
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -85,9 +85,7 @@ def ghz_correlation_matrix(d: int) -> CorrelationMatrix:
     block, +2/d on the diagonal block (basis order: symmetric,
     antisymmetric, diagonal).
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = check_dim(d)
     npairs = d * (d - 1) // 2
     diag = np.concatenate(
         [
@@ -103,6 +101,4 @@ def ghz_correlation_matrix(d: int) -> CorrelationMatrix:
 
 def ghz_chsh_maximum(d: int) -> float:
     """Exact CHSH maximum for the GHZ state: 2*sqrt(2) for even d, else 2(d-1)sqrt(2)/d."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
-    return float(2.0 * max_admissible_norm(int(d)) ** 2 * np.sqrt(2.0))
+    return float(2.0 * max_admissible_norm(check_dim(d)) ** 2 * np.sqrt(2.0))

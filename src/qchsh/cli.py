@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -96,21 +95,6 @@ def _resolve_state(args):
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QCHSH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"QCHSH_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValidationError(f"QCHSH_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 def cmd_basis(args) -> int:
     if args.dim is None:
         raise ValidationError("--dim is required for the basis command")
@@ -160,8 +144,8 @@ def cmd_optimize(args) -> int:
     config = SeesawConfig(
         mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed
     )
-    result = seesaw_maximize(state, basis, config, threads=_thread_count())
-    report = chsh_bounds(correlation_matrix(state, basis))
+    result = seesaw_maximize(state, basis, config)
+    report = chsh_bounds(result.correlations)
     payload = {
         "d": state.dim,
         "value": result.value,
@@ -191,14 +175,13 @@ def cmd_ghz_table(args) -> int:
     config = SeesawConfig(
         mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed
     )
-    threads = _thread_count()
     rows = []
     for d in dims:
         basis = build_gellmann_basis(d)
         state = ghz_state(d)
         closed = ghz_chsh_maximum(d)
         certificate = abs(chsh_expectation_direct(state, ghz_optimal_settings(d, basis)))
-        seesaw = seesaw_maximize(state, basis, config, threads=threads).value
+        seesaw = seesaw_maximize(state, basis, config).value
         report = chsh_bounds(ghz_correlation_matrix(d))
         rows.append(
             {

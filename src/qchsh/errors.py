@@ -64,19 +64,3 @@ class ConvergenceFailure(NumericalError):
 
 class ImaginaryResidual(NumericalError):
     """A quantity that must be real carried a non-negligible imaginary part."""
-
-
-class DegenerateDirection(NumericalError):
-    """An update direction collapsed to zero; carries the affected slots."""
-
-    def __init__(self, message: str, slots: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.slots = slots
-
-
-class BothDegenerate(NumericalError):
-    pass
-
-
-class VerificationFailure(NumericalError):
-    pass

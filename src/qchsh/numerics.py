@@ -7,28 +7,13 @@ to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotHermitian
 
 # Absolute entrywise tolerance for accepting a matrix as Hermitian.  Inputs
 # within tolerance are symmetrized as (M + M†)/2 before any spectral work.
 HERMITIAN_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``values`` are real and sorted in descending order; ``vectors`` holds the
-    matching orthonormal eigenvectors as columns, so that
-    ``vectors @ diag(values) @ vectors.conj().T`` reconstructs the input.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _require_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -50,17 +35,6 @@ def symmetrized_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarra
             f"exceeds {HERMITIAN_ATOL:.0e}"
         )
     return 0.5 * (m + m.conj().T)
-
-
-def hermitian_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    m = symmetrized_hermitian(matrix)
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    # eigh returns ascending order; the contract is descending by value.
-    return EigenDecomposition(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 
 def operator_norm(matrix: np.ndarray) -> float:

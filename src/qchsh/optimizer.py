@@ -22,7 +22,6 @@ settings, plus one zero row/column when d is odd.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +32,8 @@ from .correlation import (
     chsh_expectation_from_correlations,
     correlation_matrix,
 )
-from .errors import (
-    BothDegenerate,
-    DegenerateDirection,
-    InvalidConfig,
-    NotTraceless,
-)
-from .numerics import hermitian_eigendecomposition, symmetrized_hermitian
+from .errors import ConvergenceFailure, InvalidConfig, NotTraceless
+from .numerics import symmetrized_hermitian
 from .representation import (
     GellMannBasis,
     TracelessObservable,
@@ -89,6 +83,7 @@ class SeesawResult:
     a2: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
+    correlations: CorrelationMatrix
     iterations_per_restart: list[int] = field(default_factory=list)
     converged: list[bool] = field(default_factory=list)
     monotone: bool = True
@@ -121,6 +116,21 @@ def _lp_spectrum(lam_descending: np.ndarray) -> tuple[np.ndarray, float]:
     return mu, float(lam @ mu)
 
 
+def _linear_max(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Maximizer X and value of max tr[X C] over admissible traceless X.
+
+    C is Hermitian; X shares its eigenbasis, with the LP optimum mu as spectrum.
+    """
+    try:
+        values, vectors = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    # eigh returns ascending order; _lp_spectrum expects descending.
+    mu, value = _lp_spectrum(values[::-1])
+    vectors = vectors[:, ::-1]
+    return (vectors * mu) @ vectors.conj().T, value
+
+
 def traceless_linear_max(
     target: np.ndarray, basis: GellMannBasis
 ) -> tuple[TracelessObservable, float]:
@@ -133,34 +143,24 @@ def traceless_linear_max(
     trace_residual = abs(complex(np.trace(c)))
     if trace_residual > 1e-10:
         raise NotTraceless(f"target has |trace| = {trace_residual:.3e}")
-    decomp = hermitian_eigendecomposition(c)
-    mu, value = _lp_spectrum(decomp.values)
-    x = (decomp.vectors * mu) @ decomp.vectors.conj().T
+    x, value = _linear_max(c)
     x = 0.5 * (x + x.conj().T)
     coefficients = expand_observable(x, basis)
     observable = observable_from_coefficients(coefficients, basis)
     return observable, value
 
 
-def _vector_linear_max(
-    direction: np.ndarray, basis: GellMannBasis
-) -> tuple[np.ndarray, float]:
-    """Maximize <n, w> over admissible coefficient vectors n.
+def _vector_linear_max(direction: np.ndarray, basis: GellMannBasis) -> np.ndarray:
+    """Admissible coefficient vector n maximizing <n, w>.
 
-    Lean path for the see-saw inner loop: w . L is Hermitian traceless by
-    construction, so it goes straight to the eigensolver and shares the LP
-    core with traceless_linear_max.
+    The see-saw inner update: w . L is Hermitian traceless by construction,
+    so it goes straight to the LP core without input checks.
     """
     w = np.asarray(direction, dtype=np.float64)
     if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
-        return np.zeros(basis.size), 0.0
-    values, vectors = np.linalg.eigh(basis.vector_to_matrix(w))
-    mu, value = _lp_spectrum(values[::-1])
-    x = (vectors[:, ::-1] * mu) @ vectors[:, ::-1].conj().T
-    coefficients = np.real(np.einsum("kl,jlk->j", x, basis.stack)) / math.sqrt(
-        2.0 * basis.dim
-    )
-    return coefficients, value / math.sqrt(2.0 * basis.dim)
+        return np.zeros(basis.size)
+    x, _ = _linear_max(basis.to_matrix(w))
+    return basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
 
 
 def _closed_pair(
@@ -168,68 +168,24 @@ def _closed_pair(
     basis: GellMannBasis,
     u: np.ndarray,
     v: np.ndarray,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """One party's closed-form update from its partner's vectors (u, v).
+
+    The new pair rescales ``t(u + v)`` and ``t(u - v)`` onto the admissible
+    boundary; pass T for Alice and T^T for Bob (the Bell operator regrouped
+    as (A1+A2) x B1 + (A1-A2) x B2).  A vanishing direction is replaced by a
+    random admissible vector and its slot is named in the returned tuple.
+    """
     outputs = []
     degenerate = []
     for slot, direction in (("plus", t @ (u + v)), ("minus", t @ (u - v))):
         if float(np.linalg.norm(direction)) <= DEGENERATE_NORM_ATOL:
             degenerate.append(slot)
-            if rng is None:
-                outputs.append(None)
-            else:
-                outputs.append(project_to_admissible(rng.standard_normal(basis.size), basis))
+            outputs.append(basis.random_admissible(rng, 1)[0])
         else:
             outputs.append(project_to_admissible(direction, basis))
     return outputs[0], outputs[1], tuple(degenerate)
-
-
-def closed_form_party_update(
-    correlations: CorrelationMatrix,
-    u: np.ndarray,
-    v: np.ndarray,
-    side: str,
-    basis: GellMannBasis,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One party's closed-form update from its partner's vectors (u, v).
-
-    For Alice the new pair rescales ``T(u + v)`` and ``T(u - v)`` onto the
-    admissible boundary; for Bob the same formula applies with T transposed
-    (the Bell operator regrouped as (A1+A2) x B1 + (A1-A2) x B2).  Raises
-    DegenerateDirection, naming the zero slots, when a direction vanishes.
-    """
-    if side not in ("alice", "bob"):
-        raise InvalidConfig(f'side must be "alice" or "bob", got {side!r}')
-    t = correlations.matrix if side == "alice" else correlations.matrix.T
-    out_plus, out_minus, degenerate = _closed_pair(t, basis, u, v, rng=None)
-    if degenerate:
-        raise DegenerateDirection(
-            f"{side} update has zero direction in slot(s) {', '.join(degenerate)}",
-            slots=degenerate,
-        )
-    return out_plus, out_minus
-
-
-def optimal_mixing_angle(
-    correlations: CorrelationMatrix,
-    r1: np.ndarray,
-    r2: np.ndarray,
-    basis: GellMannBasis,
-) -> float:
-    """Angle in [0, pi/2] maximizing c1*cos(theta) + c2*sin(theta).
-
-    Here ``c_i = ||T r_i||**2 / ||(T r_i) . L||_op``; the maximum value is
-    sqrt(c1**2 + c2**2).
-    """
-    w1 = correlations.matrix @ np.asarray(r1, dtype=np.float64)
-    w2 = correlations.matrix @ np.asarray(r2, dtype=np.float64)
-    n1 = float(np.linalg.norm(w1))
-    n2 = float(np.linalg.norm(w2))
-    if n1 <= DEGENERATE_NORM_ATOL and n2 <= DEGENERATE_NORM_ATOL:
-        raise BothDegenerate("both directions T r1 and T r2 vanish")
-    c1 = n1**2 / basis.vector_operator_norm(w1) if n1 > DEGENERATE_NORM_ATOL else 0.0
-    c2 = n2**2 / basis.vector_operator_norm(w2) if n2 > DEGENERATE_NORM_ATOL else 0.0
-    return math.atan2(c2, c1)
 
 
 def ghz_optimal_settings(d: int, basis: GellMannBasis | None = None) -> ChshSettings:
@@ -310,11 +266,11 @@ def _run_restart(
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         if config.mode == "exact":
-            a1, _ = _vector_linear_max(t @ (b1 + b2), basis)
-            a2, _ = _vector_linear_max(t @ (b1 - b2), basis)
+            a1 = _vector_linear_max(t @ (b1 + b2), basis)
+            a2 = _vector_linear_max(t @ (b1 - b2), basis)
             after_alice = evaluate()
-            b1, _ = _vector_linear_max(t.T @ (a1 + a2), basis)
-            b2, _ = _vector_linear_max(t.T @ (a1 - a2), basis)
+            b1 = _vector_linear_max(t.T @ (a1 + a2), basis)
+            b2 = _vector_linear_max(t.T @ (a1 - a2), basis)
         else:
             a1, a2, bad = _closed_pair(t, basis, b1, b2, rng)
             degenerate_events += len(bad)
@@ -344,40 +300,28 @@ def seesaw_maximize(
     state: TwoQuditState,
     basis: GellMannBasis,
     config: SeesawConfig | None = None,
-    threads: int = 1,
 ) -> SeesawResult:
     """Alternating maximization of |CHSH| over admissible observables.
 
     Restart 0 is deterministic (structure-seeded); the remaining restarts
     draw Gaussian directions projected onto the admissible boundary, each
-    from its own (seed, restart-index) substream, so results do not depend
-    on the thread count.  The best restart wins, ties broken by index.
+    from its own (seed, restart-index) substream, so a restart's result does
+    not depend on how many restarts run.  The best restart wins, ties broken
+    by index.
     """
     if config is None:
         config = SeesawConfig()
     correlations = correlation_matrix(state, basis)
 
-    def restart_args(index: int) -> tuple[tuple[np.ndarray, np.ndarray], np.random.Generator]:
+    def run(index: int) -> dict:
         rng = np.random.default_rng([config.seed, index])
         if index == 0:
-            return _deterministic_init(state, basis, correlations), rng
-        init = (
-            project_to_admissible(rng.standard_normal(basis.size), basis),
-            project_to_admissible(rng.standard_normal(basis.size), basis),
-        )
-        return init, rng
-
-    def run(index: int) -> dict:
-        init, rng = restart_args(index)
+            init = _deterministic_init(state, basis, correlations)
+        else:
+            init = tuple(basis.random_admissible(rng, 2))
         return _run_restart(correlations, basis, config, init, rng)
 
-    indices = range(config.restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, indices))
-    else:
-        outcomes = [run(i) for i in indices]
-
+    outcomes = [run(i) for i in range(config.restarts)]
     best = outcomes[0]
     for outcome in outcomes[1:]:
         if outcome["value"] > best["value"]:
@@ -400,6 +344,7 @@ def seesaw_maximize(
         a2=a2,
         b1=b1,
         b2=b2,
+        correlations=correlations,
         iterations_per_restart=[o["iterations"] for o in outcomes],
         converged=[o["converged"] for o in outcomes],
         monotone=all(o["monotone"] for o in outcomes),
@@ -419,26 +364,19 @@ def random_search_max(
     """
     if samples < 1:
         raise InvalidConfig(f"samples must be >= 1, got {samples}")
-    correlations = correlation_matrix(state, basis)
-    t = correlations.matrix
+    t = correlation_matrix(state, basis).matrix
     rng = np.random.default_rng(seed)
-    scale = math.sqrt(2.0 / basis.dim)
     best = 0.0
     remaining = samples
     chunk_size = 4096
     while remaining > 0:
         count = min(chunk_size, remaining)
         remaining -= count
-        g = rng.standard_normal((count, 4, basis.size))
-        mats = np.einsum("csj,jkl->cskl", g, basis.stack)
-        eigs = np.linalg.eigvalsh(mats)
-        norms = np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
-        vecs = scale * g / norms[..., None]
+        vecs = basis.random_admissible(rng, 4 * count).reshape(count, 4, basis.size)
         a1, a2, b1, b2 = (vecs[:, i, :] for i in range(4))
         values = 0.5 * basis.dim * (
             np.einsum("cj,cj->c", a1, (b1 + b2) @ t.T)
             + np.einsum("cj,cj->c", a2, (b1 - b2) @ t.T)
         )
-        chunk_best = float(np.max(np.abs(values)))
-        best = max(best, chunk_best)
+        best = max(best, float(np.max(np.abs(values))))
     return best

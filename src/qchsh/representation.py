@@ -26,21 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    NotInLd,
-    NotTraceless,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, InvalidDimension, NotHermitian, NotTraceless, ZeroVector
 from .numerics import operator_norm, symmetrized_hermitian
 
-# Operator-norm slack for admissibility checks; eigenvalue classification
-# uses one order of magnitude more (kernel_class), both one order above the
+# Operator-norm slack for admissibility checks, one order above the
 # eigensolver's own error.
 MEMBERSHIP_ATOL = 1e-10
-EIGENVALUE_CLASS_ATOL = 1e-9
 TRACELESS_ATOL = 1e-10
+
+
+def check_dim(d) -> int:
+    """Return d as an int, or raise InvalidDimension unless it is an integer >= 2."""
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
+    return int(d)
 
 
 class GellMannBasis:
@@ -52,9 +51,7 @@ class GellMannBasis:
     """
 
     def __init__(self, dim: int):
-        if not isinstance(dim, (int, np.integer)) or dim < 2:
-            raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {dim!r}")
-        d = int(dim)
+        d = check_dim(dim)
         pairs = [(m, k) for m in range(d) for k in range(m + 1, d)]
         stack = np.zeros((d * d - 1, d, d), dtype=np.complex128)
         labels = []
@@ -86,14 +83,33 @@ class GellMannBasis:
     def __len__(self) -> int:
         return self.size
 
-    def vector_to_matrix(self, components: np.ndarray) -> np.ndarray:
-        """Contraction n . L of a coefficient vector with the basis."""
-        n = self._check_vector(components)
-        return np.einsum("j,jkl->kl", n, self.stack)
+    def to_matrix(self, components: np.ndarray) -> np.ndarray:
+        """Contraction n . L over the last axis of ``components[..., d**2-1]``."""
+        n = np.asarray(components, dtype=np.float64)
+        if n.ndim == 0 or n.shape[-1] != self.size:
+            raise DimensionMismatch(
+                f"coefficient vector must have length {self.size}, got shape {n.shape}"
+            )
+        return np.einsum("...j,jkl->...kl", n, self.stack)
 
-    def vector_operator_norm(self, components: np.ndarray) -> float:
-        """Operator norm of n . L."""
-        return operator_norm(self.vector_to_matrix(components))
+    def to_vector(self, matrices: np.ndarray) -> np.ndarray:
+        """Pairings Re tr[X L_j] of each matrix in ``matrices[..., d, d]``."""
+        x = np.asarray(matrices)
+        if x.shape[-2:] != (self.dim, self.dim):
+            raise DimensionMismatch(
+                f"matrices must be {self.dim}x{self.dim}, got shape {x.shape}"
+            )
+        return np.real(np.einsum("...kl,jlk->...j", x, self.stack))
+
+    def vector_operator_norm(self, components: np.ndarray) -> np.ndarray:
+        """Operator norm of n . L for each coefficient vector in ``components[..., d**2-1]``."""
+        eigs = np.linalg.eigvalsh(self.to_matrix(components))
+        return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
+
+    def random_admissible(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Gaussian directions rescaled onto the admissible boundary, one per row."""
+        g = rng.standard_normal((count, self.size))
+        return np.sqrt(2.0 / self.dim) * g / self.vector_operator_norm(g)[:, None]
 
     def _check_vector(self, components: np.ndarray) -> np.ndarray:
         n = np.asarray(components, dtype=np.float64)
@@ -101,6 +117,8 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
+        if not np.all(np.isfinite(n)):
+            raise NotHermitian("coefficient vector contains non-finite entries")
         return n
 
 
@@ -144,8 +162,7 @@ def expand_observable(matrix: np.ndarray, basis: GellMannBasis) -> np.ndarray:
         raise NotTraceless(
             f"observable has |trace| = {trace_residual:.3e}, exceeds {TRACELESS_ATOL:.0e}"
         )
-    traces = np.einsum("kl,jlk->j", x, basis.stack)
-    return np.real(traces) / np.sqrt(2.0 * basis.dim)
+    return basis.to_vector(x) / np.sqrt(2.0 * basis.dim)
 
 
 def observable_from_coefficients(
@@ -153,7 +170,7 @@ def observable_from_coefficients(
 ) -> TracelessObservable:
     """Observable ``sqrt(d/2) * (n . L)`` for a coefficient vector n."""
     n = basis._check_vector(components)
-    matrix = np.sqrt(basis.dim / 2.0) * basis.vector_to_matrix(n)
+    matrix = np.sqrt(basis.dim / 2.0) * basis.to_matrix(n)
     matrix.setflags(write=False)
     frozen = n.copy()
     frozen.setflags(write=False)
@@ -178,29 +195,13 @@ def is_admissible(
 ) -> bool:
     """Whether ``||n . L||_op <= sqrt(2/d)`` within tolerance."""
     n = basis._check_vector(components)
-    return basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + atol
+    return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + atol)
 
 
 def max_admissible_norm(d: int) -> float:
     """Largest Euclidean norm of an admissible vector: 1 (even d) or sqrt((d-1)/d)."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
+    d = check_dim(d)
     if d % 2 == 0:
         return 1.0
     return float(np.sqrt((d - 1) / d))
 
-
-def kernel_class(observable: TracelessObservable) -> int | None:
-    """Multiplicity of the zero eigenvalue for a {-1, 0, 1}-spectrum observable.
-
-    Returns None when some eigenvalue is not within EIGENVALUE_CLASS_ATOL of
-    {-1, 0, 1}; raises NotInLd when the observable is not admissible at all.
-    """
-    norm = operator_norm(observable.matrix)
-    if norm > 1.0 + MEMBERSHIP_ATOL:
-        raise NotInLd(f"operator norm {norm:.6f} exceeds 1 + {MEMBERSHIP_ATOL:.0e}")
-    values = np.linalg.eigvalsh(symmetrized_hermitian(observable.matrix, "observable"))
-    nearest = np.round(values)
-    if np.max(np.abs(values - nearest)) > EIGENVALUE_CLASS_ATOL:
-        return None
-    return int(np.sum(nearest == 0))

@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import HERMITIAN_ATOL
+from .representation import check_dim
 
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
@@ -39,9 +40,7 @@ class TwoQuditState:
 
 def ghz_state(d: int) -> TwoQuditState:
     """Projector onto the maximally correlated state (1/sqrt(d)) sum_j |jj>."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = check_dim(d)
     rho = np.zeros((d * d, d * d), dtype=np.complex128)
     diag_idx = [j * d + j for j in range(d)]
     for r in diag_idx:
@@ -53,9 +52,9 @@ def ghz_state(d: int) -> TwoQuditState:
 
 def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     """Ginibre-induced random full-rank state, deterministic per (d, seed)."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = check_dim(d)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"random state seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     rho = g @ g.conj().T
@@ -71,9 +70,7 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
     symmetrized (rho + rho^dag)/2, which leaves valid inputs unchanged up to
     the Hermiticity tolerance.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = check_dim(d)
     m = np.asarray(rho, dtype=np.complex128)
     if m.shape != (d * d, d * d):
         raise DimensionMismatch(

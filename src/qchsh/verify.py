@@ -14,8 +14,8 @@ import numpy as np
 
 from .bounds import chsh_bounds, ghz_chsh_maximum, ghz_correlation_matrix, horodecki_two_qubit
 from .correlation import correlation_matrix
-from .errors import ValidationError
-from .representation import build_gellmann_basis, max_admissible_norm
+from .errors import InvalidConfig, ValidationError
+from .representation import build_gellmann_basis
 from .states import ghz_state, random_two_qudit_state
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
@@ -28,17 +28,6 @@ class SuiteResult:
     checks: int
     passed: bool
     detail: str = ""
-
-
-def _admissible_batch(
-    rng: np.random.Generator, basis, count: int
-) -> np.ndarray:
-    """Random boundary members of the admissible set, one per row."""
-    g = rng.standard_normal((count, basis.size))
-    mats = np.einsum("nj,jkl->nkl", g, basis.stack)
-    eigs = np.linalg.eigvalsh(mats)
-    norms = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-    return np.sqrt(2.0 / basis.dim) * g / norms[:, None]
 
 
 def suite_orthogonality(dims, trials, seed) -> SuiteResult:
@@ -63,10 +52,7 @@ def suite_lemma1(dims, trials, seed) -> SuiteResult:
         norms = np.linalg.norm(g, axis=1)
         keep = norms > 0
         g, norms = g[keep], norms[keep]
-        mats = np.einsum("nj,jkl->nkl", g, basis.stack)
-        eigs = np.linalg.eigvalsh(mats)
-        op_norms = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-        ratio = op_norms / norms
+        ratio = basis.vector_operator_norm(g) / norms
         low = np.sqrt(2.0 / d)
         high = np.sqrt(2.0 * (d - 1) / d)
         if np.min(ratio) < low - 1e-10 or np.max(ratio) > high + 1e-10:
@@ -97,8 +83,8 @@ def suite_roundtrip(dims, trials, seed) -> SuiteResult:
         x = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
         traces = np.einsum("tkk->t", x) / d
         x -= traces[:, None, None] * np.eye(d)
-        n = np.real(np.einsum("tkl,jlk->tj", x, basis.stack)) / scale
-        back = np.sqrt(d / 2.0) * np.einsum("tj,jkl->tkl", n, basis.stack)
+        n = basis.to_vector(x) / scale
+        back = np.sqrt(d / 2.0) * basis.to_matrix(n)
         matrix_err = float(np.max(np.abs(back - x)))
         if matrix_err > 1e-10:
             return SuiteResult(
@@ -112,8 +98,8 @@ def suite_roundtrip(dims, trials, seed) -> SuiteResult:
                 "roundtrip", checks, False, f"d={d}: norm identity residual {norm_err:.3e}"
             )
         vec = rng.standard_normal((count, basis.size))
-        mats = np.sqrt(d / 2.0) * np.einsum("tj,jkl->tkl", vec, basis.stack)
-        vec_back = np.real(np.einsum("tkl,jlk->tj", mats, basis.stack)) / scale
+        mats = np.sqrt(d / 2.0) * basis.to_matrix(vec)
+        vec_back = basis.to_vector(mats) / scale
         vector_err = float(np.max(np.abs(vec_back - vec)))
         if vector_err > 1e-10:
             return SuiteResult(
@@ -132,8 +118,8 @@ def suite_correlation_bound(dims, trials, seed) -> SuiteResult:
         for k in range(3):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))
             t = correlation_matrix(state, basis).matrix
-            a = _admissible_batch(rng, basis, pairs)
-            b = _admissible_batch(rng, basis, pairs)
+            a = basis.random_admissible(rng, pairs)
+            b = basis.random_admissible(rng, pairs)
             values = np.abs(np.einsum("nj,nj->n", a, b @ t.T))
             worst = float(np.max(values))
             if worst > 2.0 / d + 1e-9:
@@ -212,6 +198,10 @@ def run_suites(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> list[SuiteResult]:
+    if trials < 1:
+        raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     selected = list(SUITES) if not names else names
     results = []
     for name in selected:

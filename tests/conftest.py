@@ -36,6 +36,24 @@ def random_hermitian(rng, d, traceless=False):
     return h
 
 
+def dense_to_matrix(n, stack):
+    """Reference for GellMannBasis.to_matrix: n . L one row at a time."""
+    n = np.asarray(n, dtype=np.float64)
+    rows = n.reshape(-1, n.shape[-1])
+    out = np.array([np.einsum("j,jkl->kl", row, stack) for row in rows])
+    return out.reshape(n.shape[:-1] + stack.shape[1:])
+
+
+def dense_to_vector(x, stack):
+    """Reference for GellMannBasis.to_vector: Re tr[X L_j] one matrix at a time."""
+    x = np.asarray(x)
+    mats = x.reshape((-1,) + x.shape[-2:])
+    out = np.array(
+        [[np.trace(m @ op).real for op in stack] for m in mats], dtype=np.float64
+    )
+    return out.reshape(x.shape[:-2] + (stack.shape[0],))
+
+
 def polytope_vertex_max(lam):
     """Brute-force oracle: maximize lam . mu over mu in [-1,1]^d, sum mu = 0.
 

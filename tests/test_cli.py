@@ -1,5 +1,4 @@
 import json
-import types
 
 import numpy as np
 import pytest
@@ -114,18 +113,6 @@ def test_optimize_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-def test_optimize_thread_env(capsys, monkeypatch):
-    argv = ("optimize", "--state", "random:2", "--dim", "2", "--restarts", "4", "--seed", "9")
-    _, serial, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("QCHSH_THREADS", "3")
-    _, threaded, _ = run_cli(capsys, *argv)
-    assert serial == threaded
-    monkeypatch.setenv("QCHSH_THREADS", "banana")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert "QCHSH_THREADS" in err
-
-
 def test_ghz_table(capsys):
     payload = run_json(capsys, "ghz-table", "--dims", "2:6", "--restarts", "4")
     rows = payload["rows"]
@@ -213,19 +200,35 @@ def test_verify_unknown_suite(capsys):
 
 def test_verify_detects_corrupted_basis(capsys, monkeypatch):
     def corrupted(d):
-        genuine = GellMannBasis(d)
-        stack = genuine.stack.copy()
+        fake = GellMannBasis(d)
+        stack = fake.stack.copy()
         stack[0] *= 1.01
-        return types.SimpleNamespace(
-            dim=genuine.dim, size=genuine.size, stack=stack,
-            operators=tuple(stack), labels=genuine.labels,
-        )
+        stack.setflags(write=False)
+        fake.stack = stack
+        fake.operators = tuple(stack)
+        return fake
 
     monkeypatch.setattr(qchsh.verify, "build_gellmann_basis", corrupted)
     code, out, err = run_cli(capsys, "verify", "--dims", "2:3", "--trials", "100")
     assert code == 2
     assert "orthogonality: FAIL" in out
     assert "first failing suite: orthogonality" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--trials", "0"),
+        ("verify", "--trials", "-5"),
+        ("verify", "--seed", "-1"),
+        ("bounds", "--state", "random:-1", "--dim", "2"),
+    ],
+)
+def test_invalid_counts_and_seeds_exit_one(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exits_one(capsys):

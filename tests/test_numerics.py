@@ -3,46 +3,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchsh import hermitian_eigendecomposition, operator_norm, tensor_product, trace_inner_product
+from qchsh import operator_norm, tensor_product, trace_inner_product, traceless_linear_max
 from qchsh.errors import DimensionMismatch, NotHermitian
+from qchsh.optimizer import _linear_max
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
 
 
+# The eigendecomposition behind the linear-max core: its maximizer shares the
+# input's eigenvectors and carries the LP optimum as eigenvalues.
+
+
 def test_eigendecomposition_identity():
-    decomp = hermitian_eigendecomposition(np.eye(3, dtype=complex))
-    np.testing.assert_allclose(decomp.values, [1.0, 1.0, 1.0])
+    # all eigenvalues tie with the median, so the traceless optimum is zero
+    x, value = _linear_max(np.eye(3, dtype=complex))
+    np.testing.assert_allclose(x, np.zeros((3, 3)), atol=1e-14)
+    assert value == 0.0
 
 
 def test_eigendecomposition_pauli_x():
-    decomp = hermitian_eigendecomposition(SIGMA_X)
-    np.testing.assert_allclose(decomp.values, [1.0, -1.0], atol=1e-14)
+    x, value = _linear_max(SIGMA_X)
+    np.testing.assert_allclose(x, SIGMA_X, atol=1e-14)
+    assert value == pytest.approx(2.0, abs=1e-14)
 
 
 def test_eigendecomposition_second_diagonal_generator():
-    # (1/sqrt(3)) diag(1, 1, -2): eigenvalues read off the diagonal.
+    # (1/sqrt(3)) diag(1, 1, -2): the two tied top eigenvalues share mu = 1/2.
     m = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0)
-    decomp = hermitian_eigendecomposition(m)
-    s = 1.0 / np.sqrt(3.0)
-    np.testing.assert_allclose(decomp.values, [s, s, -2.0 * s], atol=1e-14)
+    x, value = _linear_max(m)
+    np.testing.assert_allclose(x, np.diag([0.5, 0.5, -1.0]), atol=1e-14)
+    assert value == pytest.approx(np.sqrt(3.0), abs=1e-14)
 
 
-def test_eigendecomposition_rejects_non_hermitian():
+def test_eigendecomposition_rejects_non_hermitian(basis):
     with pytest.raises(NotHermitian):
-        hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        traceless_linear_max(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), basis(2))
 
 
 def test_eigendecomposition_reconstruction_and_orthonormality(rng):
     for _ in range(1000):
         d = int(rng.integers(2, 11))
         m = random_hermitian(rng, d)
-        decomp = hermitian_eigendecomposition(m)
-        assert np.all(np.diff(decomp.values) <= 1e-14)
-        v = decomp.vectors
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
-        rebuilt = (v * decomp.values) @ v.conj().T
+        x, value = _linear_max(m)
         scale = max(float(np.max(np.abs(m))), 1e-30)
-        assert np.max(np.abs(rebuilt - m)) < 1e-9 * scale
+        # shared eigenbasis: X commutes with M and is Hermitian
+        assert np.max(np.abs(x @ m - m @ x)) < 1e-9 * scale
+        np.testing.assert_allclose(x, x.conj().T, atol=1e-12)
+        mu = np.linalg.eigvalsh(x)
+        assert np.all(np.abs(mu) <= 1.0 + 1e-12)
+        assert abs(float(np.sum(mu))) < 1e-12
+        assert np.trace(x @ m).real == pytest.approx(value, abs=1e-9 * scale * d)
+        # LP duality: the optimum is min_t sum_i |lam_i - t|, attained at a median
+        lam = np.linalg.eigvalsh(m)
+        assert value == pytest.approx(np.sum(np.abs(lam - np.median(lam))), abs=1e-9 * scale * d)
 
 
 def test_operator_norm_values():

@@ -1,25 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchsh import (
+    GellMannBasis,
     build_gellmann_basis,
     expand_observable,
+    ghz_chsh_maximum,
+    ghz_correlation_matrix,
+    ghz_state,
     is_admissible,
-    kernel_class,
     max_admissible_norm,
     observable_from_coefficients,
     operator_norm,
     project_to_admissible,
+    random_two_qudit_state,
+    validate_state,
 )
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
-    NotInLd,
+    NotHermitian,
     NotTraceless,
     ZeroVector,
 )
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
+from conftest import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dense_to_matrix,
+    dense_to_vector,
+    random_hermitian,
+)
+
+# Every entry point that takes a qudit dimension, as a function of d alone.
+DIMENSION_SITES = {
+    "GellMannBasis": GellMannBasis,
+    "max_admissible_norm": max_admissible_norm,
+    "ghz_state": ghz_state,
+    "random_two_qudit_state": lambda d: random_two_qudit_state(d, seed=0),
+    "validate_state": lambda d: validate_state(np.eye(9, dtype=complex) / 9.0, d),
+    "ghz_correlation_matrix": ghz_correlation_matrix,
+    "ghz_chsh_maximum": ghz_chsh_maximum,
+}
 
 
 def test_qubit_basis_is_pauli(basis):
@@ -62,8 +87,54 @@ def test_operators_hermitian_traceless_orthogonal(basis):
 
 
 def test_invalid_dimension():
-    with pytest.raises(InvalidDimension):
-        build_gellmann_basis(1)
+    for site, call in DIMENSION_SITES.items():
+        for bad in (0, 1, 2.0, "3", np.int64(1)):
+            with pytest.raises(InvalidDimension) as info:
+                call(bad)
+            assert str(info.value) == f"qudit dimension must be an integer >= 2, got {bad!r}", site
+        call(np.int64(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=5),
+    batch=st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_maps_match_dense_oracle(d, batch, seed):
+    b = build_gellmann_basis(d)
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch)
+    n = rng.standard_normal(shape + (b.size,))
+    x = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+    matrices = b.to_matrix(n)
+    assert matrices.shape == shape + (d, d)
+    np.testing.assert_allclose(matrices, dense_to_matrix(n, b.stack), rtol=0, atol=1e-12)
+    vectors = b.to_vector(x)
+    assert vectors.shape == shape + (b.size,)
+    np.testing.assert_allclose(vectors, dense_to_vector(x, b.stack), rtol=0, atol=1e-12)
+    # tr[L_i L_j] = 2 delta_ij
+    np.testing.assert_allclose(b.to_vector(matrices), 2.0 * n, rtol=0, atol=1e-12)
+
+
+def test_batched_maps_reject_wrong_shapes(basis):
+    b = basis(3)
+    with pytest.raises(DimensionMismatch):
+        b.to_matrix(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        b.to_matrix(1.0)
+    with pytest.raises(DimensionMismatch):
+        b.to_vector(np.zeros((2, 2)))
+
+
+def test_random_admissible_lands_on_boundary(basis):
+    for d in (2, 3, 5):
+        b = basis(d)
+        vectors = b.random_admissible(np.random.default_rng(d), 200)
+        assert vectors.shape == (200, b.size)
+        np.testing.assert_allclose(
+            b.vector_operator_norm(vectors), np.sqrt(2.0 / d), rtol=0, atol=1e-12
+        )
 
 
 def test_expand_sigma_z(basis):
@@ -150,6 +221,16 @@ def test_project_zero_vector(basis):
         project_to_admissible(np.zeros(3), basis(2))
 
 
+def test_non_finite_vector_rejected(basis):
+    for bad in (np.array([np.nan, 0.0, 1.0]), np.array([0.0, np.inf, 1.0])):
+        with pytest.raises(NotHermitian):
+            project_to_admissible(bad, basis(2))
+        with pytest.raises(NotHermitian):
+            is_admissible(bad, basis(2))
+        with pytest.raises(NotHermitian):
+            observable_from_coefficients(bad, basis(2))
+
+
 def test_projection_lands_on_boundary(basis, rng):
     for d in (2, 3, 4):
         b = basis(d)
@@ -215,20 +296,3 @@ def test_pure_state_coefficients_have_unit_norm(basis, rng):
             r = scale * np.real(np.einsum("k,jkl,l->j", psi.conj(), b.stack, psi))
             assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-10)
 
-
-def test_kernel_class(basis):
-    b2, b3 = basis(2), basis(3)
-    sz = observable_from_coefficients(expand_observable(SIGMA_Z, b2), b2)
-    assert kernel_class(sz) == 0
-
-    x = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    obs = observable_from_coefficients(expand_observable(x, b3), b3)
-    assert kernel_class(obs) == 1
-    # consistency with the norm identity: ||n|| = sqrt((d - s)/d)
-    assert np.linalg.norm(obs.coefficients) == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-9)
-
-    halved = observable_from_coefficients(obs.coefficients / 2.0, b3)
-    assert kernel_class(halved) is None
-
-    with pytest.raises(NotInLd):
-        kernel_class(observable_from_coefficients(np.array([0.0, 0.0, 2.0]), b2))
