@@ -13,6 +13,14 @@ whose optimum is mu_i = sign(lam_i - t*) with t* a median of the lam_i
 ``min_t sum_i |lam_i - t|``.  Exact updates make the value sequence
 monotonically non-decreasing.
 
+All restarts of one ``seesaw_maximize`` call advance in lockstep on
+(restarts, 2, d**2-1) arrays.  A party update stacks the ``+-`` directions of
+every live restart and makes one basis map, one batched eigensolver call and
+one LP (exact mode) or one batched operator norm (closed-form mode).
+Matrix-vector products and dot products stay one BLAS call per row, so each
+restart gives bit for bit what it gives when run alone, whatever the number
+of restarts.
+
 ``ghz_optimal_settings`` realizes the attained GHZ maximum with a
 block-embedded qubit strategy: computational basis states are paired into
 floor(d/2) two-dimensional blocks carrying the standard optimal qubit
@@ -63,12 +71,16 @@ class SeesawConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "closed-form"):
             raise InvalidConfig(f'mode must be "exact" or "closed-form", got {self.mode!r}')
+        for name in ("restarts", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise InvalidConfig(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise InvalidConfig(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.tolerance > 0:
-            raise InvalidConfig(f"tolerance must be positive, got {self.tolerance}")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise InvalidConfig(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
 
@@ -94,30 +106,31 @@ class SeesawResult:
         return sum(self.converged)
 
 
-def _lp_spectrum(lam_descending: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve max sum(lam * mu) over mu in [-1, 1]^d with sum(mu) = 0.
+def _lp_spectrum(lam_descending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve max sum(lam * mu) over mu in [-1, 1]^d with sum(mu) = 0, per row of lam[..., d].
 
     The optimum is mu_i = sign(lam_i - t*) for a median t*; eigenvalues tied
     with t* share the correction that makes the sum vanish exactly.  A median
-    t* guarantees the correction stays in [-1, 1].
+    t* guarantees the correction stays in [-1, 1].  Before the correction mu
+    holds only +-1 and 0, so its row sums are exact.
     """
     lam = lam_descending
-    d = lam.size
+    d = lam.shape[-1]
     if d % 2 == 1:
-        t_star = lam[(d - 1) // 2]
+        t_star = lam[..., (d - 1) // 2]
     else:
-        t_star = 0.5 * (lam[d // 2 - 1] + lam[d // 2])
-    deviation = lam - t_star
+        t_star = 0.5 * (lam[..., d // 2 - 1] + lam[..., d // 2])
+    deviation = lam - t_star[..., None]
     ties = np.abs(deviation) < LP_TIE_ATOL
     mu = np.where(deviation > 0, 1.0, -1.0)
     mu[ties] = 0.0
-    if ties.any():
-        mu[ties] = -float(np.sum(mu)) / int(ties.sum())
-    return mu, float(lam @ mu)
+    share = -mu.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
+    mu = np.where(ties, share, mu)
+    return mu, np.matmul(lam[..., None, :], mu[..., :, None])[..., 0, 0]
 
 
-def _linear_max(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximizer X and value of max tr[X C] over admissible traceless X.
+def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximizer X and value of max tr[X C] over admissible traceless X, per C in c[..., d, d].
 
     C is Hermitian; X shares its eigenbasis, with the LP optimum mu as spectrum.
     """
@@ -126,9 +139,9 @@ def _linear_max(c: np.ndarray) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     # eigh returns ascending order; _lp_spectrum expects descending.
-    mu, value = _lp_spectrum(values[::-1])
-    vectors = vectors[:, ::-1]
-    return (vectors * mu) @ vectors.conj().T, value
+    mu, value = _lp_spectrum(values[..., ::-1])
+    vectors = vectors[..., ::-1]
+    return (vectors * mu[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2), value
 
 
 def traceless_linear_max(
@@ -147,45 +160,50 @@ def traceless_linear_max(
     x = 0.5 * (x + x.conj().T)
     coefficients = expand_observable(x, basis)
     observable = observable_from_coefficients(coefficients, basis)
-    return observable, value
+    return observable, float(value)
 
 
-def _vector_linear_max(direction: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Admissible coefficient vector n maximizing <n, w>.
+def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``t(u + v)`` and ``t(u - v)`` for each pair (u, v) in pairs[R, 2, d**2-1].
 
-    The see-saw inner update: w . L is Hermitian traceless by construction,
-    so it goes straight to the LP core without input checks.
+    Each row is its own matrix-vector product, so its bits do not depend on R.
     """
-    w = np.asarray(direction, dtype=np.float64)
-    if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
-        return np.zeros(basis.size)
-    x, _ = _linear_max(basis.to_matrix(w))
-    return basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
+    sums = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+    return np.matmul(t, sums[..., None])[..., 0]
 
 
-def _closed_pair(
-    t: np.ndarray,
-    basis: GellMannBasis,
-    u: np.ndarray,
-    v: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """One party's closed-form update from its partner's vectors (u, v).
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of rows along the last axis, one BLAS dot per row."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
-    The new pair rescales ``t(u + v)`` and ``t(u - v)`` onto the admissible
-    boundary; pass T for Alice and T^T for Bob (the Bell operator regrouped
-    as (A1+A2) x B1 + (A1-A2) x B2).  A vanishing direction is replaced by a
-    random admissible vector and its slot is named in the returned tuple.
+
+def _party_update(
+    directions: np.ndarray, basis: GellMannBasis, mode: str, rngs: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """One party's new (plus, minus) vectors for every restart.
+
+    ``directions[r]`` holds the partner's ``T(u + v)`` and ``T(u - v)`` for
+    restart r; pass T for Alice and T^T for Bob (the Bell operator regrouped
+    as (A1+A2) x B1 + (A1-A2) x B2).  "exact" maximizes <n, w> over
+    admissible n: all live directions share one basis map, one eigensolver
+    call and one LP.  "closed-form" rescales w onto the admissible boundary.
+    A vanishing w gives the zero vector in exact mode; in closed-form mode it
+    is replaced by a random admissible vector from ``rngs[r]`` (plus slot
+    first) and marked in the returned mask of shape (R, 2).
     """
-    outputs = []
-    degenerate = []
-    for slot, direction in (("plus", t @ (u + v)), ("minus", t @ (u - v))):
-        if float(np.linalg.norm(direction)) <= DEGENERATE_NORM_ATOL:
-            degenerate.append(slot)
-            outputs.append(basis.random_admissible(rng, 1)[0])
-        else:
-            outputs.append(project_to_admissible(direction, basis))
-    return outputs[0], outputs[1], tuple(degenerate)
+    w = directions.reshape(-1, basis.size)
+    vanishing = np.sqrt(_row_dots(w, w)) <= DEGENERATE_NORM_ATOL
+    live = ~vanishing
+    out = np.zeros_like(w)
+    if mode == "exact":
+        x, _ = _linear_max(basis.to_matrix(w[live]))
+        out[live] = basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
+        return out.reshape(directions.shape), np.zeros(directions.shape[:-1], dtype=bool)
+    norms = basis.vector_operator_norm(w[live])
+    out[live] = np.sqrt(2.0 / basis.dim) * w[live] / norms[:, None]
+    for slot in np.flatnonzero(vanishing):
+        out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
+    return out.reshape(directions.shape), vanishing.reshape(directions.shape[:-1])
 
 
 def ghz_optimal_settings(d: int, basis: GellMannBasis | None = None) -> ChshSettings:
@@ -242,56 +260,70 @@ def _deterministic_init(
     )
 
 
-def _run_restart(
-    correlations: CorrelationMatrix,
+def _run_restarts(
+    state: TwoQuditState,
     basis: GellMannBasis,
     config: SeesawConfig,
-    init: tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator,
+    correlations: CorrelationMatrix,
 ) -> dict:
+    """Run every restart in lockstep on (restarts, 2, d**2-1) arrays.
+
+    Each sweep updates Alice, then Bob, for all live restarts at once.  The
+    products T(b1 +- b2) are Alice's input, and after Bob's update they give
+    the sweep's value and the next sweep's input.  A restart leaves the batch
+    when it converges or exceeds MAX_DEGENERATE_EVENTS; its sweeps, flags and
+    vectors are frozen there.  Every row is computed on its own, so a
+    restart's result does not depend on how many restarts run beside it.
+    """
+    count = config.restarts
+    rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
+    b = np.empty((count, 2, basis.size))
+    b[0] = _deterministic_init(state, basis, correlations)
+    for i in range(1, count):
+        b[i] = basis.random_admissible(rngs[i], 2)
     t = correlations.matrix
-    b1, b2 = init
-    a1 = np.zeros(basis.size)
-    a2 = np.zeros(basis.size)
     half = 0.5 * basis.dim
-
-    def evaluate() -> float:
-        return half * float(a1 @ (t @ (b1 + b2)) + a2 @ (t @ (b1 - b2)))
-
+    vectors = np.zeros((count, 4, basis.size))
+    values = np.zeros(count)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    monotone = np.ones(count, dtype=bool)
+    events = np.zeros(count, dtype=int)
+    active = np.arange(count)
+    live_rngs = rngs
+    alice_in = _pair_products(t, b)
     previous = None
-    value = 0.0
-    monotone = True
-    converged = False
-    degenerate_events = 0
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        if config.mode == "exact":
-            a1 = _vector_linear_max(t @ (b1 + b2), basis)
-            a2 = _vector_linear_max(t @ (b1 - b2), basis)
-            after_alice = evaluate()
-            b1 = _vector_linear_max(t.T @ (a1 + a2), basis)
-            b2 = _vector_linear_max(t.T @ (a1 - a2), basis)
-        else:
-            a1, a2, bad = _closed_pair(t, basis, b1, b2, rng)
-            degenerate_events += len(bad)
-            after_alice = evaluate()
-            b1, b2, bad = _closed_pair(t.T, basis, a1, a2, rng)
-            degenerate_events += len(bad)
-        value = evaluate()
+    for iteration in range(1, config.max_iterations + 1):
+        a, bad_a = _party_update(alice_in, basis, config.mode, live_rngs)
+        dots = _row_dots(a, alice_in)
+        after_alice = half * (dots[:, 0] + dots[:, 1])
+        b, bad_b = _party_update(_pair_products(t.T, a), basis, config.mode, live_rngs)
+        alice_in = _pair_products(t, b)
+        dots = _row_dots(a, alice_in)
+        value = half * (dots[:, 0] + dots[:, 1])
+        iterations[active] = iteration
+        values[active] = value
+        vectors[active] = np.concatenate((a, b), axis=1)
+        events[active] += bad_a.sum(axis=1) + bad_b.sum(axis=1)
+        stop = events[active] > MAX_DEGENERATE_EVENTS
         if previous is not None:
-            if after_alice < previous - 1e-12 or value < after_alice - 1e-12:
-                monotone = False
-            if abs(value - previous) < config.tolerance:
-                converged = True
-                break
+            dropped = (after_alice < previous - 1e-12) | (value < after_alice - 1e-12)
+            monotone[active[dropped]] = False
+            done = np.abs(value - previous) < config.tolerance
+            converged[active[done]] = True
+            stop |= done
         previous = value
-        if degenerate_events > MAX_DEGENERATE_EVENTS:
-            break
+        if stop.any():
+            keep = ~stop
+            active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
+            live_rngs = [rngs[i] for i in active]
+            if active.size == 0:
+                break
     return {
-        "value": abs(value),
-        "vectors": (a1, a2, b1, b2),
+        "values": np.abs(values),
+        "vectors": vectors,
         "iterations": iterations,
-        "converged": converged and degenerate_events <= MAX_DEGENERATE_EVENTS,
+        "converged": converged & (events <= MAX_DEGENERATE_EVENTS),
         "monotone": monotone,
     }
 
@@ -305,28 +337,16 @@ def seesaw_maximize(
 
     Restart 0 is deterministic (structure-seeded); the remaining restarts
     draw Gaussian directions projected onto the admissible boundary, each
-    from its own (seed, restart-index) substream, so a restart's result does
-    not depend on how many restarts run.  The best restart wins, ties broken
-    by index.
+    from its own (seed, restart-index) substream.  All restarts run in
+    lockstep, one batched eigensolver call per party update, and a
+    restart's result does not depend on how many restarts run.  The best
+    restart wins, ties broken by index.
     """
     if config is None:
         config = SeesawConfig()
     correlations = correlation_matrix(state, basis)
-
-    def run(index: int) -> dict:
-        rng = np.random.default_rng([config.seed, index])
-        if index == 0:
-            init = _deterministic_init(state, basis, correlations)
-        else:
-            init = tuple(basis.random_admissible(rng, 2))
-        return _run_restart(correlations, basis, config, init, rng)
-
-    outcomes = [run(i) for i in range(config.restarts)]
-    best = outcomes[0]
-    for outcome in outcomes[1:]:
-        if outcome["value"] > best["value"]:
-            best = outcome
-    a1, a2, b1, b2 = best["vectors"]
+    runs = _run_restarts(state, basis, config, correlations)
+    a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
     if value < 0:
         a1, a2 = -a1, -a2
@@ -345,9 +365,9 @@ def seesaw_maximize(
         b1=b1,
         b2=b2,
         correlations=correlations,
-        iterations_per_restart=[o["iterations"] for o in outcomes],
-        converged=[o["converged"] for o in outcomes],
-        monotone=all(o["monotone"] for o in outcomes),
+        iterations_per_restart=runs["iterations"].tolist(),
+        converged=runs["converged"].tolist(),
+        monotone=bool(runs["monotone"].all()),
         mode=config.mode,
     )
 

@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from qchsh import build_gellmann_basis
+from qchsh import build_gellmann_basis, correlation_matrix, project_to_admissible
+from qchsh.optimizer import (
+    DEGENERATE_NORM_ATOL,
+    LP_TIE_ATOL,
+    MAX_DEGENERATE_EVENTS,
+    _deterministic_init,
+)
 
 _CACHE = {}
 
@@ -72,3 +80,86 @@ def polytope_vertex_max(lam):
             if abs(mu[free]) <= 1.0 + 1e-12:
                 best = max(best, float(np.dot(lam, mu)))
     return best
+
+
+def serial_linear_max(c):
+    """Reference for optimizer._linear_max: the LP core on one matrix."""
+    values, vectors = np.linalg.eigh(c)
+    lam = values[::-1]
+    d = lam.size
+    t_star = lam[(d - 1) // 2] if d % 2 == 1 else 0.5 * (lam[d // 2 - 1] + lam[d // 2])
+    deviation = lam - t_star
+    ties = np.abs(deviation) < LP_TIE_ATOL
+    mu = np.where(deviation > 0, 1.0, -1.0)
+    mu[ties] = 0.0
+    if ties.any():
+        mu[ties] = -float(np.sum(mu)) / int(ties.sum())
+    vectors = vectors[:, ::-1]
+    return (vectors * mu) @ vectors.conj().T
+
+
+def serial_restarts(state, basis, config):
+    """Reference for optimizer._run_restarts: each restart alone, one vector at a time.
+
+    Returns one (iterations, converged, monotone, [a1, a2, b1, b2]) per restart.
+    """
+    correlations = correlation_matrix(state, basis)
+    t = correlations.matrix
+    half = 0.5 * basis.dim
+
+    def linear_update(w):
+        if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
+            return np.zeros(basis.size)
+        x = serial_linear_max(basis.to_matrix(w))
+        return basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
+
+    def closed_pair(m, u, v, rng):
+        outputs, events = [], 0
+        for direction in (m @ (u + v), m @ (u - v)):
+            if float(np.linalg.norm(direction)) <= DEGENERATE_NORM_ATOL:
+                events += 1
+                outputs.append(basis.random_admissible(rng, 1)[0])
+            else:
+                outputs.append(project_to_admissible(direction, basis))
+        return outputs[0], outputs[1], events
+
+    def run(index):
+        rng = np.random.default_rng([config.seed, index])
+        if index == 0:
+            b1, b2 = _deterministic_init(state, basis, correlations)
+        else:
+            b1, b2 = basis.random_admissible(rng, 2)
+        a1 = a2 = np.zeros(basis.size)
+
+        def evaluate():
+            return half * float(a1 @ (t @ (b1 + b2)) + a2 @ (t @ (b1 - b2)))
+
+        previous = None
+        monotone, converged, events = True, False, 0
+        for iterations in range(1, config.max_iterations + 1):
+            if config.mode == "exact":
+                a1 = linear_update(t @ (b1 + b2))
+                a2 = linear_update(t @ (b1 - b2))
+                after_alice = evaluate()
+                b1 = linear_update(t.T @ (a1 + a2))
+                b2 = linear_update(t.T @ (a1 - a2))
+            else:
+                a1, a2, bad = closed_pair(t, b1, b2, rng)
+                events += bad
+                after_alice = evaluate()
+                b1, b2, bad = closed_pair(t.T, a1, a2, rng)
+                events += bad
+            value = evaluate()
+            if previous is not None:
+                if after_alice < previous - 1e-12 or value < after_alice - 1e-12:
+                    monotone = False
+                if abs(value - previous) < config.tolerance:
+                    converged = True
+                    break
+            previous = value
+            if events > MAX_DEGENERATE_EVENTS:
+                break
+        converged = converged and events <= MAX_DEGENERATE_EVENTS
+        return iterations, converged, monotone, np.array([a1, a2, b1, b2])
+
+    return [run(i) for i in range(config.restarts)]

@@ -222,6 +222,7 @@ def test_verify_detects_corrupted_basis(capsys, monkeypatch):
         ("verify", "--trials", "-5"),
         ("verify", "--seed", "-1"),
         ("bounds", "--state", "random:-1", "--dim", "2"),
+        ("optimize", "--state", "ghz", "--dim", "2", "--tol", "inf"),
     ],
 )
 def test_invalid_counts_and_seeds_exit_one(capsys, argv):

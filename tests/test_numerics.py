@@ -11,18 +11,19 @@ from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
 
 
 # The eigendecomposition behind the linear-max core: its maximizer shares the
-# input's eigenvectors and carries the LP optimum as eigenvalues.
+# input's eigenvectors and carries the LP optimum as eigenvalues.  The core
+# takes a stack c[..., d, d]; these cases pass one-matrix stacks.
 
 
 def test_eigendecomposition_identity():
     # all eigenvalues tie with the median, so the traceless optimum is zero
-    x, value = _linear_max(np.eye(3, dtype=complex))
+    (x,), (value,) = _linear_max(np.eye(3, dtype=complex)[None])
     np.testing.assert_allclose(x, np.zeros((3, 3)), atol=1e-14)
     assert value == 0.0
 
 
 def test_eigendecomposition_pauli_x():
-    x, value = _linear_max(SIGMA_X)
+    (x,), (value,) = _linear_max(SIGMA_X[None])
     np.testing.assert_allclose(x, SIGMA_X, atol=1e-14)
     assert value == pytest.approx(2.0, abs=1e-14)
 
@@ -30,7 +31,7 @@ def test_eigendecomposition_pauli_x():
 def test_eigendecomposition_second_diagonal_generator():
     # (1/sqrt(3)) diag(1, 1, -2): the two tied top eigenvalues share mu = 1/2.
     m = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0)
-    x, value = _linear_max(m)
+    (x,), (value,) = _linear_max(m[None])
     np.testing.assert_allclose(x, np.diag([0.5, 0.5, -1.0]), atol=1e-14)
     assert value == pytest.approx(np.sqrt(3.0), abs=1e-14)
 
@@ -44,7 +45,7 @@ def test_eigendecomposition_reconstruction_and_orthonormality(rng):
     for _ in range(1000):
         d = int(rng.integers(2, 11))
         m = random_hermitian(rng, d)
-        x, value = _linear_max(m)
+        (x,), (value,) = _linear_max(m[None])
         scale = max(float(np.max(np.abs(m))), 1e-30)
         # shared eigenbasis: X commutes with M and is Hermitian
         assert np.max(np.abs(x @ m - m @ x)) < 1e-9 * scale

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchsh import (
     SeesawConfig,
+    build_gellmann_basis,
     chsh_expectation_direct,
     correlation_matrix,
     ghz_chsh_maximum,
@@ -17,9 +20,9 @@ from qchsh import (
     validate_state,
 )
 from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless
-from qchsh.optimizer import _closed_pair
+from qchsh.optimizer import _pair_products, _party_update, _run_restarts
 
-from conftest import polytope_vertex_max, random_hermitian
+from conftest import polytope_vertex_max, random_hermitian, serial_restarts
 
 ROOT2 = np.sqrt(2.0)
 
@@ -96,8 +99,9 @@ def test_closed_form_update_bell_example(basis, rng):
     t = correlation_matrix(ghz_state(2), b)
     b1 = np.array([1.0, 0.0, 0.0])
     b2 = np.array([0.0, 0.0, 1.0])
-    a1, a2, degenerate = _closed_pair(t.matrix, b, b1, b2, rng)
-    assert degenerate == ()
+    directions = _pair_products(t.matrix, np.array([[b1, b2]]))
+    ((a1, a2),), degenerate = _party_update(directions, b, "closed-form", [rng])
+    assert degenerate.tolist() == [[False, False]]
     np.testing.assert_allclose(a1, np.array([1.0, 0.0, 1.0]) / ROOT2, atol=1e-12)
     np.testing.assert_allclose(a2, np.array([1.0, 0.0, -1.0]) / ROOT2, atol=1e-12)
     assert is_admissible(a1, b) and is_admissible(a2, b)
@@ -110,8 +114,9 @@ def test_closed_form_update_degenerate_paths(basis, rng):
     b = basis(2)
     u = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 0.0, 1.0])
-    plus, minus, degenerate = _closed_pair(np.zeros((3, 3)), b, u, v, rng)
-    assert degenerate == ("plus", "minus")
+    directions = _pair_products(np.zeros((3, 3)), np.array([[u, v]]))
+    ((plus, minus),), degenerate = _party_update(directions, b, "closed-form", [rng])
+    assert degenerate.tolist() == [[True, True]]
     # vanishing directions are replaced by random vectors on the admissible boundary
     for replacement in (plus, minus):
         assert is_admissible(replacement, b)
@@ -119,8 +124,9 @@ def test_closed_form_update_degenerate_paths(basis, rng):
 
     # Bob's update uses T^T; u - u vanishes in the minus slot only
     t = correlation_matrix(ghz_state(2), b)
-    plus, minus, degenerate = _closed_pair(t.matrix.T, b, u, u, rng)
-    assert degenerate == ("minus",)
+    directions = _pair_products(t.matrix.T, np.array([[u, u]]))
+    ((plus, minus),), degenerate = _party_update(directions, b, "closed-form", [rng])
+    assert degenerate.tolist() == [[False, True]]
     np.testing.assert_allclose(plus, u, atol=1e-12)
     assert is_admissible(minus, b)
 
@@ -192,6 +198,16 @@ def test_seesaw_deterministic_and_restart_count_invariant(basis):
     assert fewer.iterations_per_restart == first.iterations_per_restart[:3]
     assert fewer.converged == first.converged[:3]
     assert fewer.value <= first.value
+    # the same holds in closed-form mode on the maximally mixed state, where
+    # every slot is degenerate and draws its replacement from its restart's rng
+    mixed = validate_state(np.eye(9, dtype=complex) / 9.0, 3)
+    many = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=5, seed=7))
+    few = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=3, seed=7))
+    assert few.iterations_per_restart == many.iterations_per_restart[:3]
+    assert few.converged == many.converged[:3]
+    # every value is 0, so restart 0 wins both runs with the same vectors
+    np.testing.assert_array_equal(few.a1, many.a1)
+    np.testing.assert_array_equal(few.b2, many.b2)
 
 
 def test_seesaw_config_validation():
@@ -203,6 +219,68 @@ def test_seesaw_config_validation():
         SeesawConfig(tolerance=0.0)
     with pytest.raises(InvalidConfig):
         SeesawConfig(mode="gradient")
+    # non-integer counts and seeds, and a tolerance no sweep can miss
+    for bad in (
+        {"restarts": 2.5},
+        {"restarts": True},
+        {"max_iterations": 3.5},
+        {"max_iterations": "10"},
+        {"seed": 1.5},
+        {"seed": False},
+        {"tolerance": float("inf")},
+        {"tolerance": float("nan")},
+    ):
+        with pytest.raises(InvalidConfig):
+            SeesawConfig(**bad)
+    config = SeesawConfig(restarts=np.int64(2), max_iterations=np.int32(7), seed=np.uint8(3))
+    assert config.restarts == 2
+
+
+def _property_state(kind, d, seed):
+    if kind == "random":
+        return random_two_qudit_state(d, seed)
+    if kind == "ghz":
+        return ghz_state(d)
+    if kind == "product":
+        # T has rank one, so closed-form updates keep meeting vanishing directions
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        rho = g @ np.conj(g).swapaxes(1, 2)
+        return validate_state(np.kron(rho[0] / np.trace(rho[0]), rho[1] / np.trace(rho[1])), d)
+    return validate_state(np.eye(d * d, dtype=complex) / (d * d), d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    mode=st.sampled_from(["exact", "closed-form"]),
+    restarts=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["random", "ghz", "maximally-mixed", "product"]),
+    max_iterations=st.integers(1, 120),
+    tolerance=st.sampled_from([1e-10, 1e-300]),
+)
+def test_lockstep_restarts_match_serial_oracle(
+    d, mode, restarts, seed, kind, max_iterations, tolerance
+):
+    # each restart of the lockstep batch reproduces, bit for bit, the same
+    # restart run alone by the one-vector-at-a-time reference loop; a tiny
+    # tolerance on product states makes restarts leave the batch at different
+    # sweeps, some at the degenerate-event cap
+    b = build_gellmann_basis(d)
+    state = _property_state(kind, d, seed)
+    config = SeesawConfig(
+        mode=mode, restarts=restarts, seed=seed, max_iterations=max_iterations,
+        tolerance=tolerance,
+    )
+    runs = _run_restarts(state, b, config, correlation_matrix(state, b))
+    for i, (iterations, converged, monotone, vectors) in enumerate(
+        serial_restarts(state, b, config)
+    ):
+        assert runs["iterations"][i] == iterations
+        assert runs["converged"][i] == converged
+        assert runs["monotone"][i] == monotone
+        np.testing.assert_array_equal(runs["vectors"][i], vectors)
 
 
 def test_random_search_bell_state(basis):
