@@ -58,6 +58,14 @@ GHZ_PROXIMITY_ATOL = 1e-8
 MAX_DEGENERATE_EVENTS = 8
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise InvalidConfig unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class SeesawConfig:
     """Alternating-maximization parameters."""
@@ -71,18 +79,11 @@ class SeesawConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "closed-form"):
             raise InvalidConfig(f'mode must be "exact" or "closed-form", got {self.mode!r}')
-        for name in ("restarts", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise InvalidConfig(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise InvalidConfig(f"max_iterations must be >= 1, got {self.max_iterations}")
+        _check_count("restarts", self.restarts, 1)
+        _check_count("max_iterations", self.max_iterations, 1)
+        _check_count("seed", self.seed, 0)
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise InvalidConfig(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -382,8 +383,8 @@ def random_search_max(
 
     Never exceeds the true maximum; deterministic per seed.
     """
-    if samples < 1:
-        raise InvalidConfig(f"samples must be >= 1, got {samples}")
+    _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     t = correlation_matrix(state, basis).matrix
     rng = np.random.default_rng(seed)
     best = 0.0

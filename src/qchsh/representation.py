@@ -48,6 +48,12 @@ class GellMannBasis:
     Immutable after construction; ``operators[j]`` is the j-th basis matrix
     and ``stack`` holds all of them as one (d**2-1, d, d) array for fast
     contractions.
+
+    ``to_matrix`` and ``to_vector`` contract the dense stack with einsum: on
+    the small batches of a see-saw sweep that is faster than walking the
+    sparse structure, and a structured ``to_matrix`` would not match it bit
+    for bit (signed zeros).  ``pair_leading``, which serves the d**4-sized
+    correlation contraction, walks the structure instead.
     """
 
     def __init__(self, dim: int):
@@ -100,6 +106,52 @@ class GellMannBasis:
                 f"matrices must be {self.dim}x{self.dim}, got shape {x.shape}"
             )
         return np.real(np.einsum("...kl,jlk->...j", x, self.stack))
+
+    def pair_leading(self, x: np.ndarray) -> np.ndarray:
+        """Pairings ``out[a, ...] = sum_{i,j} x[i, j, ...] L_a[j, i]`` of ``x[d, d, ...]``.
+
+        Equal bit for bit to the dense einsum ``"ij...,aji->a..."`` over the
+        stack, in O(d**2) work per trailing element rather than O(d**4).  A
+        pair operator has two nonzero entries, so its pairing is a two-term
+        sum, the same in either order; a diagonal operator's terms are added
+        in ascending index, as the einsum adds them.  The products with the
+        zero entries of L_a, which the einsum adds, change no nonzero sum.
+        """
+        x = np.asarray(x)
+        d = self.dim
+        if x.shape[:2] != (d, d):
+            raise DimensionMismatch(
+                f"leading axes must be {d}x{d}, got shape {x.shape}"
+            )
+        out = np.empty((self.size,) + x.shape[2:], dtype=np.complex128)
+        npairs = d * (d - 1) // 2
+        symmetric, antisymmetric = out[:npairs], out[npairs : 2 * npairs]
+        # Every product added into out is formed in this one buffer: a fresh
+        # temporary per term left the heap fragmented, and peak memory higher.
+        scratch = np.empty((d - 1,) + x.shape[2:], dtype=np.complex128)
+        start = 0
+        for m in range(d - 1):
+            # pairs (m, k), k > m: L[m, k] = 1 or -i, L[k, m] = 1 or i
+            stop = start + d - 1 - m
+            np.add(x[m + 1 :, m], x[m, m + 1 :], out=symmetric[start:stop])
+            block = antisymmetric[start:stop]
+            np.multiply(x[m + 1 :, m], self.stack[npairs + start, m, m + 1], out=block)
+            term = scratch[: stop - start]
+            np.multiply(x[m, m + 1 :], self.stack[npairs + start, m + 1, m], out=term)
+            block += term
+            start = stop
+        for l in range(1, d):
+            a = 2 * npairs + l - 1
+            acc = out[a, ...]
+            np.multiply(x[0, 0], self.stack[a, 0, 0], out=acc)
+            term = scratch[0, ...]
+            for j in range(1, l + 1):
+                np.multiply(x[j, j], self.stack[a, j, j], out=term)
+                acc += term
+        # The einsum accumulates from +0, so a sum of -0 terms reads +0 there;
+        # adding +0 makes that so here and leaves every other value as it is.
+        out += 0.0
+        return out
 
     def vector_operator_norm(self, components: np.ndarray) -> np.ndarray:
         """Operator norm of n . L for each coefficient vector in ``components[..., d**2-1]``."""

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qchsh import build_gellmann_basis, correlation_matrix, project_to_admissible
+from qchsh import (
+    build_gellmann_basis,
+    correlation_matrix,
+    ghz_state,
+    project_to_admissible,
+    random_two_qudit_state,
+    validate_state,
+)
 from qchsh.optimizer import (
     DEGENERATE_NORM_ATOL,
     LP_TIE_ATOL,
@@ -60,6 +67,42 @@ def dense_to_vector(x, stack):
         [[np.trace(m @ op).real for op in stack] for m in mats], dtype=np.float64
     )
     return out.reshape(x.shape[:-2] + (stack.shape[0],))
+
+
+def dense_correlation(state, basis):
+    """Reference for correlation_matrix: the dense einsums over the basis stack.
+
+    Returns the complex entries tr[rho (L_a x L_b)], imaginary parts included.
+    """
+    d = state.dim
+    r4 = state.rho.reshape(d, d, d, d)
+    partial = np.einsum("ikjl,aji->akl", r4, basis.stack)
+    return np.einsum("akl,blk->ab", partial, basis.stack)
+
+
+def property_state(kind, d, seed):
+    """A two-qudit state of the given kind for property tests.
+
+    "diagonal" has some exactly zero populations and writes its zero
+    coherences as -0.0, as a state file may.
+    """
+    if kind == "random":
+        return random_two_qudit_state(d, seed)
+    if kind == "ghz":
+        return ghz_state(d)
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        # T has rank one, so closed-form updates keep meeting vanishing directions
+        g = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        rho = g @ np.conj(g).swapaxes(1, 2)
+        return validate_state(np.kron(rho[0] / np.trace(rho[0]), rho[1] / np.trace(rho[1])), d)
+    if kind == "diagonal":
+        p = rng.random(d * d) * (rng.random(d * d) < 0.7)
+        p[rng.integers(d * d)] += 1.0
+        rho = np.full((d * d, d * d), -0.0, dtype=complex)
+        rho[np.diag_indices(d * d)] = p / p.sum()
+        return validate_state(rho, d)
+    return validate_state(np.eye(d * d, dtype=complex) / (d * d), d)
 
 
 def polytope_vertex_max(lam):

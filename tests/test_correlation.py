@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchsh import (
     ChshSettings,
     CorrelationMatrix,
     TwoQuditState,
+    build_gellmann_basis,
     chsh_expectation_direct,
     chsh_expectation_from_correlations,
     chsh_operator,
@@ -16,9 +19,10 @@ from qchsh import (
     random_two_qudit_state,
     validate_state,
 )
+from qchsh.correlation import _complex_entries
 from qchsh.errors import DimensionMismatch, ImaginaryResidual, NotInLd
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, dense_correlation, property_state
 
 ROOT2 = np.sqrt(2.0)
 
@@ -81,6 +85,48 @@ def test_correlation_raises_on_imaginary_residual(basis):
     broken = TwoQuditState(dim=2, rho=rho)
     with pytest.raises(ImaginaryResidual):
         correlation_matrix(broken, basis(2))
+
+
+def _assert_same_as_dense(state, basis):
+    expected = dense_correlation(state, basis)
+    t = correlation_matrix(state, basis).matrix
+    np.testing.assert_array_equal(t, expected.real)
+    np.testing.assert_array_equal(np.signbit(t), np.signbit(expected.real))
+    imag = _complex_entries(state, basis).imag
+    assert np.max(np.abs(imag)) == np.max(np.abs(expected.imag))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    kind=st.sampled_from(["random", "ghz", "maximally-mixed", "product", "diagonal"]),
+    seed=st.integers(0, 2**16),
+)
+def test_correlation_matches_dense_einsum_bit_for_bit(d, kind, seed):
+    _assert_same_as_dense(property_state(kind, d, seed), build_gellmann_basis(d))
+
+
+@pytest.mark.parametrize("d", range(9, 17))
+def test_correlation_matches_dense_einsum_at_larger_d(d, basis):
+    _assert_same_as_dense(random_two_qudit_state(d, 100 + d), basis(d))
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+def test_pair_leading_against_per_slice_trace(trailing, basis, rng):
+    for d in (2, 3, 5):
+        b = basis(d)
+        shape = (d, d) + trailing
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = b.pair_leading(x)
+        assert out.shape == (b.size,) + trailing
+        slices = np.moveaxis(x, (0, 1), (-2, -1))
+        for a, op in enumerate(b.operators):
+            expected = np.trace(slices @ op, axis1=-2, axis2=-1)
+            np.testing.assert_allclose(out[a], expected, rtol=0, atol=1e-13)
+    with pytest.raises(DimensionMismatch):
+        basis(3).pair_leading(np.zeros((3, 2, 4)))
+    with pytest.raises(DimensionMismatch):
+        basis(3).pair_leading(np.zeros(3))
 
 
 def test_chsh_operator_collinear_settings(basis):

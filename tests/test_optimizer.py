@@ -22,7 +22,7 @@ from qchsh import (
 from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless
 from qchsh.optimizer import _pair_products, _party_update, _run_restarts
 
-from conftest import polytope_vertex_max, random_hermitian, serial_restarts
+from conftest import polytope_vertex_max, property_state, random_hermitian, serial_restarts
 
 ROOT2 = np.sqrt(2.0)
 
@@ -236,20 +236,6 @@ def test_seesaw_config_validation():
     assert config.restarts == 2
 
 
-def _property_state(kind, d, seed):
-    if kind == "random":
-        return random_two_qudit_state(d, seed)
-    if kind == "ghz":
-        return ghz_state(d)
-    if kind == "product":
-        # T has rank one, so closed-form updates keep meeting vanishing directions
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
-        rho = g @ np.conj(g).swapaxes(1, 2)
-        return validate_state(np.kron(rho[0] / np.trace(rho[0]), rho[1] / np.trace(rho[1])), d)
-    return validate_state(np.eye(d * d, dtype=complex) / (d * d), d)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     d=st.integers(2, 5),
@@ -268,7 +254,7 @@ def test_lockstep_restarts_match_serial_oracle(
     # tolerance on product states makes restarts leave the batch at different
     # sweeps, some at the degenerate-event cap
     b = build_gellmann_basis(d)
-    state = _property_state(kind, d, seed)
+    state = property_state(kind, d, seed)
     config = SeesawConfig(
         mode=mode, restarts=restarts, seed=seed, max_iterations=max_iterations,
         tolerance=tolerance,
@@ -301,3 +287,19 @@ def test_random_search_never_beats_exact_seesaw(basis):
         sampled = random_search_max(state, b, samples=2000, seed=seed)
         optimized = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=6, seed=seed))
         assert sampled <= optimized.value + 1e-9
+
+
+def test_random_search_rejects_non_integer_samples_and_seed(basis):
+    state = ghz_state(2)
+    for bad in (
+        {"samples": 2.5},
+        {"samples": True},
+        {"samples": "3"},
+        {"samples": 0},
+        {"seed": 1.5},
+        {"seed": -1},
+    ):
+        kwargs = {"samples": 10, "seed": 0, **bad}
+        with pytest.raises(InvalidConfig):
+            random_search_max(state, basis(2), **kwargs)
+    assert random_search_max(state, basis(2), samples=np.int64(10), seed=np.uint8(3)) > 0.0

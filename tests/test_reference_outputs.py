@@ -1,14 +1,16 @@
 """Byte-identical CLI output: benchmark requests against their recorded digests.
 
-Every request that a benchmark workload sends at its tiny size, and every
-full-size ``optimize`` and ``ghz-table`` request with d <= 8, is replayed
-through ``qchsh.cli.main`` and the sha256 of its stdout is compared with
-``perfbench/reference.json``.  A refactor that changes any printed digit
-fails here.  The benchmark files are only read.
+Every request that a benchmark workload sends at its tiny size, every
+full-size ``optimize`` and ``ghz-table`` request with d <= 8, and the eight
+full-size ``correlation --dim 12`` requests (json and csv, four state seeds)
+are replayed through ``qchsh.cli.main`` and the sha256 of its stdout is
+compared with ``perfbench/reference.json``.  A refactor that changes any
+printed digit fails here.  The benchmark files are only read.
 
-The full-size see-saw requests at d = 10 and 12 are left out: their digests
-were recorded with one BLAS thread and drift in the last digits when
-OpenBLAS runs several.
+The other full-size requests are left out: their digests were recorded with
+one BLAS thread and drift in the last digits when OpenBLAS runs several.  The
+see-saw requests drift at d = 10 and 12, the dense requests (bounds,
+correlation, basis) at d >= 14.
 """
 
 from __future__ import annotations
@@ -56,15 +58,20 @@ def _max_dim(key: str) -> int:
     return int(argv[argv.index("--dims") + 1].split(":")[1])
 
 
-SEESAW_KEYS = [
-    key
-    for key in dict.fromkeys(
+FULL_KEYS = list(
+    dict.fromkeys(
         key
         for workload in workloads.WORKLOADS
         for group in workloads.groups(workload, "full")
         for key in group
     )
+)
+SEESAW_KEYS = [
+    key for key in FULL_KEYS
     if key.split()[0] in ("optimize", "ghz-table") and _max_dim(key) <= 8
+]
+CORRELATION_KEYS = [
+    key for key in FULL_KEYS if key.split()[0] == "correlation" and _max_dim(key) == 12
 ]
 
 
@@ -84,4 +91,9 @@ def test_tiny_request_matches_reference_digest(key, tmp_path):
 
 @pytest.mark.parametrize("key", SEESAW_KEYS)
 def test_full_seesaw_request_matches_reference_digest(key, tmp_path):
+    _assert_matches_reference(key, tmp_path)
+
+
+@pytest.mark.parametrize("key", CORRELATION_KEYS)
+def test_full_correlation_request_matches_reference_digest(key, tmp_path):
     _assert_matches_reference(key, tmp_path)
