@@ -17,11 +17,7 @@ from .correlation import (
     chsh_operator,
     correlation_matrix,
 )
-from .numerics import (
-    operator_norm,
-    tensor_product,
-    trace_inner_product,
-)
+from .numerics import operator_norm, tensor_product
 from .optimizer import (
     SeesawConfig,
     SeesawResult,
@@ -83,7 +79,6 @@ __all__ = [
     "state_to_json_dict",
     "tensor_product",
     "top_two_gram_eigenvalues",
-    "trace_inner_product",
     "traceless_linear_max",
     "validate_state",
 ]

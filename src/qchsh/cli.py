@@ -42,9 +42,16 @@ def _jsonable(obj):
     return obj
 
 
-def _matrix_pairs(matrix: np.ndarray) -> list:
-    """Row-major [re, im] pairs for a complex matrix."""
-    return [[_round15(z.real), _round15(z.imag)] for z in np.asarray(matrix).ravel()]
+def _matrix_pairs(matrix: np.ndarray) -> np.ndarray:
+    """Row-major [re, im] pairs for a complex matrix; ``_jsonable`` rounds them."""
+    z = np.asarray(matrix).ravel()
+    return np.stack((z.real, z.imag), axis=-1)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    return f"{value:.15g}"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -95,6 +102,10 @@ def _resolve_state(args):
     )
 
 
+def _seesaw_config(args) -> SeesawConfig:
+    return SeesawConfig(mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed)
+
+
 def cmd_basis(args) -> int:
     if args.dim is None:
         raise ValidationError("--dim is required for the basis command")
@@ -141,9 +152,7 @@ def cmd_bounds(args) -> int:
 def cmd_optimize(args) -> int:
     state = _resolve_state(args)
     basis = build_gellmann_basis(state.dim)
-    config = SeesawConfig(
-        mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed
-    )
+    config = _seesaw_config(args)
     result = seesaw_maximize(state, basis, config)
     report = chsh_bounds(result.correlations)
     payload = {
@@ -152,10 +161,10 @@ def cmd_optimize(args) -> int:
         "mode": result.mode,
         "restarts": config.restarts,
         "converged_count": result.converged_count,
-        "a1": result.a1,
-        "a2": result.a2,
-        "b1": result.b1,
-        "b2": result.b2,
+        "a1": result.settings.a1.coefficients,
+        "a2": result.settings.a2.coefficients,
+        "b1": result.settings.b1.coefficients,
+        "b2": result.settings.b2.coefficients,
         "settings": {
             "A1": _matrix_pairs(result.settings.a1.matrix),
             "A2": _matrix_pairs(result.settings.a2.matrix),
@@ -172,15 +181,13 @@ def cmd_optimize(args) -> int:
 
 def cmd_ghz_table(args) -> int:
     dims = _parse_dims(args.dims)
-    config = SeesawConfig(
-        mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed
-    )
+    config = _seesaw_config(args)
     rows = []
     for d in dims:
         basis = build_gellmann_basis(d)
         state = ghz_state(d)
         closed = ghz_chsh_maximum(d)
-        certificate = abs(chsh_expectation_direct(state, ghz_optimal_settings(d, basis)))
+        certificate = abs(chsh_expectation_direct(state, ghz_optimal_settings(basis)))
         seesaw = seesaw_maximize(state, basis, config).value
         report = chsh_bounds(ghz_correlation_matrix(d))
         rows.append(
@@ -195,20 +202,8 @@ def cmd_ghz_table(args) -> int:
             }
         )
     if args.output == "csv":
-        header = [
-            "d", "closed_form", "certificate", "seesaw",
-            "upper_bound", "tsirelson_gap", "upper_improves_tsirelson",
-        ]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    str(row["d"]) if key == "d"
-                    else (str(row[key]).lower() if key == "upper_improves_tsirelson"
-                          else f"{row[key]:.15g}")
-                    for key in header
-                )
-            )
+        lines = [",".join(rows[0])]
+        lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _dump_json({"rows": rows}, args.out)
@@ -250,12 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
         if state:
             p.add_argument("--state", default="ghz",
                            help='state source: "ghz", "random:<seed>" or "file:<path>"')
-            p.add_argument("--dim", type=int, default=None, help="qudit dimension d")
+        p.add_argument("--dim", type=int, default=None, help="qudit dimension d")
         p.add_argument("--out", default=None, help="write the report to this path")
 
+    def add_seesaw(p):
+        defaults = SeesawConfig()
+        p.add_argument("--mode", choices=("exact", "closed-form"), default=defaults.mode)
+        p.add_argument("--restarts", type=int, default=defaults.restarts)
+        p.add_argument("--seed", type=int, default=defaults.seed)
+        p.add_argument("--tol", type=float, default=defaults.tolerance)
+
     p_basis = sub.add_parser("basis", help="export the operator basis as JSON")
-    p_basis.add_argument("--dim", type=int, default=None, help="qudit dimension d")
-    p_basis.add_argument("--out", default=None)
+    add_common(p_basis, state=False)
     p_basis.set_defaults(func=cmd_basis)
 
     p_corr = sub.add_parser("correlation", help="correlation matrix of a state")
@@ -269,18 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="see-saw maximization of |CHSH|")
     add_common(p_opt)
-    p_opt.add_argument("--mode", choices=("exact", "closed-form"), default="exact")
-    p_opt.add_argument("--restarts", type=int, default=32)
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--tol", type=float, default=1e-10)
+    add_seesaw(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_table = sub.add_parser("ghz-table", help="GHZ closed forms vs optimization per d")
     p_table.add_argument("--dims", default="2:8", help="inclusive range a:b")
-    p_table.add_argument("--mode", choices=("exact", "closed-form"), default="exact")
-    p_table.add_argument("--restarts", type=int, default=32)
-    p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--tol", type=float, default=1e-10)
+    add_seesaw(p_table)
     p_table.add_argument("--output", choices=("json", "csv"), default="json")
     p_table.add_argument("--out", default=None)
     p_table.set_defaults(func=cmd_ghz_table)

@@ -58,13 +58,3 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     return np.kron(ma, mb)
 
-
-def trace_inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt pairing tr[AB] of two square matrices."""
-    ma = _require_square(a, "first argument")
-    mb = _require_square(b, "second argument")
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(
-            f"trace inner product needs equal dimensions, got {ma.shape[0]} and {mb.shape[0]}"
-        )
-    return complex(np.einsum("kl,lk->", ma, mb))

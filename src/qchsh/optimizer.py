@@ -40,15 +40,15 @@ from .correlation import (
     chsh_expectation_from_correlations,
     correlation_matrix,
 )
-from .errors import ConvergenceFailure, InvalidConfig, NotTraceless
-from .numerics import symmetrized_hermitian
+from .errors import ConvergenceFailure, InvalidConfig
 from .representation import (
     GellMannBasis,
     TracelessObservable,
-    build_gellmann_basis,
+    check_count,
     expand_observable,
     observable_from_coefficients,
     project_to_admissible,
+    symmetrized_traceless,
 )
 from .states import TwoQuditState, ghz_state
 
@@ -56,14 +56,6 @@ DEGENERATE_NORM_ATOL = 1e-14
 LP_TIE_ATOL = 1e-12
 GHZ_PROXIMITY_ATOL = 1e-8
 MAX_DEGENERATE_EVENTS = 8
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Raise InvalidConfig unless value is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,23 +71,22 @@ class SeesawConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "closed-form"):
             raise InvalidConfig(f'mode must be "exact" or "closed-form", got {self.mode!r}')
-        _check_count("restarts", self.restarts, 1)
-        _check_count("max_iterations", self.max_iterations, 1)
-        _check_count("seed", self.seed, 0)
+        check_count("restarts", self.restarts, 1)
+        check_count("max_iterations", self.max_iterations, 1)
+        check_count("seed", self.seed, 0)
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise InvalidConfig(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
 class SeesawResult:
-    """Best |CHSH| value found plus the certifying settings and vectors."""
+    """Best |CHSH| value found plus the certifying settings.
+
+    The coefficient vectors of the winning restart are ``settings.*.coefficients``.
+    """
 
     value: float
     settings: ChshSettings
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
     correlations: CorrelationMatrix
     iterations_per_restart: list[int] = field(default_factory=list)
     converged: list[bool] = field(default_factory=list)
@@ -153,10 +144,7 @@ def traceless_linear_max(
     Returns the maximizer (sharing C's eigenbasis, spectrum in [-1, 1] with
     zero sum) and the attained value.
     """
-    c = symmetrized_hermitian(target, "target")
-    trace_residual = abs(complex(np.trace(c)))
-    if trace_residual > 1e-10:
-        raise NotTraceless(f"target has |trace| = {trace_residual:.3e}")
+    c = symmetrized_traceless(target, basis, "target")
     x, value = _linear_max(c)
     x = 0.5 * (x + x.conj().T)
     coefficients = expand_observable(x, basis)
@@ -200,24 +188,19 @@ def _party_update(
         x, _ = _linear_max(basis.to_matrix(w[live]))
         out[live] = basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
         return out.reshape(directions.shape), np.zeros(directions.shape[:-1], dtype=bool)
-    norms = basis.vector_operator_norm(w[live])
-    out[live] = np.sqrt(2.0 / basis.dim) * w[live] / norms[:, None]
+    out[live] = basis.to_boundary(w[live])
     for slot in np.flatnonzero(vanishing):
         out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
     return out.reshape(directions.shape), vanishing.reshape(directions.shape[:-1])
 
 
-def ghz_optimal_settings(d: int, basis: GellMannBasis | None = None) -> ChshSettings:
-    """Settings attaining the exact GHZ maximum 2 * m_d**2 * sqrt(2).
+def ghz_optimal_settings(basis: GellMannBasis) -> ChshSettings:
+    """Settings attaining the exact GHZ maximum 2 * m_d**2 * sqrt(2) at d = basis.dim.
 
     Computational basis states are paired into floor(d/2) qubit blocks; each
     block carries A1 = sigma_z, A2 = sigma_x, B1/B2 = (sigma_z +- sigma_x)/sqrt(2).
     Odd d leaves one zero row/column (a zero eigenvalue of multiplicity 1).
     """
-    if basis is None:
-        basis = build_gellmann_basis(d)
-    elif basis.dim != d:
-        raise InvalidConfig(f"basis has d={basis.dim}, requested d={d}")
     d = basis.dim
     a1 = np.zeros((d, d), dtype=np.complex128)
     a2 = np.zeros((d, d), dtype=np.complex128)
@@ -249,7 +232,7 @@ def _deterministic_init(
     """
     ghz = ghz_state(state.dim)
     if float(np.max(np.abs(state.rho - ghz.rho))) < GHZ_PROXIMITY_ATOL:
-        settings = ghz_optimal_settings(state.dim, basis)
+        settings = ghz_optimal_settings(basis)
         return settings.b1.coefficients.copy(), settings.b2.coefficients.copy()
     gram = correlations.matrix.T @ correlations.matrix
     _, vectors = np.linalg.eigh(gram)
@@ -361,10 +344,6 @@ def seesaw_maximize(
     return SeesawResult(
         value=float(value),
         settings=settings,
-        a1=a1,
-        a2=a2,
-        b1=b1,
-        b2=b2,
         correlations=correlations,
         iterations_per_restart=runs["iterations"].tolist(),
         converged=runs["converged"].tolist(),
@@ -383,8 +362,8 @@ def random_search_max(
 
     Never exceeds the true maximum; deterministic per seed.
     """
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
+    check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     t = correlation_matrix(state, basis).matrix
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -394,10 +373,7 @@ def random_search_max(
         count = min(chunk_size, remaining)
         remaining -= count
         vecs = basis.random_admissible(rng, 4 * count).reshape(count, 4, basis.size)
-        a1, a2, b1, b2 = (vecs[:, i, :] for i in range(4))
-        values = 0.5 * basis.dim * (
-            np.einsum("cj,cj->c", a1, (b1 + b2) @ t.T)
-            + np.einsum("cj,cj->c", a2, (b1 - b2) @ t.T)
-        )
+        dots = _row_dots(vecs[:, :2], _pair_products(t, vecs[:, 2:]))
+        values = 0.5 * basis.dim * (dots[:, 0] + dots[:, 1])
         best = max(best, float(np.max(np.abs(values))))
     return best

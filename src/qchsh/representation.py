@@ -16,8 +16,13 @@ A traceless Hermitian observable X with coefficient vector n (components
 ``n_j = tr[X L_j] / sqrt(2 d)``) satisfies ``X = sqrt(d/2) * (n . L)``.  We
 call X *admissible* when its spectrum lies in [-1, 1], and call n admissible
 when the operator norm of ``n . L`` is at most sqrt(2/d); the map between
-the two sets is one-to-one.  The largest Euclidean norm among admissible
-vectors is 1 for even d and sqrt((d-1)/d) for odd d.
+the two sets is one-to-one, and ``GellMannBasis.to_boundary`` rescales a
+nonzero n onto the boundary of the admissible set.  The largest Euclidean
+norm among admissible vectors is 1 for even d and sqrt((d-1)/d) for odd d.
+
+The input checks every layer shares live here too: ``check_dim`` for qudit
+dimensions, ``check_count`` for integer counts and seeds, and
+``symmetrized_traceless`` for traceless Hermitian operators.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, NotHermitian, NotTraceless, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    InvalidDimension,
+    NotHermitian,
+    NotTraceless,
+    ZeroVector,
+)
 from .numerics import operator_norm, symmetrized_hermitian
 
 # Operator-norm slack for admissibility checks, one order above the
@@ -40,6 +52,14 @@ def check_dim(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
     return int(d)
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise InvalidConfig unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
 
 
 class GellMannBasis:
@@ -158,10 +178,18 @@ class GellMannBasis:
         eigs = np.linalg.eigvalsh(self.to_matrix(components))
         return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
 
+    def to_boundary(self, components: np.ndarray) -> np.ndarray:
+        """``sqrt(2/d) * n / ||n . L||_op`` for each row n of ``components[..., d**2-1]``.
+
+        Each result's contraction has operator norm sqrt(2/d), the boundary
+        of the admissible set.  Rows must be nonzero; callers check that.
+        """
+        n = np.asarray(components, dtype=np.float64)
+        return np.sqrt(2.0 / self.dim) * n / self.vector_operator_norm(n)[..., None]
+
     def random_admissible(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Gaussian directions rescaled onto the admissible boundary, one per row."""
-        g = rng.standard_normal((count, self.size))
-        return np.sqrt(2.0 / self.dim) * g / self.vector_operator_norm(g)[:, None]
+        return self.to_boundary(rng.standard_normal((count, self.size)))
 
     def _check_vector(self, components: np.ndarray) -> np.ndarray:
         n = np.asarray(components, dtype=np.float64)
@@ -193,9 +221,28 @@ class TracelessObservable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_admissible(self, atol: float = MEMBERSHIP_ATOL) -> bool:
-        """True when the spectrum lies in [-1 - atol, 1 + atol]."""
-        return operator_norm(self.matrix) <= 1.0 + atol
+    def is_admissible(self) -> bool:
+        """True when the spectrum lies in [-1 - MEMBERSHIP_ATOL, 1 + MEMBERSHIP_ATOL]."""
+        return operator_norm(self.matrix) <= 1.0 + MEMBERSHIP_ATOL
+
+
+def symmetrized_traceless(matrix: np.ndarray, basis: GellMannBasis, name: str) -> np.ndarray:
+    """Check that matrix is a traceless Hermitian d x d operator and return (M + M†)/2.
+
+    Hermiticity is checked by ``numerics.symmetrized_hermitian``; the trace of
+    the symmetrized matrix must stay within ``TRACELESS_ATOL``.
+    """
+    x = symmetrized_hermitian(matrix, name)
+    if x.shape[0] != basis.dim:
+        raise DimensionMismatch(
+            f"{name} is {x.shape[0]}x{x.shape[0]} but basis has d={basis.dim}"
+        )
+    trace_residual = abs(complex(np.trace(x)))
+    if trace_residual > TRACELESS_ATOL:
+        raise NotTraceless(
+            f"{name} has |trace| = {trace_residual:.3e}, exceeds {TRACELESS_ATOL:.0e}"
+        )
+    return x
 
 
 def expand_observable(matrix: np.ndarray, basis: GellMannBasis) -> np.ndarray:
@@ -204,16 +251,7 @@ def expand_observable(matrix: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     Components are ``n_j = tr[X L_j] / sqrt(2 d)``, so that
     ``sqrt(d/2) * (n . L)`` reproduces X.
     """
-    x = symmetrized_hermitian(matrix, "observable")
-    if x.shape[0] != basis.dim:
-        raise DimensionMismatch(
-            f"observable is {x.shape[0]}x{x.shape[0]} but basis has d={basis.dim}"
-        )
-    trace_residual = abs(complex(np.trace(x)))
-    if trace_residual > TRACELESS_ATOL:
-        raise NotTraceless(
-            f"observable has |trace| = {trace_residual:.3e}, exceeds {TRACELESS_ATOL:.0e}"
-        )
+    x = symmetrized_traceless(matrix, basis, "observable")
     return basis.to_vector(x) / np.sqrt(2.0 * basis.dim)
 
 
@@ -232,22 +270,18 @@ def observable_from_coefficients(
 def project_to_admissible(components: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """Rescale a nonzero vector onto the admissible boundary.
 
-    Returns ``sqrt(2/d) * n / ||n . L||_op``, whose contraction has operator
-    norm exactly sqrt(2/d).
+    See ``GellMannBasis.to_boundary``.
     """
     n = basis._check_vector(components)
     if not np.any(n):
         raise ZeroVector("cannot project the zero vector")
-    norm0 = basis.vector_operator_norm(n)
-    return np.sqrt(2.0 / basis.dim) * n / norm0
+    return basis.to_boundary(n)
 
 
-def is_admissible(
-    components: np.ndarray, basis: GellMannBasis, atol: float = MEMBERSHIP_ATOL
-) -> bool:
-    """Whether ``||n . L||_op <= sqrt(2/d)`` within tolerance."""
+def is_admissible(components: np.ndarray, basis: GellMannBasis) -> bool:
+    """Whether ``||n . L||_op <= sqrt(2/d) + MEMBERSHIP_ATOL``."""
     n = basis._check_vector(components)
-    return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + atol)
+    return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + MEMBERSHIP_ATOL)
 
 
 def max_admissible_norm(d: int) -> float:

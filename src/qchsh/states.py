@@ -15,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    NotHermitian,
-    NotPositive,
-    TraceNotOne,
-    ValidationError,
-)
-from .numerics import HERMITIAN_ATOL
-from .representation import check_dim
+from .errors import DimensionMismatch, NotPositive, TraceNotOne, ValidationError
+from .numerics import symmetrized_hermitian
+from .representation import check_count, check_dim
 
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
@@ -53,8 +46,7 @@ def ghz_state(d: int) -> TwoQuditState:
 def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     """Ginibre-induced random full-rank state, deterministic per (d, seed)."""
     d = check_dim(d)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"random state seed must be an integer >= 0, got {seed!r}")
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     rho = g @ g.conj().T
@@ -76,14 +68,7 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
         raise DimensionMismatch(
             f"state for d={d} must be {d * d}x{d * d}, got shape {m.shape}"
         )
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise NotHermitian("state contains non-finite entries")
-    herm_residual = float(np.max(np.abs(m - m.conj().T)))
-    if herm_residual > HERMITIAN_ATOL:
-        raise NotHermitian(
-            f"state is not Hermitian: max |rho - rho^dag| = {herm_residual:.3e}"
-        )
-    m = 0.5 * (m + m.conj().T)
+    m = symmetrized_hermitian(m, "state")
     trace_residual = abs(np.trace(m).real - 1.0)
     if trace_residual > TRACE_ATOL:
         raise TraceNotOne(f"state trace deviates from 1 by {trace_residual:.3e}")
@@ -114,9 +99,7 @@ def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
         raise ValidationError(f"state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "d" not in payload or "rho" not in payload:
         raise ValidationError(f'state file {path} must contain keys "d" and "rho"')
-    file_d = payload["d"]
-    if not isinstance(file_d, int) or file_d < 2:
-        raise InvalidDimension(f'state file {path} has invalid "d": {file_d!r}')
+    file_d = check_dim(payload["d"])
     if d is not None and d != file_d:
         raise DimensionMismatch(
             f"requested d={d} but state file declares d={file_d}"

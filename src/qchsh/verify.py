@@ -14,8 +14,8 @@ import numpy as np
 
 from .bounds import chsh_bounds, ghz_chsh_maximum, ghz_correlation_matrix, horodecki_two_qubit
 from .correlation import correlation_matrix
-from .errors import InvalidConfig, ValidationError
-from .representation import build_gellmann_basis
+from .errors import ValidationError
+from .representation import build_gellmann_basis, check_count
 from .states import ghz_state, random_two_qudit_state
 
 DEFAULT_DIMS = (2, 3, 4, 5, 6)
@@ -198,10 +198,8 @@ def run_suites(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> list[SuiteResult]:
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise InvalidConfig(f"seed must be non-negative, got {seed}")
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     selected = list(SUITES) if not names else names
     results = []
     for name in selected:

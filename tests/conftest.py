@@ -69,6 +69,11 @@ def dense_to_vector(x, stack):
     return out.reshape(x.shape[:-2] + (stack.shape[0],))
 
 
+def boundary_row(n, basis):
+    """Reference for GellMannBasis.to_boundary: one nonzero row rescaled on its own."""
+    return np.sqrt(2.0 / basis.dim) * n / basis.vector_operator_norm(n)
+
+
 def dense_correlation(state, basis):
     """Reference for correlation_matrix: the dense einsums over the basis stack.
 

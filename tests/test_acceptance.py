@@ -98,7 +98,7 @@ def test_criterion_04_certificate_values():
     for d in range(2, 9):
         basis = _BASES[d]
         expected = 2.0 * ROOT2 if d % 2 == 0 else 2.0 * (d - 1) / d * ROOT2
-        value = chsh_expectation_direct(ghz_state(d), ghz_optimal_settings(d, basis))
+        value = chsh_expectation_direct(ghz_state(d), ghz_optimal_settings(basis))
         values.append(value)
         worst = max(worst, abs(value - expected))
         assert abs(value - ghz_chsh_maximum(d)) < 1e-12

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import qchsh.verify
-from qchsh import ghz_state, state_to_json_dict
+from qchsh import ghz_state, random_two_qudit_state, state_to_json_dict
 from qchsh.cli import main
+from qchsh.errors import InvalidConfig
 from qchsh.representation import GellMannBasis
 
 ROOT2 = np.sqrt(2.0)
@@ -137,6 +138,24 @@ def test_ghz_table_csv(capsys):
     assert lines[2].endswith("true")  # odd d improves on the ceiling
 
 
+GHZ_TABLE_CSV = (
+    "d,closed_form,certificate,seesaw,upper_bound,tsirelson_gap,upper_improves_tsirelson\n"
+    "2,2.82842712474619,2.82842712474619,2.82842712474619,2.82842712474619,0,false\n"
+    "3,1.88561808316413,1.88561808316413,1.88561808316413,1.88561808316413,"
+    "0.942809041582064,true\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["exact", "closed-form"])
+def test_ghz_table_csv_bytes(capsys, mode):
+    # the flag column holds np.bool_ values and must print as true/false
+    code, out, _ = run_cli(
+        capsys, "ghz-table", "--dims", "2:3", "--restarts", "2", "--output", "csv", "--mode", mode
+    )
+    assert code == 0
+    assert out == GHZ_TABLE_CSV
+
+
 def test_ghz_table_bad_range(capsys):
     code, _, _ = run_cli(capsys, "ghz-table", "--dims", "5")
     assert code == 1
@@ -229,6 +248,50 @@ def test_invalid_counts_and_seeds_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "call, kwargs",
+    [
+        (qchsh.verify.run_suites, {"trials": 2.5}),
+        (qchsh.verify.run_suites, {"trials": True}),
+        (qchsh.verify.run_suites, {"trials": 0}),
+        (qchsh.verify.run_suites, {"seed": 1.5}),
+        (qchsh.verify.run_suites, {"seed": -1}),
+        (random_two_qudit_state, {"seed": True}),
+        (random_two_qudit_state, {"seed": 1.5}),
+        (random_two_qudit_state, {"seed": -1}),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or repr(v),
+)
+def test_invalid_counts_and_seeds_raise_invalid_config(call, kwargs):
+    # the library calls behind the CLI counts, with values argparse cannot produce
+    defaults = (
+        {"names": ["lemma1"], "dims": (2,), "trials": 5, "seed": 0}
+        if call is qchsh.verify.run_suites else {"d": 2, "seed": 0}
+    )
+    with pytest.raises(InvalidConfig):
+        call(**{**defaults, **kwargs})
+
+
+def test_numpy_integer_counts_and_seeds_accepted():
+    (result,) = qchsh.verify.run_suites(["lemma1"], dims=(2,), trials=np.int64(5), seed=np.int64(1))
+    assert result.passed
+    np.testing.assert_array_equal(
+        random_two_qudit_state(2, np.uint8(3)).rho, random_two_qudit_state(2, 3).rho
+    )
+
+
+@pytest.mark.parametrize("bad_d", [True, 1, "3", 3.0])
+def test_state_file_bad_dimension_exits_one(capsys, tmp_path, bad_d):
+    payload = state_to_json_dict(ghz_state(3))
+    payload["d"] = bad_d
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "bounds", "--state", f"file:{path}")
+    assert code == 1
+    assert err.startswith("error: InvalidDimension")
     assert "Traceback" not in err
 
 

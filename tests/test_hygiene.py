@@ -1,0 +1,46 @@
+"""Static checks that stand in for a linter: no unused imports in the package
+modules, and every name that ``qchsh.__all__`` exports exists."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qchsh
+
+PACKAGE = Path(qchsh.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_reported():
+    assert _unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
+        "math (line 1)",
+        "path (line 2)",
+    ]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qchsh.__all__ if not hasattr(qchsh, name)]
+    assert missing == []
+    assert len(set(qchsh.__all__)) == len(qchsh.__all__)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchsh import operator_norm, tensor_product, trace_inner_product, traceless_linear_max
+from qchsh import operator_norm, tensor_product, traceless_linear_max
 from qchsh.errors import DimensionMismatch, NotHermitian
 from qchsh.optimizer import _linear_max
 
@@ -105,15 +105,9 @@ def test_tensor_product_ghz_pairing(basis):
     from qchsh import ghz_state
 
     op = basis(3).operators[0]
-    value = trace_inner_product(ghz_state(3).rho, tensor_product(op, op))
+    value = np.trace(ghz_state(3).rho @ tensor_product(op, op))
     assert value.real == pytest.approx(2.0 / 3.0, abs=1e-14)
     assert abs(value.imag) < 1e-14
-
-
-def test_trace_inner_product_values():
-    assert trace_inner_product(SIGMA_Z, SIGMA_Z) == pytest.approx(2.0)
-    eye4 = np.eye(4, dtype=complex)
-    assert trace_inner_product(eye4, eye4) == pytest.approx(4.0)
 
 
 def test_trace_inner_product_basis_orthogonality(basis):
@@ -121,19 +115,4 @@ def test_trace_inner_product_basis_orthogonality(basis):
     for i, left in enumerate(b.operators):
         for j, right in enumerate(b.operators):
             expected = 2.0 if i == j else 0.0
-            assert abs(trace_inner_product(left, right) - expected) < 1e-12
-
-
-def test_trace_inner_product_conjugate_symmetry(rng):
-    for _ in range(100):
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        ab = trace_inner_product(a, b)
-        ba = trace_inner_product(b, a)
-        assert abs(ab - np.conj(ba)) < 1e-12
-        assert abs(ab.imag) < 1e-12
-
-
-def test_trace_inner_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        trace_inner_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+            assert abs(np.trace(left @ right) - expected) < 1e-12

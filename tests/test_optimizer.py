@@ -133,7 +133,7 @@ def test_closed_form_update_degenerate_paths(basis, rng):
 
 def test_ghz_optimal_settings_values(basis):
     for d, expected in ((2, 2.0 * ROOT2), (3, 4.0 * ROOT2 / 3.0), (6, 2.0 * ROOT2)):
-        settings = ghz_optimal_settings(d, basis(d))
+        settings = ghz_optimal_settings(basis(d))
         value = chsh_expectation_direct(ghz_state(d), settings)
         assert value == pytest.approx(expected, abs=1e-12)
         for obs in settings.all:
@@ -143,7 +143,7 @@ def test_ghz_optimal_settings_values(basis):
 
 
 def test_ghz_optimal_settings_odd_padding(basis):
-    settings = ghz_optimal_settings(5, basis(5))
+    settings = ghz_optimal_settings(basis(5))
     for obs in settings.all:
         assert np.max(np.abs(obs.matrix[4, :])) == 0.0
         assert np.max(np.abs(obs.matrix[:, 4])) == 0.0
@@ -170,9 +170,8 @@ def test_seesaw_certificate_consistency(basis):
     result = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=6, seed=3))
     recomputed = chsh_expectation_direct(state, result.settings)
     assert abs(abs(recomputed) - result.value) < 1e-9
-    for vec in (result.a1, result.a2, result.b1, result.b2):
-        assert is_admissible(vec, b)
     for obs in result.settings.all:
+        assert is_admissible(obs.coefficients, b)
         assert obs.is_admissible()
 
 
@@ -190,8 +189,8 @@ def test_seesaw_deterministic_and_restart_count_invariant(basis):
     first = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=5, seed=7))
     second = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=5, seed=7))
     assert first.value == second.value
-    np.testing.assert_array_equal(first.a1, second.a1)
-    np.testing.assert_array_equal(first.b2, second.b2)
+    np.testing.assert_array_equal(first.settings.a1.coefficients, second.settings.a1.coefficients)
+    np.testing.assert_array_equal(first.settings.b2.coefficients, second.settings.b2.coefficients)
     # restart i draws from its own (seed, i) substream, so the first three
     # restarts run the same whether three or five are requested
     fewer = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=3, seed=7))
@@ -206,8 +205,8 @@ def test_seesaw_deterministic_and_restart_count_invariant(basis):
     assert few.iterations_per_restart == many.iterations_per_restart[:3]
     assert few.converged == many.converged[:3]
     # every value is 0, so restart 0 wins both runs with the same vectors
-    np.testing.assert_array_equal(few.a1, many.a1)
-    np.testing.assert_array_equal(few.b2, many.b2)
+    np.testing.assert_array_equal(few.settings.a1.coefficients, many.settings.a1.coefficients)
+    np.testing.assert_array_equal(few.settings.b2.coefficients, many.settings.b2.coefficients)
 
 
 def test_seesaw_config_validation():

@@ -30,6 +30,7 @@ from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    boundary_row,
     dense_to_matrix,
     dense_to_vector,
     random_hermitian,
@@ -135,6 +136,27 @@ def test_random_admissible_lands_on_boundary(basis):
         np.testing.assert_allclose(
             b.vector_operator_norm(vectors), np.sqrt(2.0 / d), rtol=0, atol=1e-12
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=8),
+    batch=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_to_boundary_matches_row_oracle(d, batch, seed):
+    # rows with exact zeros and scales far from 1, but never the zero row
+    b = build_gellmann_basis(d)
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch)
+    n = rng.standard_normal(shape + (b.size,)) * (rng.random(shape + (b.size,)) < 0.6)
+    n[..., int(rng.integers(b.size))] += 1.0
+    n *= 10.0 ** rng.uniform(-3.0, 3.0, shape + (1,))
+    out = b.to_boundary(n)
+    assert out.shape == n.shape
+    for row, got in zip(n.reshape(-1, b.size), out.reshape(-1, b.size)):
+        np.testing.assert_array_equal(got, boundary_row(row, b))
+    np.testing.assert_allclose(b.vector_operator_norm(out), np.sqrt(2.0 / d), rtol=0, atol=1e-12)
 
 
 def test_expand_sigma_z(basis):
