@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 invalid input, 2 numerical or convergence failure.
 Floating-point output is serialized with 15 significant digits, and
 identical requests (including seeds) produce byte-identical output.
+
+JSON reports are written by ``_json_text`` straight from dicts, lists,
+numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
+2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
+keys.  A float array is formatted once per distinct value.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from .bounds import TSIRELSON, chsh_bounds, ghz_chsh_maximum, ghz_correlation_ma
 from .correlation import chsh_expectation_direct, correlation_matrix
 from .errors import InvalidDimension, NumericalError, ValidationError
 from .optimizer import SeesawConfig, ghz_optimal_settings, seesaw_maximize
-from .representation import build_gellmann_basis
+from .representation import build_gellmann_basis, check_dim
 from .states import ghz_state, load_state_file, random_two_qudit_state
 
 
@@ -26,24 +32,79 @@ def _round15(x: float) -> float:
     return float(f"{float(x):.15g}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+def _scalar_text(obj) -> str:
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round15(obj)
-    return obj
+        obj = bool(obj)
+    elif isinstance(obj, (int, np.integer)):
+        obj = int(obj)
+    elif isinstance(obj, (float, np.floating)):
+        obj = _round15(obj)
+    return json.dumps(obj)
+
+
+def _array_template(shape: tuple, nl: str) -> str:
+    """Layout of a nested JSON list of this shape, one ``%s`` per element."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = nl + "  "
+    item = _array_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+
+
+def _float_array_text(a: np.ndarray, nl: str) -> str:
+    """JSON text of a float array, each element printed as ``_scalar_text`` would.
+
+    Each distinct bit pattern is formatted once (bits keep -0.0 apart from
+    0.0).  For a normal double whose 15-digit rounding is not an integer
+    (which every rounding of 1e14 and above is), the ``%.15g`` text already
+    is the shortest repr of the rounded value.  Only the other values take
+    the round trip through ``_round15``; ``plain`` leaves out a superset of
+    them: zeros, subnormals, non-finite values and values within 1e-14
+    (relative) of an integer, twice the most that 15-digit rounding moves a
+    value.
+    """
+    bits, inverse = np.unique(
+        np.asarray(a, dtype=np.float64).ravel().view(np.int64), return_inverse=True
+    )
+    values = bits.view(np.float64)
+    texts = ["%.15g" % v for v in values.tolist()]
+    magnitude = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        plain = (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
+    for i in np.flatnonzero(~plain).tolist():
+        texts[i] = _scalar_text(values[i])
+    cells = np.array(texts, dtype=object)[inverse]
+    return _array_template(a.shape, nl) % tuple(cells.tolist())
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """The ``json.dumps(obj, indent=2)`` text of obj, placed at indent ``nl``.
+
+    Floats are rounded by ``_round15``; numpy scalars and arrays are written
+    as Python scalars and (nested) lists.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            return _float_array_text(obj, nl)
+        return _json_text(obj.tolist(), nl)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json_text(v, inner) for v in obj]
+    else:
+        return _scalar_text(obj)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
 def _matrix_pairs(matrix: np.ndarray) -> np.ndarray:
-    """Row-major [re, im] pairs for a complex matrix; ``_jsonable`` rounds them."""
+    """Row-major [re, im] pairs for a complex matrix; the JSON writer rounds them."""
     z = np.asarray(matrix).ravel()
     return np.stack((z.real, z.imag), axis=-1)
 
@@ -65,7 +126,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), indent=2), out_path)
+    _emit(_json_text(payload), out_path)
 
 
 def _parse_dims(spec: str) -> list[int]:
@@ -76,8 +137,9 @@ def _parse_dims(spec: str) -> list[int]:
         raise ValidationError(
             f"--dims expects an inclusive range like 2:6, got {spec!r}"
         ) from exc
-    if lo < 2 or hi < lo:
-        raise InvalidDimension(f"--dims range {spec!r} must satisfy 2 <= a <= b")
+    lo = check_dim(lo)
+    if hi < lo:
+        raise InvalidDimension(f"--dims range {spec!r} must satisfy a <= b")
     return list(range(lo, hi + 1))
 
 

@@ -50,6 +50,7 @@ def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     rho = g @ g.conj().T
+    del g  # validation holds several d**2 x d**2 matrices; g need not be one of them
     rho /= np.trace(rho).real
     return validate_state(rho, d)
 
@@ -61,6 +62,12 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
     the measured residual in the message.  The stored matrix is the
     symmetrized (rho + rho^dag)/2, which leaves valid inputs unchanged up to
     the Hermiticity tolerance.
+
+    Positivity (minimum eigenvalue >= -POSITIVITY_ATOL) is checked with a
+    Cholesky factorization of rho + POSITIVITY_ATOL * I first: if it exists,
+    the state is accepted.  Only when it fails does ``eigvalsh`` give the
+    verdict and the minimum eigenvalue for the message.  The two agree except
+    within rounding (about n * eps * ||rho||, n = d**2) of the threshold.
     """
     d = check_dim(d)
     m = np.asarray(rho, dtype=np.complex128)
@@ -72,9 +79,21 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
     trace_residual = abs(np.trace(m).real - 1.0)
     if trace_residual > TRACE_ATOL:
         raise TraceNotOne(f"state trace deviates from 1 by {trace_residual:.3e}")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -POSITIVITY_ATOL:
-        raise NotPositive(f"state has minimum eigenvalue {min_eig:.3e}")
+    # Shift the diagonal in place and restore it bit for bit: a shifted copy
+    # would be one more d**2 x d**2 matrix at the state build's memory peak.
+    diagonal = m.diagonal().copy()
+    m.flat[:: d * d + 1] += POSITIVITY_ATOL
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        factorized = False
+    else:
+        factorized = True
+    m.flat[:: d * d + 1] = diagonal
+    if not factorized:
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig < -POSITIVITY_ATOL:
+            raise NotPositive(f"state has minimum eigenvalue {min_eig:.3e}")
     m.setflags(write=False)
     return TwoQuditState(dim=d, rho=m)
 

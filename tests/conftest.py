@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -108,6 +109,32 @@ def property_state(kind, d, seed):
         rho[np.diag_indices(d * d)] = p / p.sum()
         return validate_state(rho, d)
     return validate_state(np.eye(d * d, dtype=complex) / (d * d), d)
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.15g}")
+    return obj
+
+
+def stdlib_json_text(obj):
+    """Reference for the CLI's JSON writer: the stdlib encoder on converted values.
+
+    Floats are rounded to 15 significant digits, numpy scalars and arrays
+    become Python scalars and lists.  A 0-d array is not accepted (its
+    ``tolist()`` is a scalar, which ``_jsonable`` then tries to iterate).
+    """
+    return json.dumps(_jsonable(obj), indent=2)
 
 
 def polytope_vertex_max(lam):

@@ -1,11 +1,16 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qchsh.verify
+from conftest import stdlib_json_text
 from qchsh import ghz_state, random_two_qudit_state, state_to_json_dict
-from qchsh.cli import main
+from qchsh.cli import _json_text, main
 from qchsh.errors import InvalidConfig
 from qchsh.representation import GellMannBasis
 
@@ -172,6 +177,16 @@ def test_basis_export(capsys):
     assert payload["operators"][1][1] == [0.0, -1.0]
 
 
+@pytest.mark.parametrize("spec", ["1:3", "4:2"])
+@pytest.mark.parametrize("command", ["ghz-table", "verify"])
+def test_dims_range_out_of_policy_exits_one(capsys, command, spec):
+    code, out, err = run_cli(capsys, command, "--dims", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidDimension")
+    assert "Traceback" not in err
+
+
 def test_basis_out_file(capsys, tmp_path):
     out = tmp_path / "basis.json"
     code, _, _ = run_cli(capsys, "basis", "--dim", "3", "--out", str(out))
@@ -299,3 +314,83 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bounds", "--no-such-flag"])
     assert info.value.code == 1
+
+
+# Floats where the %.15g text and the JSON text of the rounded value part:
+# integer-valued results, [1e15, 1e16), the normal/subnormal edge, subnormals
+# and non-finite values, next to ordinary floats of every magnitude.
+_MIN = sys.float_info.min
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 1.0, -3.0, 0.9999999999999999, 99.99999999999999, 9.999999999999995e14,
+     1e15, 1234567890123456.0, 1e16, 1.7976931348623157e308, _MIN, -_MIN,
+     float(np.nextafter(_MIN, 0.0)), float(np.nextafter(_MIN, 1.0)), 2.2250738585072e-308,
+     5e-324, float("nan"), float("inf"), float("-inf")]
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(width=32),
+    _EDGE_FLOATS,
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(min_value=1e15, max_value=1e16, exclude_max=True),
+    st.floats(min_value=-_MIN, max_value=_MIN),
+    st.integers(-(2**63), 2**63 - 1).map(lambda bits: float(np.int64(bits).view(np.float64))),
+)
+_FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=_FLOATS
+)
+_NUMPY_SCALARS = st.one_of(
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_),
+)
+_LEAVES = st.one_of(
+    _FLOATS, _FLOAT_ARRAYS, _NUMPY_SCALARS, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, min_side=0, max_side=3)),
+    hnp.arrays(np.bool_, hnp.array_shapes(max_dims=2, min_side=0, max_side=3)),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_PAYLOADS)
+def test_json_writer_matches_stdlib_encoder(payload):
+    assert _json_text(payload) == stdlib_json_text(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_FLOATS)
+def test_json_writer_zero_dim_array_is_its_scalar(x):
+    # the retired converter could not take a 0-d array; the writer prints its scalar
+    assert _json_text(np.array(x)) == stdlib_json_text(np.float64(x))
+    assert _json_text({"x": np.array(x)}) == stdlib_json_text({"x": np.float64(x)})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--dim", "3"),
+        ("correlation", "--state", "random:5", "--dim", "3"),
+        ("bounds", "--state", "ghz", "--dim", "4"),
+        ("optimize", "--state", "random:2", "--dim", "3", "--restarts", "2"),
+        ("ghz-table", "--dims", "2:3", "--restarts", "2"),
+    ],
+)
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    code, file_out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert file_out == ""
+    assert out.endswith("}\n")
+    assert path.read_bytes() == out[:-1].encode("utf-8")

@@ -1,16 +1,18 @@
 """Byte-identical CLI output: benchmark requests against their recorded digests.
 
 Every request that a benchmark workload sends at its tiny size, every
-full-size ``optimize`` and ``ghz-table`` request with d <= 8, and the eight
+full-size ``optimize`` and ``ghz-table`` request with d <= 8, the eight
 full-size ``correlation --dim 12`` requests (json and csv, four state seeds)
-are replayed through ``qchsh.cli.main`` and the sha256 of its stdout is
-compared with ``perfbench/reference.json``.  A refactor that changes any
-printed digit fails here.  The benchmark files are only read.
+and ``basis --dim 16``, the largest JSON report, are replayed through
+``qchsh.cli.main`` and the sha256 of its stdout is compared with
+``perfbench/reference.json``.  A refactor that changes any printed digit
+fails here.  The benchmark files are only read.
 
 The other full-size requests are left out: their digests were recorded with
 one BLAS thread and drift in the last digits when OpenBLAS runs several.  The
-see-saw requests drift at d = 10 and 12, the dense requests (bounds,
-correlation, basis) at d >= 14.
+see-saw requests drift at d = 10 and 12, the bounds and correlation requests
+at d >= 14.  The basis build calls no BLAS, so its digest holds with any
+thread count.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ SEESAW_KEYS = [
 CORRELATION_KEYS = [
     key for key in FULL_KEYS if key.split()[0] == "correlation" and _max_dim(key) == 12
 ]
+BASIS_KEYS = [key for key in FULL_KEYS if key.split()[0] == "basis" and _max_dim(key) == 16]
 
 
 def _assert_matches_reference(key, tmp_path):
@@ -96,4 +99,9 @@ def test_full_seesaw_request_matches_reference_digest(key, tmp_path):
 
 @pytest.mark.parametrize("key", CORRELATION_KEYS)
 def test_full_correlation_request_matches_reference_digest(key, tmp_path):
+    _assert_matches_reference(key, tmp_path)
+
+
+@pytest.mark.parametrize("key", BASIS_KEYS)
+def test_full_basis_request_matches_reference_digest(key, tmp_path):
     _assert_matches_reference(key, tmp_path)

@@ -124,3 +124,36 @@ def test_state_file_malformed(tmp_path):
     path.write_text(json.dumps({"d": 2, "rho": [[1, 2], [3, 4]]}))
     with pytest.raises(ValidationError):
         load_state_file(str(path))
+
+
+def _planted_state(d, min_eig, seed):
+    """d**2 x d**2 matrix U diag(lam) U^dag of unit trace whose smallest eigenvalue is min_eig."""
+    n = d * d
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    lam = np.concatenate(([min_eig], rest * (1.0 - min_eig) / rest.sum()))
+    return (q * lam) @ q.conj().T
+
+
+@pytest.mark.parametrize("min_eig", [-2e-10, -1.1e-10])
+@pytest.mark.parametrize("d", range(2, 17))
+def test_validate_rejects_planted_negative_eigenvalue(d, min_eig):
+    with pytest.raises(NotPositive, match="minimum eigenvalue") as info:
+        validate_state(_planted_state(d, min_eig, seed=d), d)
+    reported = float(str(info.value).rsplit(" ", 1)[1])
+    assert reported == pytest.approx(min_eig, abs=1e-12)
+
+
+@pytest.mark.parametrize("min_eig", [-0.9e-10, 0.0])
+@pytest.mark.parametrize("d", range(2, 17))
+def test_validate_accepts_planted_spectrum_near_boundary(d, min_eig):
+    rho = _planted_state(d, min_eig, seed=d)
+    state = validate_state(rho, d)
+    np.testing.assert_array_equal(state.rho, (rho + rho.conj().T) / 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_validate_accepts_rank_one_ghz(d):
+    rho = ghz_state(d).rho
+    np.testing.assert_array_equal(validate_state(rho, d).rho, rho)
