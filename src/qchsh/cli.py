@@ -7,7 +7,9 @@ identical requests (including seeds) produce byte-identical output.
 JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
 2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
-keys.  A float array is formatted once per distinct value.
+keys.  Float arrays, in JSON and in the correlation CSV, are printed through
+``_distinct_floats``: each distinct value is formatted once, all of them in
+one ``%`` call, and the cells fill one ``%s`` template per array.
 """
 
 from __future__ import annotations
@@ -53,30 +55,43 @@ def _array_template(shape: tuple, nl: str) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
-def _float_array_text(a: np.ndarray, nl: str) -> str:
-    """JSON text of a float array, each element printed as ``_scalar_text`` would.
+def _distinct_floats(a: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Distinct values of a float array, their ``%.15g`` texts and the inverse index.
 
-    Each distinct bit pattern is formatted once (bits keep -0.0 apart from
-    0.0).  For a normal double whose 15-digit rounding is not an integer
-    (which every rounding of 1e14 and above is), the ``%.15g`` text already
-    is the shortest repr of the rounded value.  Only the other values take
-    the round trip through ``_round15``; ``plain`` leaves out a superset of
-    them: zeros, subnormals, non-finite values and values within 1e-14
-    (relative) of an integer, twice the most that 15-digit rounding moves a
-    value.
+    Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
+    All texts come from one C-level ``%`` call; ``%.15g`` never prints a
+    space, so splitting on spaces recovers them.
     """
     bits, inverse = np.unique(
         np.asarray(a, dtype=np.float64).ravel().view(np.int64), return_inverse=True
     )
     values = bits.view(np.float64)
-    texts = ["%.15g" % v for v in values.tolist()]
+    texts = ("%.15g " * values.size % tuple(values.tolist())).split()
+    return values, texts, inverse
+
+
+def _cells(texts: list[str], inverse: np.ndarray) -> tuple:
+    """The text of every element, in row-major order, as ``%`` arguments."""
+    return tuple(np.array(texts, dtype=object)[inverse].tolist())
+
+
+def _float_array_text(a: np.ndarray, nl: str) -> str:
+    """JSON text of a float array, each element printed as ``_scalar_text`` would.
+
+    For a normal double whose 15-digit rounding is not an integer (which
+    every rounding of 1e14 and above is), the ``%.15g`` text already is the
+    shortest repr of the rounded value.  Only the other values take the
+    round trip through ``_round15``; ``plain`` leaves out a superset of them:
+    zeros, subnormals, non-finite values and values within 1e-14 (relative)
+    of an integer, twice the most that 15-digit rounding moves a value.
+    """
+    values, texts, inverse = _distinct_floats(a)
     magnitude = np.abs(values)
     with np.errstate(invalid="ignore"):
         plain = (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
     for i in np.flatnonzero(~plain).tolist():
         texts[i] = _scalar_text(values[i])
-    cells = np.array(texts, dtype=object)[inverse]
-    return _array_template(a.shape, nl) % tuple(cells.tolist())
+    return _array_template(a.shape, nl) % _cells(texts, inverse)
 
 
 def _json_text(obj, nl: str = "\n") -> str:
@@ -103,10 +118,25 @@ def _json_text(obj, nl: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
-def _matrix_pairs(matrix: np.ndarray) -> np.ndarray:
-    """Row-major [re, im] pairs for a complex matrix; the JSON writer rounds them."""
-    z = np.asarray(matrix).ravel()
+def _matrix_pairs(matrices: np.ndarray) -> np.ndarray:
+    """Row-major [re, im] pairs of each complex matrix in ``matrices[..., n, n]``.
+
+    The JSON writer rounds them.
+    """
+    z = np.asarray(matrices)
+    z = z.reshape(z.shape[:-2] + (-1,))
     return np.stack((z.real, z.imag), axis=-1)
+
+
+def _correlation_csv(labels, matrix: np.ndarray) -> str:
+    """CSV text of a square matrix: a header row of labels, then one labelled row each.
+
+    Cells are the plain ``%.15g`` texts, with no JSON round trip.
+    """
+    _, texts, inverse = _distinct_floats(matrix)
+    row = ",%s" * len(labels) + "\n"
+    template = "," + ",".join(labels) + "\n" + "".join([label + row for label in labels])
+    return template % _cells(texts, inverse)
 
 
 def _csv_cell(value) -> str:
@@ -174,7 +204,7 @@ def cmd_basis(args) -> int:
     basis = build_gellmann_basis(args.dim)
     payload = {
         "d": basis.dim,
-        "operators": [_matrix_pairs(op) for op in basis.operators],
+        "operators": _matrix_pairs(basis.stack),
     }
     _dump_json(payload, args.out)
     return 0
@@ -185,10 +215,7 @@ def cmd_correlation(args) -> int:
     basis = build_gellmann_basis(state.dim)
     t = correlation_matrix(state, basis)
     if args.output == "csv":
-        lines = ["," + ",".join(basis.labels)]
-        for label, row in zip(basis.labels, t.matrix):
-            lines.append(label + "," + ",".join(f"{v:.15g}" for v in row))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_correlation_csv(basis.labels, t.matrix), args.out)
     else:
         _dump_json({"d": state.dim, "T": t.matrix}, args.out)
     return 0

@@ -28,13 +28,20 @@ def _require_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
 def symmetrized_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check Hermiticity within ``HERMITIAN_ATOL`` and return (M + M†)/2."""
     m = _require_square(matrix, name)
-    residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    out = m - m.conj().T
+    residual = float(np.max(np.abs(out))) if m.size else 0.0
     if residual > HERMITIAN_ATOL:
         raise NotHermitian(
             f"{name} is not Hermitian: max |M - M^dag| = {residual:.3e} "
             f"exceeds {HERMITIAN_ATOL:.0e}"
         )
-    return 0.5 * (m + m.conj().T)
+    # The difference's buffer takes M^dag, then M + M^dag, then the halving:
+    # the operations of 0.5 * (M + M^dag) in their order, bit for bit.  The
+    # one temporary copy of M^dag is freed before the abs above is taken.
+    np.conjugate(m.T, out=out)
+    np.add(m, out, out=out)
+    out *= 0.5
+    return out
 
 
 def operator_norm(matrix: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,7 +49,11 @@ def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     d = check_dim(d)
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    # Filling the parts in place draws the same numbers as a + 1j * b without
+    # two d**2 x d**2 temporaries.
+    g = np.empty((d * d, d * d), dtype=np.complex128)
+    g.real = rng.standard_normal((d * d, d * d))
+    g.imag = rng.standard_normal((d * d, d * d))
     rho = g @ g.conj().T
     del g  # validation holds several d**2 x d**2 matrices; g need not be one of them
     rho /= np.trace(rho).real
@@ -123,14 +128,32 @@ def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
         raise DimensionMismatch(
             f"requested d={d} but state file declares d={file_d}"
         )
-    try:
-        raw = np.asarray(payload["rho"], dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f'state file {path} has malformed "rho": {exc}') from exc
-    if raw.ndim != 3 or raw.shape[2] != 2:
-        raise ValidationError(
-            f'state file {path}: "rho" must be a matrix of [re, im] pairs, '
-            f"got array shape {raw.shape}"
-        )
-    rho = raw[:, :, 0] + 1j * raw[:, :, 1]
+    raw = _parse_pairs(payload["rho"], path)
+    with np.errstate(invalid="ignore"):  # 1j * inf; validate_state rejects it by name
+        rho = raw[:, :, 0] + 1j * raw[:, :, 1]
     return validate_state(rho, file_d)
+
+
+def _parse_pairs(rho, path: str) -> np.ndarray:
+    """The (n, m, 2) float array of an n-list of equally long lists of [re, im] pairs.
+
+    The shape is checked on the lists before any number is converted.  A
+    cell converts as ``np.asarray(..., dtype=np.float64)`` would convert it
+    (``true`` is 1.0, ``null`` is NaN, numeric strings are parsed).
+    """
+    if (
+        not isinstance(rho, list)
+        or set(map(type, rho)) != {list}
+        or len(set(map(len, rho))) != 1
+    ):
+        raise ValidationError(
+            f'state file {path}: "rho" must be a non-empty list of equally long rows'
+        )
+    cells = list(chain.from_iterable(rho))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        raise ValidationError(f'state file {path}: every "rho" entry must be an [re, im] pair')
+    try:
+        flat = np.fromiter(chain.from_iterable(cells), dtype=np.float64, count=2 * len(cells))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f'state file {path} has malformed "rho": {exc}') from exc
+    return flat.reshape(len(rho), -1, 2)

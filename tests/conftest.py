@@ -12,6 +12,9 @@ from qchsh import (
     random_two_qudit_state,
     validate_state,
 )
+from qchsh.errors import DimensionMismatch, NotHermitian, ValidationError
+from qchsh.numerics import HERMITIAN_ATOL, _require_square
+from qchsh.representation import check_dim
 from qchsh.optimizer import (
     DEGENERATE_NORM_ATOL,
     LP_TIE_ATOL,
@@ -135,6 +138,66 @@ def stdlib_json_text(obj):
     ``tolist()`` is a scalar, which ``_jsonable`` then tries to iterate).
     """
     return json.dumps(_jsonable(obj), indent=2)
+
+
+def correlation_csv_oracle(labels, matrix):
+    """Reference for cli._correlation_csv: the retired per-row, per-cell ``f"{v:.15g}"``."""
+    lines = ["," + ",".join(labels)]
+    for label, row in zip(labels, matrix):
+        lines.append(label + "," + ",".join(f"{v:.15g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def symmetrized_hermitian_oracle(matrix, name="matrix"):
+    """Reference for numerics.symmetrized_hermitian: the retired form, M^dag formed twice."""
+    m = _require_square(matrix, name)
+    residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if residual > HERMITIAN_ATOL:
+        raise NotHermitian(
+            f"{name} is not Hermitian: max |M - M^dag| = {residual:.3e} "
+            f"exceeds {HERMITIAN_ATOL:.0e}"
+        )
+    return 0.5 * (m + m.conj().T)
+
+
+def ginibre_state_oracle(d, seed):
+    """Reference for random_two_qudit_state: the retired ``a + 1j * b`` draw."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return validate_state(rho, d)
+
+
+def load_state_file_oracle(path, d=None):
+    """Reference for states.load_state_file: the retired ``np.asarray`` parse of "rho".
+
+    It lets an int beyond the float range escape as OverflowError; the
+    program reports that as malformed input.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read state file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"state file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or "d" not in payload or "rho" not in payload:
+        raise ValidationError(f'state file {path} must contain keys "d" and "rho"')
+    file_d = check_dim(payload["d"])
+    if d is not None and d != file_d:
+        raise DimensionMismatch(f"requested d={d} but state file declares d={file_d}")
+    try:
+        raw = np.asarray(payload["rho"], dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f'state file {path} has malformed "rho": {exc}') from exc
+    if raw.ndim != 3 or raw.shape[2] != 2:
+        raise ValidationError(
+            f'state file {path}: "rho" must be a matrix of [re, im] pairs, '
+            f"got array shape {raw.shape}"
+        )
+    rho = raw[:, :, 0] + 1j * raw[:, :, 1]
+    return validate_state(rho, file_d)
 
 
 def polytope_vertex_max(lam):

@@ -1,17 +1,22 @@
 import json
+import os
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qchsh.verify
-from conftest import stdlib_json_text
-from qchsh import ghz_state, random_two_qudit_state, state_to_json_dict
-from qchsh.cli import _json_text, main
-from qchsh.errors import InvalidConfig
+from conftest import correlation_csv_oracle, load_state_file_oracle, stdlib_json_text
+from qchsh import ghz_state, load_state_file, random_two_qudit_state, state_to_json_dict
+from qchsh.cli import _correlation_csv, _json_text, main
+from qchsh.errors import InvalidConfig, ValidationError
 from qchsh.representation import GellMannBasis
 
 ROOT2 = np.sqrt(2.0)
@@ -373,6 +378,121 @@ def test_json_writer_zero_dim_array_is_its_scalar(x):
     # the retired converter could not take a 0-d array; the writer prints its scalar
     assert _json_text(np.array(x)) == stdlib_json_text(np.float64(x))
     assert _json_text({"x": np.array(x)}) == stdlib_json_text({"x": np.float64(x)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=hnp.arrays(np.float64, st.integers(0, 5).map(lambda n: (n, n)), elements=_FLOATS))
+def test_correlation_csv_matches_per_cell_writer(matrix):
+    labels = [f"l{i}" for i in range(len(matrix))]
+    assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
+
+
+# State-file payloads: a valid state's file with up to three faults.  Cells
+# may turn into NaN/inf, strings, bools or None; pairs into lists of another
+# length; rows may lose or gain an entry (ragged) or the matrix a column or a
+# row (rectangular); "rho" may stop being a list of rows; "d" may not match
+# the size or be huge.
+_ODD_CELLS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False, None]),
+    st.sampled_from(["0.5", " 1e-3 ", "nan", "abc", ""]),
+    st.text(max_size=3),
+    st.floats(),
+)
+_ODD_RHO = st.one_of(
+    st.integers(-5, 5), st.floats(), st.text(max_size=3), st.none(), st.booleans(),
+    st.just({"re": 1}), st.just([]), st.just([[]]), st.just([[[]]]), st.just([1.0, 0.0]),
+    st.just([[1.0, 0.0]]), st.just([[[1.0, 0.0]]]), st.just([[[[1.0, 0.0]]]]),
+)
+
+
+@st.composite
+def _state_payloads(draw):
+    d = draw(st.integers(2, 3))
+    state = ghz_state(d) if draw(st.booleans()) else random_two_qudit_state(d, draw(st.integers(0, 3)))
+    payload = state_to_json_dict(state)
+    rho = payload["rho"]
+
+    def index(seq):
+        return draw(st.integers(0, len(seq) - 1))
+
+    for kind in draw(st.lists(st.sampled_from(["cell", "pair", "ragged", "rectangular", "rho", "d"]),
+                              max_size=3)):
+        if kind == "rho":
+            payload["rho"] = draw(_ODD_RHO)
+        elif kind == "d":
+            payload["d"] = draw(st.sampled_from([2, 3, 4, 10**6, 2**62]))
+        elif not rho or not all(isinstance(row, list) and row for row in rho):
+            continue
+        elif kind == "cell":
+            row = rho[index(rho)]
+            pair = row[index(row)]
+            if isinstance(pair, list) and pair:
+                pair[index(pair)] = draw(_ODD_CELLS)
+        elif kind == "pair":
+            row = rho[index(rho)]
+            row[index(row)] = draw(st.lists(st.floats(-1.0, 1.0), max_size=3).filter(lambda p: len(p) != 2))
+        elif kind == "ragged":
+            row = rho[index(rho)]
+            if draw(st.booleans()):
+                del row[index(row)]
+            else:
+                row.append([0.0, 0.0])
+        elif draw(st.booleans()):
+            for row in rho:
+                del row[-1]
+        else:
+            del rho[index(rho)]
+    return payload
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValidationError as exc:
+        return exc
+
+
+def _ghz2_payload_with(cell):
+    payload = state_to_json_dict(ghz_state(2))
+    payload["rho"][0][1] = cell
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_state_payloads())
+@example(payload=_ghz2_payload_with([0.0, float("inf")]))
+@example(payload=_ghz2_payload_with([float("nan"), 0.0]))
+def test_state_file_parse_matches_asarray_oracle(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        expected = _outcome(load_state_file_oracle, path)
+        got = _outcome(load_state_file, path)
+        stdout, stderr = StringIO(), StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print before the error line
+            code = main(["bounds", "--state", f"file:{path}"])
+    assert type(got) is type(expected)
+    if isinstance(expected, ValidationError):
+        assert code == 1
+        assert stderr.getvalue().startswith(f"error: {type(expected).__name__}: ")
+    else:
+        assert code == 0
+        np.testing.assert_array_equal(got.rho.view(np.int64), expected.rho.view(np.int64))
+    assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("cell", ["1" + "0" * 400, "-1" + "0" * 400])
+def test_state_file_int_beyond_float_range_exits_one(capsys, tmp_path, cell):
+    # json.load keeps such a literal as an int, which no float64 holds
+    text = json.dumps(state_to_json_dict(ghz_state(2)))
+    path = tmp_path / "state.json"
+    path.write_text(text.replace("[0.5, 0.0]", f"[{cell}, 0.0]", 1))
+    code, _, err = run_cli(capsys, "bounds", "--state", f"file:{path}")
+    assert code == 1
+    assert err.startswith("error: ValidationError: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

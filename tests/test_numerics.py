@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qchsh import operator_norm, tensor_product, traceless_linear_max
 from qchsh.errors import DimensionMismatch, NotHermitian
+from qchsh.numerics import symmetrized_hermitian
 from qchsh.optimizer import _linear_max
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian, symmetrized_hermitian_oracle
 
 
 # The eigendecomposition behind the linear-max core: its maximizer shares the
@@ -116,3 +118,35 @@ def test_trace_inner_product_basis_orthogonality(basis):
         for j, right in enumerate(b.operators):
             expected = 2.0 if i == j else 0.0
             assert abs(np.trace(left @ right) - expected) < 1e-12
+
+
+# Entries of every sign of zero, tiny values near the Hermiticity tolerance
+# and ordinary magnitudes.
+_HERMITIAN_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([-0.0, 0.0, 1e-11, -1e-11, 2e-10, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), kind=st.sampled_from(["exact", "near", "raw"]), data=st.data())
+def test_symmetrized_hermitian_matches_retired_form(n, kind, data):
+    parts = hnp.arrays(np.float64, (n, n), elements=_HERMITIAN_ENTRIES)
+    m = np.empty((n, n), dtype=complex)
+    m.real, m.imag = data.draw(parts), data.draw(parts)
+    if kind != "raw":
+        # mirror the upper triangle; "near" then adds a drawn perturbation
+        lower = np.tril_indices(n, -1)
+        m[lower] = m.T.conj()[lower]
+        if kind == "near":
+            m.real += 1e-10 * data.draw(parts)
+    try:
+        expected = symmetrized_hermitian_oracle(m, "state")
+    except NotHermitian as exc:
+        with pytest.raises(NotHermitian) as info:
+            symmetrized_hermitian(m, "state")
+        assert str(info.value) == str(exc)
+    else:
+        got = symmetrized_hermitian(m, "state")
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))

