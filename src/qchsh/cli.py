@@ -276,8 +276,9 @@ def cmd_ghz_table(args) -> int:
         basis = build_gellmann_basis(d)
         state = ghz_state(d)
         closed = ghz_chsh_maximum(d)
-        certificate = abs(chsh_expectation_direct(state, ghz_optimal_settings(basis)))
-        seesaw = seesaw_maximize(state, basis, config).value
+        settings = ghz_optimal_settings(basis)
+        certificate = abs(chsh_expectation_direct(state, settings))
+        seesaw = seesaw_maximize(state, basis, config, _ghz_settings=settings).value
         report = chsh_bounds(ghz_correlation_matrix(d))
         rows.append(
             {

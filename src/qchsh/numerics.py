@@ -40,7 +40,9 @@ def symmetrized_hermitian(matrix: np.ndarray, name: str = "matrix") -> np.ndarra
     # one temporary copy of M^dag is freed before the abs above is taken.
     np.conjugate(m.T, out=out)
     np.add(m, out, out=out)
-    out *= 0.5
+    # 0.5 goes first, as in 0.5 * (M + M^dag): with the array first numpy
+    # takes another complex loop, which can give +0 where that form gives -0.
+    np.multiply(0.5, out, out=out)
     return out
 
 

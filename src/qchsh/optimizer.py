@@ -98,7 +98,7 @@ class SeesawResult:
         return sum(self.converged)
 
 
-def _lp_spectrum(lam_descending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
     """Solve max sum(lam * mu) over mu in [-1, 1]^d with sum(mu) = 0, per row of lam[..., d].
 
     The optimum is mu_i = sign(lam_i - t*) for a median t*; eigenvalues tied
@@ -117,23 +117,26 @@ def _lp_spectrum(lam_descending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = np.where(deviation > 0, 1.0, -1.0)
     mu[ties] = 0.0
     share = -mu.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
-    mu = np.where(ties, share, mu)
-    return mu, np.matmul(lam[..., None, :], mu[..., :, None])[..., 0, 0]
+    return np.where(ties, share, mu)
 
 
-def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximizer X and value of max tr[X C] over admissible traceless X, per C in c[..., d, d].
+def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximizer X of tr[X C] over admissible traceless X, per C in c[..., d, d].
 
-    C is Hermitian; X shares its eigenbasis, with the LP optimum mu as spectrum.
+    C is Hermitian; X shares its eigenbasis, with the LP optimum mu as
+    spectrum.  Returns X, the eigenvalues lam of C in descending order and
+    mu; the attained value is ``_row_dots(lam, mu)``, which the see-saw does
+    not need.
     """
     try:
         values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     # eigh returns ascending order; _lp_spectrum expects descending.
-    mu, value = _lp_spectrum(values[..., ::-1])
+    lam = values[..., ::-1]
+    mu = _lp_spectrum(lam)
     vectors = vectors[..., ::-1]
-    return (vectors * mu[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2), value
+    return (vectors * mu[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2), lam, mu
 
 
 def traceless_linear_max(
@@ -145,11 +148,11 @@ def traceless_linear_max(
     zero sum) and the attained value.
     """
     c = symmetrized_traceless(target, basis, "target")
-    x, value = _linear_max(c)
+    x, lam, mu = _linear_max(c)
     x = 0.5 * (x + x.conj().T)
     coefficients = expand_observable(x, basis)
     observable = observable_from_coefficients(coefficients, basis)
-    return observable, float(value)
+    return observable, float(_row_dots(lam, mu))
 
 
 def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -157,7 +160,9 @@ def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
     Each row is its own matrix-vector product, so its bits do not depend on R.
     """
-    sums = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+    sums = np.empty(pairs.shape)
+    np.add(pairs[:, 0], pairs[:, 1], out=sums[:, 0])
+    np.subtract(pairs[:, 0], pairs[:, 1], out=sums[:, 1])
     return np.matmul(t, sums[..., None])[..., 0]
 
 
@@ -174,20 +179,23 @@ def _party_update(
     ``directions[r]`` holds the partner's ``T(u + v)`` and ``T(u - v)`` for
     restart r; pass T for Alice and T^T for Bob (the Bell operator regrouped
     as (A1+A2) x B1 + (A1-A2) x B2).  "exact" maximizes <n, w> over
-    admissible n: all live directions share one basis map, one eigensolver
-    call and one LP.  "closed-form" rescales w onto the admissible boundary.
-    A vanishing w gives the zero vector in exact mode; in closed-form mode it
+    admissible n: all directions share one basis map, one eigensolver call
+    and one LP, each row on its own.  "closed-form" rescales w onto the
+    admissible boundary.  A vanishing w gives the zero vector in exact mode
+    (its row is mapped with the others, then zeroed); in closed-form mode it
     is replaced by a random admissible vector from ``rngs[r]`` (plus slot
     first) and marked in the returned mask of shape (R, 2).
     """
     w = directions.reshape(-1, basis.size)
     vanishing = np.sqrt(_row_dots(w, w)) <= DEGENERATE_NORM_ATOL
+    if mode == "exact":
+        x, _, _ = _linear_max(basis.to_matrix(w))
+        out = basis.to_vector(x)
+        out /= math.sqrt(2.0 * basis.dim)
+        out[vanishing] = 0.0
+        return out.reshape(directions.shape), np.zeros(directions.shape[:-1], dtype=bool)
     live = ~vanishing
     out = np.zeros_like(w)
-    if mode == "exact":
-        x, _ = _linear_max(basis.to_matrix(w[live]))
-        out[live] = basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
-        return out.reshape(directions.shape), np.zeros(directions.shape[:-1], dtype=bool)
     out[live] = basis.to_boundary(w[live])
     for slot in np.flatnonzero(vanishing):
         out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
@@ -223,17 +231,22 @@ def _deterministic_init(
     state: TwoQuditState,
     basis: GellMannBasis,
     correlations: CorrelationMatrix,
+    ghz_settings: ChshSettings | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seed restart 0 from structure instead of noise.
 
     Near the GHZ state the known optimal Bob vectors are used; otherwise the
     top-two right singular directions of T, mixed as v1 +- v2 so that one
-    exact sweep lands on the dominant singular pair.
+    exact sweep lands on the dominant singular pair.  A caller that already
+    holds ``ghz_optimal_settings(basis)`` for a GHZ state passes them as
+    ``ghz_settings``, and neither the GHZ state nor the settings are rebuilt.
     """
-    ghz = ghz_state(state.dim)
-    if float(np.max(np.abs(state.rho - ghz.rho))) < GHZ_PROXIMITY_ATOL:
-        settings = ghz_optimal_settings(basis)
-        return settings.b1.coefficients.copy(), settings.b2.coefficients.copy()
+    if ghz_settings is None:
+        ghz = ghz_state(state.dim)
+        if float(np.max(np.abs(state.rho - ghz.rho))) < GHZ_PROXIMITY_ATOL:
+            ghz_settings = ghz_optimal_settings(basis)
+    if ghz_settings is not None:
+        return ghz_settings.b1.coefficients.copy(), ghz_settings.b2.coefficients.copy()
     gram = correlations.matrix.T @ correlations.matrix
     _, vectors = np.linalg.eigh(gram)
     v1 = vectors[:, -1]
@@ -249,6 +262,7 @@ def _run_restarts(
     basis: GellMannBasis,
     config: SeesawConfig,
     correlations: CorrelationMatrix,
+    ghz_settings: ChshSettings | None = None,
 ) -> dict:
     """Run every restart in lockstep on (restarts, 2, d**2-1) arrays.
 
@@ -262,7 +276,7 @@ def _run_restarts(
     count = config.restarts
     rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
     b = np.empty((count, 2, basis.size))
-    b[0] = _deterministic_init(state, basis, correlations)
+    b[0] = _deterministic_init(state, basis, correlations, ghz_settings)
     for i in range(1, count):
         b[i] = basis.random_admissible(rngs[i], 2)
     t = correlations.matrix
@@ -316,6 +330,8 @@ def seesaw_maximize(
     state: TwoQuditState,
     basis: GellMannBasis,
     config: SeesawConfig | None = None,
+    *,
+    _ghz_settings: ChshSettings | None = None,
 ) -> SeesawResult:
     """Alternating maximization of |CHSH| over admissible observables.
 
@@ -324,12 +340,14 @@ def seesaw_maximize(
     from its own (seed, restart-index) substream.  All restarts run in
     lockstep, one batched eigensolver call per party update, and a
     restart's result does not depend on how many restarts run.  The best
-    restart wins, ties broken by index.
+    restart wins, ties broken by index.  ``_ghz_settings`` is for a caller
+    that has built ``ghz_optimal_settings(basis)`` for the GHZ state it
+    passes (see ``_deterministic_init``).
     """
     if config is None:
         config = SeesawConfig()
     correlations = correlation_matrix(state, basis)
-    runs = _run_restarts(state, basis, config, correlations)
+    runs = _run_restarts(state, basis, config, correlations, _ghz_settings)
     a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
     if value < 0:

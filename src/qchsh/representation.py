@@ -66,14 +66,23 @@ class GellMannBasis:
     """Ordered tuple of the d**2 - 1 generalized Gell-Mann operators.
 
     Immutable after construction; ``operators[j]`` is the j-th basis matrix
-    and ``stack`` holds all of them as one (d**2-1, d, d) array for fast
-    contractions.
+    and ``stack`` holds all of them as one (d**2-1, d, d) array.
 
-    ``to_matrix`` and ``to_vector`` contract the dense stack with einsum: on
-    the small batches of a see-saw sweep that is faster than walking the
-    sparse structure, and a structured ``to_matrix`` would not match it bit
-    for bit (signed zeros).  ``pair_leading``, which serves the d**4-sized
-    correlation contraction, walks the structure instead.
+    No map here contracts the dense stack, whose entries are almost all
+    zero; each walks its sparse structure in O(d**2) work per matrix, and
+    gives the dense einsum over the stack bit for bit.  ``to_matrix`` and
+    ``to_vector`` are gathers through index tables built once here, over
+    the interleaved real and imaginary parts of a flat d x d matrix: a pair
+    entry is one component (negated for the upper imaginary part), a pair
+    component a two-term sum.  The diagonal entries and the ``diag_l``
+    components are products with the (d-1, d) table of diagonal
+    coefficients, summed in ascending index as the einsum sums them.  The
+    einsum starts its sums at +0, so a sum of -0 terms reads +0 there; each
+    map adds +0 at the end to make that so, which leaves every other value
+    as it is.  Input must be finite: a NaN or an infinity, which the einsum
+    spreads through its zero products to every entry, here stays in the
+    entries it reaches.  ``_check_vector`` refuses single vectors that are
+    not finite.
     """
 
     def __init__(self, dim: int):
@@ -106,6 +115,27 @@ class GellMannBasis:
         self.operators = tuple(stack[j] for j in range(self.size))
         self.labels = tuple(labels)
 
+        npairs = len(pairs)
+        rows, cols = np.triu_indices(d, 1)  # the pairs (m, k) in label order
+        # Offsets of Re X[m, k], Re X[k, m] and Re X[k, k] in the float64 view
+        # of a flat d x d complex matrix; the imaginary part follows each.
+        upper = 2 * (rows * d + cols)
+        lower = 2 * (cols * d + rows)
+        diagonal = 2 * (d + 1) * np.arange(d)
+        # c[l - 1, k] = L_{diag_l}[k, k], read from the stack so the bits agree.
+        self._diagonal = np.ascontiguousarray(stack[2 * npairs :, np.arange(d), np.arange(d)].real)
+        # to_matrix gathers each float of X from [n, -n_as, diagonal of X, 0]:
+        # X[m, k] = n_s - i n_as and X[k, m] = n_s + i n_as for pair (m, k).
+        index = np.full(2 * d * d, self.size + npairs + d)
+        index[upper] = index[lower] = np.arange(npairs)
+        index[lower + 1] = npairs + np.arange(npairs)
+        index[upper + 1] = self.size + np.arange(npairs)
+        index[diagonal] = self.size + npairs + np.arange(d)
+        self._matrix_index = index
+        # to_vector gathers Re X[m, k], Re X[k, m], Im X[k, m], Im X[m, k]
+        # for every pair, then Re X[k, k] for every k.
+        self._vector_index = np.concatenate((upper, lower, lower + 1, upper + 1, diagonal))
+
     def __len__(self) -> int:
         return self.size
 
@@ -116,16 +146,43 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
-        return np.einsum("...j,jkl->...kl", n, self.stack)
+        d, size = self.dim, self.size
+        npairs = d * (d - 1) // 2
+        lead = n.shape[:-1]
+        source = np.zeros(lead + (size + npairs + d + 1,))
+        source[..., :size] = n
+        np.negative(n[..., npairs : 2 * npairs], out=source[..., size : size + npairs])
+        terms = n[..., 2 * npairs :, None] * self._diagonal
+        np.add.accumulate(terms, axis=-2, out=terms)
+        source[..., size + npairs : -1] = terms[..., -1, :]
+        source += 0.0
+        flat = np.take(source, self._matrix_index, axis=-1)
+        return flat.view(np.complex128).reshape(lead + (d, d))
 
     def to_vector(self, matrices: np.ndarray) -> np.ndarray:
         """Pairings Re tr[X L_j] of each matrix in ``matrices[..., d, d]``."""
-        x = np.asarray(matrices)
-        if x.shape[-2:] != (self.dim, self.dim):
+        x = np.ascontiguousarray(matrices, dtype=np.complex128)
+        d = self.dim
+        if x.shape[-2:] != (d, d):
             raise DimensionMismatch(
-                f"matrices must be {self.dim}x{self.dim}, got shape {x.shape}"
+                f"matrices must be {d}x{d}, got shape {x.shape}"
             )
-        return np.real(np.einsum("...kl,jlk->...j", x, self.stack))
+        npairs = d * (d - 1) // 2
+        lead = x.shape[:-2]
+        flat = x.view(np.float64).reshape(lead + (2 * d * d,))
+        parts = np.take(flat, self._vector_index, axis=-1)
+        out = np.empty(lead + (self.size,))
+        np.add(parts[..., :npairs], parts[..., npairs : 2 * npairs], out=out[..., :npairs])
+        np.subtract(
+            parts[..., 2 * npairs : 3 * npairs],
+            parts[..., 3 * npairs : 4 * npairs],
+            out=out[..., npairs : 2 * npairs],
+        )
+        terms = parts[..., None, 4 * npairs :] * self._diagonal
+        np.add.accumulate(terms, axis=-1, out=terms)
+        out[..., 2 * npairs :] = terms[..., -1]
+        out += 0.0
+        return out
 
     def pair_leading(self, x: np.ndarray) -> np.ndarray:
         """Pairings ``out[a, ...] = sum_{i,j} x[i, j, ...] L_a[j, i]`` of ``x[d, d, ...]``.

@@ -56,21 +56,13 @@ def random_hermitian(rng, d, traceless=False):
 
 
 def dense_to_matrix(n, stack):
-    """Reference for GellMannBasis.to_matrix: n . L one row at a time."""
-    n = np.asarray(n, dtype=np.float64)
-    rows = n.reshape(-1, n.shape[-1])
-    out = np.array([np.einsum("j,jkl->kl", row, stack) for row in rows])
-    return out.reshape(n.shape[:-1] + stack.shape[1:])
+    """Reference for GellMannBasis.to_matrix: the retired dense einsum over the stack."""
+    return np.einsum("...j,jkl->...kl", np.asarray(n, dtype=np.float64), stack)
 
 
 def dense_to_vector(x, stack):
-    """Reference for GellMannBasis.to_vector: Re tr[X L_j] one matrix at a time."""
-    x = np.asarray(x)
-    mats = x.reshape((-1,) + x.shape[-2:])
-    out = np.array(
-        [[np.trace(m @ op).real for op in stack] for m in mats], dtype=np.float64
-    )
-    return out.reshape(x.shape[:-2] + (stack.shape[0],))
+    """Reference for GellMannBasis.to_vector: the retired dense einsum over the stack."""
+    return np.real(np.einsum("...kl,jlk->...j", np.asarray(x), stack))
 
 
 def boundary_row(n, basis):
@@ -196,7 +188,8 @@ def load_state_file_oracle(path, d=None):
             f'state file {path}: "rho" must be a matrix of [re, im] pairs, '
             f"got array shape {raw.shape}"
         )
-    rho = raw[:, :, 0] + 1j * raw[:, :, 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf; validate_state rejects it by name
+        rho = raw[:, :, 0] + 1j * raw[:, :, 1]
     return validate_state(rho, file_d)
 
 

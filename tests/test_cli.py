@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qchsh.cli
+import qchsh.optimizer
 import qchsh.verify
 from conftest import correlation_csv_oracle, load_state_file_oracle, stdlib_json_text
 from qchsh import ghz_state, load_state_file, random_two_qudit_state, state_to_json_dict
@@ -137,6 +139,22 @@ def test_ghz_table(capsys):
         # only odd dimensions improve the ceiling; one-ulp noise at even d
         # must not flip the flag
         assert row["upper_improves_tsirelson"] == (row["d"] % 2 == 1)
+
+
+def test_ghz_table_builds_ghz_references_once_per_dimension(capsys, monkeypatch):
+    calls = {"ghz_state": 0, "ghz_optimal_settings": 0}
+    for name in calls:
+        original = getattr(qchsh.optimizer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (qchsh.cli, qchsh.optimizer):
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(capsys, "ghz-table", "--dims", "2:8")
+    assert code == 0
+    assert calls == {"ghz_state": 7, "ghz_optimal_settings": 7}
 
 
 def test_ghz_table_csv(capsys):

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from qchsh import operator_norm, tensor_product, traceless_linear_max
 from qchsh.errors import DimensionMismatch, NotHermitian
 from qchsh.numerics import symmetrized_hermitian
-from qchsh.optimizer import _linear_max
+from qchsh.optimizer import _linear_max, _row_dots
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian, symmetrized_hermitian_oracle
 
@@ -17,15 +17,21 @@ from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian, symmetrized_he
 # takes a stack c[..., d, d]; these cases pass one-matrix stacks.
 
 
+def linear_max_value(c):
+    """The core's maximizers and their values lam . mu, as traceless_linear_max forms them."""
+    x, lam, mu = _linear_max(c)
+    return x, _row_dots(lam, mu)
+
+
 def test_eigendecomposition_identity():
     # all eigenvalues tie with the median, so the traceless optimum is zero
-    (x,), (value,) = _linear_max(np.eye(3, dtype=complex)[None])
+    (x,), (value,) = linear_max_value(np.eye(3, dtype=complex)[None])
     np.testing.assert_allclose(x, np.zeros((3, 3)), atol=1e-14)
     assert value == 0.0
 
 
 def test_eigendecomposition_pauli_x():
-    (x,), (value,) = _linear_max(SIGMA_X[None])
+    (x,), (value,) = linear_max_value(SIGMA_X[None])
     np.testing.assert_allclose(x, SIGMA_X, atol=1e-14)
     assert value == pytest.approx(2.0, abs=1e-14)
 
@@ -33,7 +39,7 @@ def test_eigendecomposition_pauli_x():
 def test_eigendecomposition_second_diagonal_generator():
     # (1/sqrt(3)) diag(1, 1, -2): the two tied top eigenvalues share mu = 1/2.
     m = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0)
-    (x,), (value,) = _linear_max(m[None])
+    (x,), (value,) = linear_max_value(m[None])
     np.testing.assert_allclose(x, np.diag([0.5, 0.5, -1.0]), atol=1e-14)
     assert value == pytest.approx(np.sqrt(3.0), abs=1e-14)
 
@@ -47,7 +53,7 @@ def test_eigendecomposition_reconstruction_and_orthonormality(rng):
     for _ in range(1000):
         d = int(rng.integers(2, 11))
         m = random_hermitian(rng, d)
-        (x,), (value,) = _linear_max(m[None])
+        (x,), (value,) = linear_max_value(m[None])
         scale = max(float(np.max(np.abs(m))), 1e-30)
         # shared eigenbasis: X commutes with M and is Hermitian
         assert np.max(np.abs(x @ m - m @ x)) < 1e-9 * scale

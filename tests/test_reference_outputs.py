@@ -8,11 +8,12 @@ and ``basis --dim 16``, the largest JSON report, are replayed through
 ``perfbench/reference.json``.  A refactor that changes any printed digit
 fails here.  The benchmark files are only read.
 
-The other full-size requests are left out: their digests were recorded with
-one BLAS thread and drift in the last digits when OpenBLAS runs several.  The
-see-saw requests drift at d = 10 and 12, the bounds and correlation requests
-at d >= 14.  The basis build calls no BLAS, so its digest holds with any
-thread count.
+The digests were recorded with one BLAS thread, and some drift in the last
+digits when OpenBLAS runs several.  The see-saw requests at d = 10 and 12
+drift so; they run in a child process with ``OPENBLAS_NUM_THREADS=1``, so
+the recording holds whatever threads this process uses.  The bounds and
+correlation requests at d >= 14 drift too and are left out.  The basis build
+calls no BLAS, so its digest holds with any thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,7 +31,8 @@ import pytest
 
 from qchsh.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name: str):
@@ -72,6 +76,9 @@ SEESAW_KEYS = [
     key for key in FULL_KEYS
     if key.split()[0] in ("optimize", "ghz-table") and _max_dim(key) <= 8
 ]
+ONE_THREAD_SEESAW_KEYS = [
+    key for key in FULL_KEYS if key.split()[0] == "optimize" and _max_dim(key) in (10, 12)
+]
 CORRELATION_KEYS = [
     key for key in FULL_KEYS if key.split()[0] == "correlation" and _max_dim(key) == 12
 ]
@@ -95,6 +102,20 @@ def test_tiny_request_matches_reference_digest(key, tmp_path):
 @pytest.mark.parametrize("key", SEESAW_KEYS)
 def test_full_seesaw_request_matches_reference_digest(key, tmp_path):
     _assert_matches_reference(key, tmp_path)
+
+
+@pytest.mark.parametrize("key", ONE_THREAD_SEESAW_KEYS)
+def test_full_seesaw_request_matches_reference_digest_with_one_blas_thread(key, tmp_path):
+    (request,) = workloads.build_requests([key], tmp_path)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = "import sys; from qchsh.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run(
+        [sys.executable, "-c", script, *request.argv],
+        capture_output=True, encoding="utf-8", env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert checks.digest(run.stdout) == REFERENCE[key]["sha256"]
 
 
 @pytest.mark.parametrize("key", CORRELATION_KEYS)

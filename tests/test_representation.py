@@ -118,6 +118,54 @@ def test_batched_maps_match_dense_oracle(d, batch, seed):
     np.testing.assert_allclose(b.to_vector(matrices), 2.0 * n, rtol=0, atol=1e-12)
 
 
+def _signed_mix(rng, shape):
+    """Finite floats of magnitude up to 1e150, with +-0.0 and subnormals mixed in."""
+    values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 151, shape)
+    kind = rng.integers(0, 6, shape)
+    values[kind == 0] = 0.0
+    values[kind == 1] = -0.0
+    values[kind == 2] = rng.uniform(-1.0, 1.0, int(np.sum(kind == 2))) * 1e-310
+    return values
+
+
+def _same_bits(got, expected):
+    return (
+        got.dtype == expected.dtype
+        and got.shape == expected.shape
+        and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=16),
+    layout=st.sampled_from(["single", "rows", "pairs"]),
+    rows=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_maps_equal_retired_einsums_bit_for_bit(d, layout, rows, seed):
+    # The products of the diagonal coefficients stay finite at these sizes,
+    # so the einsum's zero products add only signed zeros, as the maps assume.
+    b = build_gellmann_basis(d)
+    rng = np.random.default_rng(seed)
+    lead = {"single": (), "rows": (rows,), "pairs": (rows, 2)}[layout]
+    n = _signed_mix(rng, lead + (b.size,))
+    x = _signed_mix(rng, lead + (d, d)) + 1j * _signed_mix(rng, lead + (d, d))
+    assert _same_bits(b.to_matrix(n), dense_to_matrix(n, b.stack))
+    assert _same_bits(b.to_vector(x), dense_to_vector(x, b.stack))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_map_tables_reproduce_the_stack(d):
+    b = build_gellmann_basis(d)
+    # The stack writes -1j with a -0.0 real part, which ``basis`` prints; the
+    # maps, like the einsum, add from +0 and give +0 there.
+    assert _same_bits(b.to_matrix(np.eye(b.size)), b.stack + 0.0)
+    pairings = b.to_vector(b.stack)
+    assert _same_bits(pairings, dense_to_vector(b.stack, b.stack))
+    np.testing.assert_allclose(pairings, 2.0 * np.eye(b.size), rtol=0, atol=1e-15)
+
+
 def test_batched_maps_reject_wrong_shapes(basis):
     b = basis(3)
     with pytest.raises(DimensionMismatch):
