@@ -17,12 +17,11 @@ from .correlation import (
     chsh_operator,
     correlation_matrix,
 )
-from .numerics import operator_norm, tensor_product
+from .numerics import operator_norm
 from .optimizer import (
     SeesawConfig,
     SeesawResult,
     ghz_optimal_settings,
-    random_search_max,
     seesaw_maximize,
     traceless_linear_max,
 )
@@ -31,7 +30,6 @@ from .representation import (
     TracelessObservable,
     build_gellmann_basis,
     expand_observable,
-    is_admissible,
     max_admissible_norm,
     observable_from_coefficients,
     project_to_admissible,
@@ -41,7 +39,6 @@ from .states import (
     ghz_state,
     load_state_file,
     random_two_qudit_state,
-    state_to_json_dict,
     validate_state,
 )
 
@@ -67,17 +64,13 @@ __all__ = [
     "ghz_optimal_settings",
     "ghz_state",
     "horodecki_two_qubit",
-    "is_admissible",
     "load_state_file",
     "max_admissible_norm",
     "observable_from_coefficients",
     "operator_norm",
     "project_to_admissible",
-    "random_search_max",
     "random_two_qudit_state",
     "seesaw_maximize",
-    "state_to_json_dict",
-    "tensor_product",
     "top_two_gram_eigenvalues",
     "traceless_linear_max",
     "validate_state",

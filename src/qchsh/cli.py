@@ -303,9 +303,7 @@ def cmd_ghz_table(args) -> int:
 def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
     names = [args.suite] if args.suite else None
-    results = verify_module.run_suites(
-        names=names, dims=dims, trials=args.trials, seed=args.seed
-    )
+    results = verify_module.run_suites(names, dims, args.trials, args.seed)
     failed = [r for r in results if not r.passed]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", default=None,
                           help=f"one of: {', '.join(verify_module.SUITES)}")
-    p_verify.add_argument("--trials", type=int, default=verify_module.DEFAULT_TRIALS)
+    p_verify.add_argument("--trials", type=int, default=10_000)
     p_verify.add_argument("--dims", default="2:6")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)

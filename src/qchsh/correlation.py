@@ -9,10 +9,10 @@ with row index i on Alice's side and column index j on Bob's side, so that
 vectors a, b.  The CHSH operator for settings A1, A2, B1, B2 is
 ``A1 x (B1 + B2) + A2 x (B1 - B2)``.
 
-T is contracted with the sparse structure of the basis
-(``GellMannBasis.pair_leading``, applied once per party) in O(d**4) work.
-It equals bit for bit the dense two-einsum contraction over the basis stack,
-which costs O(d**6).
+T is contracted with the sparse structure of the basis in O(d**4) work
+(``GellMannBasis.pair_leading``, once per party, on the diagonal table that
+``to_matrix`` and ``to_vector`` read).  It equals bit for bit the dense
+two-einsum contraction over the basis stack, which costs O(d**6).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ImaginaryResidual, NotInLd
-from .numerics import tensor_product
 from .representation import GellMannBasis, TracelessObservable
 from .states import TwoQuditState
 
@@ -102,7 +101,7 @@ def _complex_entries(state: TwoQuditState, basis: GellMannBasis) -> np.ndarray:
 def chsh_operator(settings: ChshSettings) -> np.ndarray:
     """Bell operator A1 x (B1 + B2) + A2 x (B1 - B2)."""
     a1, a2, b1, b2 = (obs.matrix for obs in settings.all)
-    return tensor_product(a1, b1 + b2) + tensor_product(a2, b1 - b2)
+    return np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2)
 
 
 def chsh_expectation_direct(state: TwoQuditState, settings: ChshSettings) -> float:

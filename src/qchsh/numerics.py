@@ -52,18 +52,3 @@ def operator_norm(matrix: np.ndarray) -> float:
     values = np.linalg.eigvalsh(m)
     return float(max(abs(values[0]), abs(values[-1])))
 
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two equally sized square matrices.
-
-    The result is indexed row-major so that entry ``(i*d + k, j*d + l)``
-    equals ``a[i, j] * b[k, l]``.
-    """
-    ma = _require_square(a, "first factor")
-    mb = _require_square(b, "second factor")
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(
-            f"tensor factors must have equal dimension, got {ma.shape[0]} and {mb.shape[0]}"
-        )
-    return np.kron(ma, mb)
-

@@ -369,29 +369,3 @@ def seesaw_maximize(
         mode=config.mode,
     )
 
-
-def random_search_max(
-    state: TwoQuditState,
-    basis: GellMannBasis,
-    samples: int,
-    seed: int,
-) -> float:
-    """Best |CHSH| over random admissible 4-tuples; a feasible-point oracle.
-
-    Never exceeds the true maximum; deterministic per seed.
-    """
-    check_count("samples", samples, 1)
-    check_count("seed", seed, 0)
-    t = correlation_matrix(state, basis).matrix
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    remaining = samples
-    chunk_size = 4096
-    while remaining > 0:
-        count = min(chunk_size, remaining)
-        remaining -= count
-        vecs = basis.random_admissible(rng, 4 * count).reshape(count, 4, basis.size)
-        dots = _row_dots(vecs[:, :2], _pair_products(t, vecs[:, 2:]))
-        values = 0.5 * basis.dim * (dots[:, 0] + dots[:, 1])
-        best = max(best, float(np.max(np.abs(values))))
-    return best

@@ -63,10 +63,10 @@ def check_count(name: str, value, minimum: int) -> None:
 
 
 class GellMannBasis:
-    """Ordered tuple of the d**2 - 1 generalized Gell-Mann operators.
+    """The d**2 - 1 generalized Gell-Mann operators, in label order.
 
-    Immutable after construction; ``operators[j]`` is the j-th basis matrix
-    and ``stack`` holds all of them as one (d**2-1, d, d) array.
+    Immutable after construction; ``stack`` holds the operators as one
+    (d**2-1, d, d) array, ``stack[j]`` the j-th.
 
     No map here contracts the dense stack, whose entries are almost all
     zero; each walks its sparse structure in O(d**2) work per matrix, and
@@ -74,15 +74,15 @@ class GellMannBasis:
     ``to_vector`` are gathers through index tables built once here, over
     the interleaved real and imaginary parts of a flat d x d matrix: a pair
     entry is one component (negated for the upper imaginary part), a pair
-    component a two-term sum.  The diagonal entries and the ``diag_l``
-    components are products with the (d-1, d) table of diagonal
-    coefficients, summed in ascending index as the einsum sums them.  The
-    einsum starts its sums at +0, so a sum of -0 terms reads +0 there; each
-    map adds +0 at the end to make that so, which leaves every other value
-    as it is.  Input must be finite: a NaN or an infinity, which the einsum
-    spreads through its zero products to every entry, here stays in the
-    entries it reaches.  ``_check_vector`` refuses single vectors that are
-    not finite.
+    component a two-term sum; ``pair_leading`` forms the same sums from
+    slices.  The diagonal entries and ``diag_l`` components of all three
+    maps are products with one (d-1, d) table of diagonal coefficients,
+    summed in ascending index as the einsum sums them.  The einsum starts
+    its sums at +0, so a sum of -0 terms reads +0 there; each map adds +0 at
+    the end to make that so, which leaves every other value as it is.  Input
+    must be finite: a NaN or an infinity, which the einsum spreads through
+    its zero products to every entry, here stays in the entries it reaches.
+    ``_check_vector`` refuses single vectors that are not finite.
     """
 
     def __init__(self, dim: int):
@@ -112,7 +112,6 @@ class GellMannBasis:
         self.dim = d
         self.size = d * d - 1
         self.stack = stack
-        self.operators = tuple(stack[j] for j in range(self.size))
         self.labels = tuple(labels)
 
         npairs = len(pairs)
@@ -135,9 +134,6 @@ class GellMannBasis:
         # to_vector gathers Re X[m, k], Re X[k, m], Im X[k, m], Im X[m, k]
         # for every pair, then Re X[k, k] for every k.
         self._vector_index = np.concatenate((upper, lower, lower + 1, upper + 1, diagonal))
-
-    def __len__(self) -> int:
-        return self.size
 
     def to_matrix(self, components: np.ndarray) -> np.ndarray:
         """Contraction n . L over the last axis of ``components[..., d**2-1]``."""
@@ -188,11 +184,11 @@ class GellMannBasis:
         """Pairings ``out[a, ...] = sum_{i,j} x[i, j, ...] L_a[j, i]`` of ``x[d, d, ...]``.
 
         Equal bit for bit to the dense einsum ``"ij...,aji->a..."`` over the
-        stack, in O(d**2) work per trailing element rather than O(d**4).  A
-        pair operator has two nonzero entries, so its pairing is a two-term
-        sum, the same in either order; a diagonal operator's terms are added
-        in ascending index, as the einsum adds them.  The products with the
-        zero entries of L_a, which the einsum adds, change no nonzero sum.
+        stack, in O(d**2) work per trailing element and O(d) numpy calls.
+        The pair components ``x[k, m] + x[m, k]`` and ``i (x[m, k] - x[k, m])``
+        are two-term sums, the same in either order; the ``diag_l`` terms are
+        added in ascending index, as the einsum adds them.  The products with
+        the zero entries of L_a, which the einsum adds, change no nonzero sum.
         """
         x = np.asarray(x)
         d = self.dim
@@ -203,28 +199,26 @@ class GellMannBasis:
         out = np.empty((self.size,) + x.shape[2:], dtype=np.complex128)
         npairs = d * (d - 1) // 2
         symmetric, antisymmetric = out[:npairs], out[npairs : 2 * npairs]
-        # Every product added into out is formed in this one buffer: a fresh
-        # temporary per term left the heap fragmented, and peak memory higher.
-        scratch = np.empty((d - 1,) + x.shape[2:], dtype=np.complex128)
         start = 0
         for m in range(d - 1):
-            # pairs (m, k), k > m: L[m, k] = 1 or -i, L[k, m] = 1 or i
+            # pairs (m, k), k > m, in label order
             stop = start + d - 1 - m
             np.add(x[m + 1 :, m], x[m, m + 1 :], out=symmetric[start:stop])
             block = antisymmetric[start:stop]
-            np.multiply(x[m + 1 :, m], self.stack[npairs + start, m, m + 1], out=block)
-            term = scratch[: stop - start]
-            np.multiply(x[m, m + 1 :], self.stack[npairs + start, m + 1, m], out=term)
-            block += term
+            np.subtract(x[m, m + 1 :], x[m + 1 :, m], out=block)
+            block *= 1j
             start = stop
-        for l in range(1, d):
-            a = 2 * npairs + l - 1
-            acc = out[a, ...]
-            np.multiply(x[0, 0], self.stack[a, 0, 0], out=acc)
-            term = scratch[0, ...]
-            for j in range(1, l + 1):
-                np.multiply(x[j, j], self.stack[a, j, j], out=term)
-                acc += term
+        # Row l - 1 of diagonal adds x[k, k] * c[l - 1, k] for k = 0..l in turn.
+        # Every product is formed in this one buffer: a fresh temporary per
+        # term left the heap fragmented, and peak memory higher.
+        diagonal = out[2 * npairs :]
+        scratch = np.empty_like(diagonal)
+        column = (slice(None),) + (None,) * (x.ndim - 2)
+        np.multiply(self._diagonal[:, 0][column], x[0, 0], out=diagonal)
+        for k in range(1, d):
+            term = scratch[k - 1 :]
+            np.multiply(self._diagonal[k - 1 :, k][column], x[k, k], out=term)
+            diagonal[k - 1 :] += term
         # The einsum accumulates from +0, so a sum of -0 terms reads +0 there;
         # adding +0 makes that so here and leaves every other value as it is.
         out += 0.0
@@ -333,12 +327,6 @@ def project_to_admissible(components: np.ndarray, basis: GellMannBasis) -> np.nd
     if not np.any(n):
         raise ZeroVector("cannot project the zero vector")
     return basis.to_boundary(n)
-
-
-def is_admissible(components: np.ndarray, basis: GellMannBasis) -> bool:
-    """Whether ``||n . L||_op <= sqrt(2/d) + MEMBERSHIP_ATOL``."""
-    n = basis._check_vector(components)
-    return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + MEMBERSHIP_ATOL)
 
 
 def max_admissible_norm(d: int) -> float:

@@ -103,15 +103,6 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
     return TwoQuditState(dim=d, rho=m)
 
 
-def state_to_json_dict(state: TwoQuditState) -> dict:
-    """Serializable dict in the state file format."""
-    rho = state.rho
-    return {
-        "d": state.dim,
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
-    }
-
-
 def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
     """Read and validate a state file; d is inferred from the file if omitted."""
     try:

@@ -18,9 +18,6 @@ from .errors import ValidationError
 from .representation import build_gellmann_basis, check_count
 from .states import ghz_state, random_two_qudit_state
 
-DEFAULT_DIMS = (2, 3, 4, 5, 6)
-DEFAULT_TRIALS = 10_000
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -192,12 +189,8 @@ SUITES = {
 }
 
 
-def run_suites(
-    names: list[str] | None = None,
-    dims=DEFAULT_DIMS,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> list[SuiteResult]:
+def run_suites(names: list[str] | None, dims, trials: int, seed: int) -> list[SuiteResult]:
+    """Run the named suites, or all of them; ``qchsh verify`` holds the defaults."""
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
     selected = list(SUITES) if not names else names

@@ -14,12 +14,14 @@ from qchsh import (
 )
 from qchsh.errors import DimensionMismatch, NotHermitian, ValidationError
 from qchsh.numerics import HERMITIAN_ATOL, _require_square
-from qchsh.representation import check_dim
+from qchsh.representation import MEMBERSHIP_ATOL, check_dim
 from qchsh.optimizer import (
     DEGENERATE_NORM_ATOL,
     LP_TIE_ATOL,
     MAX_DEGENERATE_EVENTS,
     _deterministic_init,
+    _pair_products,
+    _row_dots,
 )
 
 _CACHE = {}
@@ -65,6 +67,17 @@ def dense_to_vector(x, stack):
     return np.real(np.einsum("...kl,jlk->...j", np.asarray(x), stack))
 
 
+def dense_pair_leading(x, stack):
+    """Reference for GellMannBasis.pair_leading: the dense einsum over the stack."""
+    return np.einsum("ij...,aji->a...", np.asarray(x), stack)
+
+
+def is_admissible(components, basis):
+    """Whether ``||n . L||_op <= sqrt(2/d) + MEMBERSHIP_ATOL`` for one vector n."""
+    n = np.asarray(components, dtype=np.float64)
+    return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + MEMBERSHIP_ATOL)
+
+
 def boundary_row(n, basis):
     """Reference for GellMannBasis.to_boundary: one nonzero row rescaled on its own."""
     return np.sqrt(2.0 / basis.dim) * n / basis.vector_operator_norm(n)
@@ -79,6 +92,33 @@ def dense_correlation(state, basis):
     r4 = state.rho.reshape(d, d, d, d)
     partial = np.einsum("ikjl,aji->akl", r4, basis.stack)
     return np.einsum("akl,blk->ab", partial, basis.stack)
+
+
+def random_search_max(state, basis, samples, seed):
+    """Feasible-point oracle: best |CHSH| over random admissible 4-tuples.
+
+    Never exceeds the true maximum; deterministic per seed.
+    """
+    t = correlation_matrix(state, basis).matrix
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    remaining = samples
+    while remaining > 0:
+        count = min(4096, remaining)
+        remaining -= count
+        vecs = basis.random_admissible(rng, 4 * count).reshape(count, 4, basis.size)
+        dots = _row_dots(vecs[:, :2], _pair_products(t, vecs[:, 2:]))
+        values = 0.5 * basis.dim * (dots[:, 0] + dots[:, 1])
+        best = max(best, float(np.max(np.abs(values))))
+    return best
+
+
+def state_to_json_dict(state):
+    """A state as a dict in the state file format."""
+    return {
+        "d": state.dim,
+        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in state.rho],
+    }
 
 
 def property_state(kind, d, seed):

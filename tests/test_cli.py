@@ -15,8 +15,13 @@ from hypothesis.extra import numpy as hnp
 import qchsh.cli
 import qchsh.optimizer
 import qchsh.verify
-from conftest import correlation_csv_oracle, load_state_file_oracle, stdlib_json_text
-from qchsh import ghz_state, load_state_file, random_two_qudit_state, state_to_json_dict
+from conftest import (
+    correlation_csv_oracle,
+    load_state_file_oracle,
+    state_to_json_dict,
+    stdlib_json_text,
+)
+from qchsh import ghz_state, load_state_file, random_two_qudit_state
 from qchsh.cli import _correlation_csv, _json_text, main
 from qchsh.errors import InvalidConfig, ValidationError
 from qchsh.representation import GellMannBasis
@@ -262,7 +267,6 @@ def test_verify_detects_corrupted_basis(capsys, monkeypatch):
         stack[0] *= 1.01
         stack.setflags(write=False)
         fake.stack = stack
-        fake.operators = tuple(stack)
         return fake
 
     monkeypatch.setattr(qchsh.verify, "build_gellmann_basis", corrupted)

@@ -120,7 +120,7 @@ def test_pair_leading_against_per_slice_trace(trailing, basis, rng):
         out = b.pair_leading(x)
         assert out.shape == (b.size,) + trailing
         slices = np.moveaxis(x, (0, 1), (-2, -1))
-        for a, op in enumerate(b.operators):
+        for a, op in enumerate(b.stack):
             expected = np.trace(slices @ op, axis1=-2, axis2=-1)
             np.testing.assert_allclose(out[a], expected, rtol=0, atol=1e-13)
     with pytest.raises(DimensionMismatch):
@@ -140,6 +140,63 @@ def test_chsh_operator_bell_settings(basis):
     np.testing.assert_allclose(chsh_operator(settings), expected, atol=1e-14)
 
 
+def test_chsh_operator_puts_alice_on_the_left_factor(basis):
+    # sigma_z x sigma_x: entry (i*2 + k, j*2 + l) is A[i, j] * B[k, l]
+    zero = np.zeros((2, 2), dtype=complex)
+    settings = _settings_from_matrices([SIGMA_Z, zero, SIGMA_X, zero], basis(2))
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[:2, :2] = SIGMA_X
+    expected[2:, 2:] = -SIGMA_X
+    np.testing.assert_allclose(chsh_operator(settings), expected, rtol=0, atol=1e-15)
+
+
+def test_chsh_operator_entries_match_index_formula(basis, rng):
+    # entry (i*d + k, j*d + l) is A1[i, j] (B1 + B2)[k, l] + A2[i, j] (B1 - B2)[k, l]
+    d = 3
+    settings, _ = random_settings(rng, basis(d))
+    a1, a2, b1, b2 = (obs.matrix for obs in settings.all)
+    expected = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    expected[i * d + k, j * d + l] = (
+                        a1[i, j] * (b1 + b2)[k, l] + a2[i, j] * (b1 - b2)[k, l]
+                    )
+    np.testing.assert_allclose(chsh_operator(settings), expected, rtol=0, atol=1e-15)
+
+
+def test_chsh_operator_square_follows_mixed_product_rule(basis, rng):
+    # (A x B)(C x D) = AC x BD expands the square of the Bell operator
+    for d in (2, 3):
+        for _ in range(20):
+            settings, _ = random_settings(rng, basis(d))
+            a1, a2, b1, b2 = (obs.matrix for obs in settings.all)
+            plus, minus = b1 + b2, b1 - b2
+            expected = (
+                np.kron(a1 @ a1, plus @ plus)
+                + np.kron(a1 @ a2, plus @ minus)
+                + np.kron(a2 @ a1, minus @ plus)
+                + np.kron(a2 @ a2, minus @ minus)
+            )
+            op = chsh_operator(settings)
+            assert np.max(np.abs(op @ op - expected)) < 1e-12
+
+
+def test_chsh_operator_ghz_pairing(basis):
+    # the first basis operator paired with itself against the d=3 GHZ state:
+    # n = sqrt(2/3) e_0 gives the observable sqrt(3/2) (n . L) = L0 itself
+    b = basis(3)
+    n = np.zeros(b.size)
+    n[0] = np.sqrt(2.0 / 3.0)
+    zero = observable_from_coefficients(np.zeros(b.size), b)
+    first = observable_from_coefficients(n, b)
+    np.testing.assert_allclose(first.matrix, b.stack[0], rtol=0, atol=1e-15)
+    value = chsh_expectation_direct(ghz_state(3), ChshSettings(first, zero, first, zero))
+    assert value == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert correlation_matrix(ghz_state(3), b).matrix[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
+
+
 def test_chsh_operator_zero_settings(basis):
     b = basis(2)
     zero = observable_from_coefficients(np.zeros(3), b)
@@ -154,6 +211,14 @@ def test_settings_reject_inadmissible_observable(basis):
     too_big = observable_from_coefficients(np.array([0.0, 0.0, 2.0]), b)
     with pytest.raises(NotInLd):
         ChshSettings(fine, fine, fine, too_big)
+
+
+def test_settings_reject_mixed_dimensions(basis):
+    # chsh_operator's np.kron relies on this check for equal factor sizes
+    qubit = observable_from_coefficients(np.array([0.0, 0.0, 1.0]), basis(2))
+    qutrit = observable_from_coefficients(np.zeros(8), basis(3))
+    with pytest.raises(DimensionMismatch):
+        ChshSettings(qubit, qubit, qubit, qutrit)
 
 
 def test_bell_state_reaches_tsirelson(basis):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qchsh import operator_norm, tensor_product, traceless_linear_max
-from qchsh.errors import DimensionMismatch, NotHermitian
+from qchsh import operator_norm, traceless_linear_max
+from qchsh.errors import NotHermitian
 from qchsh.numerics import symmetrized_hermitian
 from qchsh.optimizer import _linear_max, _row_dots
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_hermitian, symmetrized_hermitian_oracle
+from conftest import SIGMA_X, SIGMA_Z, random_hermitian, symmetrized_hermitian_oracle
 
 
 # The eigendecomposition behind the linear-max core: its maximizer shares the
@@ -81,47 +81,10 @@ def test_operator_norm_scaling(scale):
     assert operator_norm(scale * m) == pytest.approx(abs(scale) * operator_norm(m), abs=1e-10)
 
 
-def test_tensor_product_pauli_zz():
-    np.testing.assert_allclose(
-        tensor_product(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]), atol=0
-    )
-
-
-def test_tensor_product_identity_x():
-    result = tensor_product(np.eye(2, dtype=complex), SIGMA_X)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[:2, :2] = SIGMA_X
-    expected[2:, 2:] = SIGMA_X
-    np.testing.assert_allclose(result, expected, atol=0)
-
-
-def test_tensor_product_mixed_product_rule(rng):
-    for _ in range(50):
-        a, b, c, d = (random_hermitian(rng, 3) for _ in range(4))
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, float(np.max(np.abs(lhs))))
-
-
-def test_tensor_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        tensor_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-
-
-def test_tensor_product_ghz_pairing(basis):
-    # the first basis operator paired with itself against the d=3 GHZ state
-    from qchsh import ghz_state
-
-    op = basis(3).operators[0]
-    value = np.trace(ghz_state(3).rho @ tensor_product(op, op))
-    assert value.real == pytest.approx(2.0 / 3.0, abs=1e-14)
-    assert abs(value.imag) < 1e-14
-
-
 def test_trace_inner_product_basis_orthogonality(basis):
     b = basis(4)
-    for i, left in enumerate(b.operators):
-        for j, right in enumerate(b.operators):
+    for i, left in enumerate(b.stack):
+        for j, right in enumerate(b.stack):
             expected = 2.0 if i == j else 0.0
             assert abs(np.trace(left @ right) - expected) < 1e-12
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ginibre_state_oracle, property_state
-from qchsh import ghz_state, load_state_file, random_two_qudit_state, state_to_json_dict, validate_state
+from conftest import ginibre_state_oracle, property_state, state_to_json_dict
+from qchsh import ghz_state, load_state_file, random_two_qudit_state, validate_state
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
