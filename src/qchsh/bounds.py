@@ -15,6 +15,7 @@ correlation matrix is diagonal with entries +-2/d, both eigenvalues equal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class BoundsReport:
     lambda2: float
     lower: float
     upper: float
-    tsirelson: float = TSIRELSON
+    tsirelson: ClassVar[float] = TSIRELSON
 
     @property
     def upper_improves_tsirelson(self) -> bool:

@@ -278,7 +278,7 @@ def cmd_ghz_table(args) -> int:
         closed = ghz_chsh_maximum(d)
         settings = ghz_optimal_settings(basis)
         certificate = abs(chsh_expectation_direct(state, settings))
-        seesaw = seesaw_maximize(state, basis, config, _ghz_settings=settings).value
+        seesaw = seesaw_maximize(state, basis, config).value
         report = chsh_bounds(ghz_correlation_matrix(d))
         rows.append(
             {

@@ -19,7 +19,7 @@ every live restart and makes one basis map, one batched eigensolver call and
 one LP (exact mode) or one batched operator norm (closed-form mode).
 Matrix-vector products and dot products stay one BLAS call per row, so each
 restart gives bit for bit what it gives when run alone, whatever the number
-of restarts.
+of restarts.  They read the state only through its correlation matrix T.
 
 ``ghz_optimal_settings`` realizes the attained GHZ maximum with a
 block-embedded qubit strategy: computational basis states are paired into
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import ghz_correlation_matrix
 from .correlation import (
     ChshSettings,
     CorrelationMatrix,
@@ -50,10 +51,13 @@ from .representation import (
     project_to_admissible,
     symmetrized_traceless,
 )
-from .states import TwoQuditState, ghz_state
+from .states import TwoQuditState
 
 DEGENERATE_NORM_ATOL = 1e-14
 LP_TIE_ATOL = 1e-12
+# A distance on T, not on rho: restart 0 takes the GHZ start within it of the
+# GHZ correlation matrix, which T equals exactly when rho is the GHZ state,
+# as <GHZ|rho|GHZ> = 1/d**2 + (1/4) sum_ab T_ab T^GHZ_ab.
 GHZ_PROXIMITY_ATOL = 1e-8
 MAX_DEGENERATE_EVENTS = 8
 
@@ -149,7 +153,6 @@ def traceless_linear_max(
     """
     c = symmetrized_traceless(target, basis, "target")
     x, lam, mu = _linear_max(c)
-    x = 0.5 * (x + x.conj().T)
     coefficients = expand_observable(x, basis)
     observable = observable_from_coefficients(coefficients, basis)
     return observable, float(_row_dots(lam, mu))
@@ -202,14 +205,13 @@ def _party_update(
     return out.reshape(directions.shape), vanishing.reshape(directions.shape[:-1])
 
 
-def ghz_optimal_settings(basis: GellMannBasis) -> ChshSettings:
-    """Settings attaining the exact GHZ maximum 2 * m_d**2 * sqrt(2) at d = basis.dim.
+def _ghz_blocks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The matrices A1, A2, B1, B2 of the block strategy at qudit dimension d.
 
     Computational basis states are paired into floor(d/2) qubit blocks; each
     block carries A1 = sigma_z, A2 = sigma_x, B1/B2 = (sigma_z +- sigma_x)/sqrt(2).
     Odd d leaves one zero row/column (a zero eigenvalue of multiplicity 1).
     """
-    d = basis.dim
     a1 = np.zeros((d, d), dtype=np.complex128)
     a2 = np.zeros((d, d), dtype=np.complex128)
     for block in range(d // 2):
@@ -218,36 +220,32 @@ def ghz_optimal_settings(basis: GellMannBasis) -> ChshSettings:
         a1[j, j] = -1.0
         a2[i, j] = 1.0
         a2[j, i] = 1.0
-    b1 = (a1 + a2) / math.sqrt(2.0)
-    b2 = (a1 - a2) / math.sqrt(2.0)
+    return a1, a2, (a1 + a2) / math.sqrt(2.0), (a1 - a2) / math.sqrt(2.0)
 
-    def _wrap(matrix: np.ndarray) -> TracelessObservable:
-        return observable_from_coefficients(expand_observable(matrix, basis), basis)
 
-    return ChshSettings(a1=_wrap(a1), a2=_wrap(a2), b1=_wrap(b1), b2=_wrap(b2))
+def ghz_optimal_settings(basis: GellMannBasis) -> ChshSettings:
+    """The ``_ghz_blocks`` settings, attaining the GHZ maximum 2 * m_d**2 * sqrt(2)."""
+    return ChshSettings(*(
+        observable_from_coefficients(expand_observable(m, basis), basis)
+        for m in _ghz_blocks(basis.dim)
+    ))
 
 
 def _deterministic_init(
-    state: TwoQuditState,
-    basis: GellMannBasis,
-    correlations: CorrelationMatrix,
-    ghz_settings: ChshSettings | None = None,
+    basis: GellMannBasis, correlations: CorrelationMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seed restart 0 from structure instead of noise.
 
-    Near the GHZ state the known optimal Bob vectors are used; otherwise the
-    top-two right singular directions of T, mixed as v1 +- v2 so that one
-    exact sweep lands on the dominant singular pair.  A caller that already
-    holds ``ghz_optimal_settings(basis)`` for a GHZ state passes them as
-    ``ghz_settings``, and neither the GHZ state nor the settings are rebuilt.
+    When T is within ``GHZ_PROXIMITY_ATOL`` of the GHZ correlation matrix, the
+    Bob vectors of the block strategy (``_ghz_blocks``) are used; otherwise
+    the top-two right singular directions of T, mixed as v1 +- v2 so that one
+    exact sweep lands on the dominant singular pair.
     """
-    if ghz_settings is None:
-        ghz = ghz_state(state.dim)
-        if float(np.max(np.abs(state.rho - ghz.rho))) < GHZ_PROXIMITY_ATOL:
-            ghz_settings = ghz_optimal_settings(basis)
-    if ghz_settings is not None:
-        return ghz_settings.b1.coefficients.copy(), ghz_settings.b2.coefficients.copy()
-    gram = correlations.matrix.T @ correlations.matrix
+    t = correlations.matrix
+    if float(np.max(np.abs(t - ghz_correlation_matrix(basis.dim).matrix))) < GHZ_PROXIMITY_ATOL:
+        _, _, b1, b2 = _ghz_blocks(basis.dim)
+        return expand_observable(b1, basis), expand_observable(b2, basis)
+    gram = t.T @ t
     _, vectors = np.linalg.eigh(gram)
     v1 = vectors[:, -1]
     v2 = vectors[:, -2]
@@ -258,11 +256,7 @@ def _deterministic_init(
 
 
 def _run_restarts(
-    state: TwoQuditState,
-    basis: GellMannBasis,
-    config: SeesawConfig,
-    correlations: CorrelationMatrix,
-    ghz_settings: ChshSettings | None = None,
+    basis: GellMannBasis, config: SeesawConfig, correlations: CorrelationMatrix
 ) -> dict:
     """Run every restart in lockstep on (restarts, 2, d**2-1) arrays.
 
@@ -276,7 +270,7 @@ def _run_restarts(
     count = config.restarts
     rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
     b = np.empty((count, 2, basis.size))
-    b[0] = _deterministic_init(state, basis, correlations, ghz_settings)
+    b[0] = _deterministic_init(basis, correlations)
     for i in range(1, count):
         b[i] = basis.random_admissible(rngs[i], 2)
     t = correlations.matrix
@@ -330,8 +324,6 @@ def seesaw_maximize(
     state: TwoQuditState,
     basis: GellMannBasis,
     config: SeesawConfig | None = None,
-    *,
-    _ghz_settings: ChshSettings | None = None,
 ) -> SeesawResult:
     """Alternating maximization of |CHSH| over admissible observables.
 
@@ -340,14 +332,13 @@ def seesaw_maximize(
     from its own (seed, restart-index) substream.  All restarts run in
     lockstep, one batched eigensolver call per party update, and a
     restart's result does not depend on how many restarts run.  The best
-    restart wins, ties broken by index.  ``_ghz_settings`` is for a caller
-    that has built ``ghz_optimal_settings(basis)`` for the GHZ state it
-    passes (see ``_deterministic_init``).
+    restart wins, ties broken by index.  The state enters only through
+    its correlation matrix T.
     """
     if config is None:
         config = SeesawConfig()
     correlations = correlation_matrix(state, basis)
-    runs = _run_restarts(state, basis, config, correlations, _ghz_settings)
+    runs = _run_restarts(basis, config, correlations)
     a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
     if value < 0:

@@ -27,6 +27,7 @@ dimensions, ``check_count`` for integer counts and seeds, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,9 @@ def check_count(name: str, value, minimum: int) -> None:
 class GellMannBasis:
     """The d**2 - 1 generalized Gell-Mann operators, in label order.
 
-    Immutable after construction; ``stack`` holds the operators as one
-    (d**2-1, d, d) array, ``stack[j]`` the j-th.
+    Immutable after construction.  One pair list, ``np.triu_indices(d, 1)``,
+    orders the labels, the index tables and ``stack``, the operators as one
+    (d**2-1, d, d) array, which is built on first read.
 
     No map here contracts the dense stack, whose entries are almost all
     zero; each walks its sparse structure in O(d**2) work per matrix, and
@@ -87,42 +89,26 @@ class GellMannBasis:
 
     def __init__(self, dim: int):
         d = check_dim(dim)
-        pairs = [(m, k) for m in range(d) for k in range(m + 1, d)]
-        stack = np.zeros((d * d - 1, d, d), dtype=np.complex128)
-        labels = []
-        idx = 0
-        for m, k in pairs:
-            stack[idx, m, k] = 1.0
-            stack[idx, k, m] = 1.0
-            labels.append(f"s_{m + 1}_{k + 1}")
-            idx += 1
-        for m, k in pairs:
-            stack[idx, m, k] = -1.0j
-            stack[idx, k, m] = 1.0j
-            labels.append(f"as_{m + 1}_{k + 1}")
-            idx += 1
-        for l in range(1, d):
-            scale = np.sqrt(2.0 / (l * (l + 1)))
-            for j in range(l):
-                stack[idx, j, j] = scale
-            stack[idx, l, l] = -l * scale
-            labels.append(f"diag_{l}")
-            idx += 1
-        stack.setflags(write=False)
+        rows, cols = np.triu_indices(d, 1)  # the pairs (m, k), m < k, in label order
+        npairs = rows.size
         self.dim = d
         self.size = d * d - 1
-        self.stack = stack
-        self.labels = tuple(labels)
-
-        npairs = len(pairs)
-        rows, cols = np.triu_indices(d, 1)  # the pairs (m, k) in label order
+        self._pairs = rows, cols
+        self._npairs = npairs
+        suffixes = [f"{m + 1}_{k + 1}" for m, k in zip(rows.tolist(), cols.tolist())]
+        self.labels = tuple([f"s_{p}" for p in suffixes] + [f"as_{p}" for p in suffixes]
+                            + [f"diag_{l}" for l in range(1, d)])
+        # c[l - 1, k] = L_{diag_l}[k, k]: sqrt(2 / (l (l + 1))) for k < l,
+        # -l times that for k = l, and 0 beyond.
+        levels = np.arange(1, d)
+        scale = np.sqrt(2.0 / (levels * (levels + 1)))
+        self._diagonal = np.where(np.arange(d) < levels[:, None], scale[:, None], 0.0)
+        self._diagonal[levels - 1, levels] = -levels * scale
         # Offsets of Re X[m, k], Re X[k, m] and Re X[k, k] in the float64 view
         # of a flat d x d complex matrix; the imaginary part follows each.
         upper = 2 * (rows * d + cols)
         lower = 2 * (cols * d + rows)
         diagonal = 2 * (d + 1) * np.arange(d)
-        # c[l - 1, k] = L_{diag_l}[k, k], read from the stack so the bits agree.
-        self._diagonal = np.ascontiguousarray(stack[2 * npairs :, np.arange(d), np.arange(d)].real)
         # to_matrix gathers each float of X from [n, -n_as, diagonal of X, 0]:
         # X[m, k] = n_s - i n_as and X[k, m] = n_s + i n_as for pair (m, k).
         index = np.full(2 * d * d, self.size + npairs + d)
@@ -135,6 +121,21 @@ class GellMannBasis:
         # for every pair, then Re X[k, k] for every k.
         self._vector_index = np.concatenate((upper, lower, lower + 1, upper + 1, diagonal))
 
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """The operators as one read-only (d**2-1, d, d) array, built on first use."""
+        d, npairs = self.dim, self._npairs
+        rows, cols = self._pairs
+        pair = np.arange(npairs)
+        stack = np.zeros((self.size, d, d), dtype=np.complex128)
+        stack[pair, rows, cols] = stack[pair, cols, rows] = 1.0
+        # -1.0j has real part -0.0, which the basis command prints.
+        stack[npairs + pair, rows, cols] = -1.0j
+        stack[npairs + pair, cols, rows] = 1.0j
+        stack[2 * npairs :, np.arange(d), np.arange(d)] = self._diagonal
+        stack.setflags(write=False)
+        return stack
+
     def to_matrix(self, components: np.ndarray) -> np.ndarray:
         """Contraction n . L over the last axis of ``components[..., d**2-1]``."""
         n = np.asarray(components, dtype=np.float64)
@@ -142,8 +143,7 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
-        d, size = self.dim, self.size
-        npairs = d * (d - 1) // 2
+        d, size, npairs = self.dim, self.size, self._npairs
         lead = n.shape[:-1]
         source = np.zeros(lead + (size + npairs + d + 1,))
         source[..., :size] = n
@@ -163,7 +163,7 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"matrices must be {d}x{d}, got shape {x.shape}"
             )
-        npairs = d * (d - 1) // 2
+        npairs = self._npairs
         lead = x.shape[:-2]
         flat = x.view(np.float64).reshape(lead + (2 * d * d,))
         parts = np.take(flat, self._vector_index, axis=-1)
@@ -197,7 +197,7 @@ class GellMannBasis:
                 f"leading axes must be {d}x{d}, got shape {x.shape}"
             )
         out = np.empty((self.size,) + x.shape[2:], dtype=np.complex128)
-        npairs = d * (d - 1) // 2
+        npairs = self._npairs
         symmetric, antisymmetric = out[:npairs], out[npairs : 2 * npairs]
         start = 0
         for m in range(d - 1):

@@ -57,6 +57,35 @@ def random_hermitian(rng, d, traceless=False):
     return h
 
 
+def dense_gellmann_stack(d):
+    """Reference for GellMannBasis.stack and .labels: the retired loop construction.
+
+    Returns the (d**2-1, d, d) stack and the labels, in label order.
+    """
+    pairs = [(m, k) for m in range(d) for k in range(m + 1, d)]
+    stack = np.zeros((d * d - 1, d, d), dtype=np.complex128)
+    labels = []
+    idx = 0
+    for m, k in pairs:
+        stack[idx, m, k] = 1.0
+        stack[idx, k, m] = 1.0
+        labels.append(f"s_{m + 1}_{k + 1}")
+        idx += 1
+    for m, k in pairs:
+        stack[idx, m, k] = -1.0j
+        stack[idx, k, m] = 1.0j
+        labels.append(f"as_{m + 1}_{k + 1}")
+        idx += 1
+    for l in range(1, d):
+        scale = np.sqrt(2.0 / (l * (l + 1)))
+        for j in range(l):
+            stack[idx, j, j] = scale
+        stack[idx, l, l] = -l * scale
+        labels.append(f"diag_{l}")
+        idx += 1
+    return stack, tuple(labels)
+
+
 def dense_to_matrix(n, stack):
     """Reference for GellMannBasis.to_matrix: the retired dense einsum over the stack."""
     return np.einsum("...j,jkl->...kl", np.asarray(n, dtype=np.float64), stack)
@@ -297,7 +326,7 @@ def serial_restarts(state, basis, config):
     def run(index):
         rng = np.random.default_rng([config.seed, index])
         if index == 0:
-            b1, b2 = _deterministic_init(state, basis, correlations)
+            b1, b2 = _deterministic_init(basis, correlations)
         else:
             b1, b2 = basis.random_admissible(rng, 2)
         a1 = a2 = np.zeros(basis.size)

@@ -149,14 +149,13 @@ def test_ghz_table(capsys):
 def test_ghz_table_builds_ghz_references_once_per_dimension(capsys, monkeypatch):
     calls = {"ghz_state": 0, "ghz_optimal_settings": 0}
     for name in calls:
-        original = getattr(qchsh.optimizer, name)
+        original = getattr(qchsh.cli, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (qchsh.cli, qchsh.optimizer):
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(qchsh.cli, name, counted)
     code, _, _ = run_cli(capsys, "ghz-table", "--dims", "2:8")
     assert code == 0
     assert calls == {"ghz_state": 7, "ghz_optimal_settings": 7}

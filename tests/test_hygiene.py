@@ -1,6 +1,6 @@
 """Static checks that stand in for a linter: no unused imports in the package
-modules, every name that ``qchsh.__all__`` exports exists, and each export is
-used by some package module other than ``__init__.py``."""
+modules or the tests, every name that ``qchsh.__all__`` exports exists, and
+each export is used by some package module other than ``__init__.py``."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import qchsh
 
 PACKAGE = Path(qchsh.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -29,7 +30,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -18,7 +18,8 @@ from qchsh import (
     validate_state,
 )
 from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless
-from qchsh.optimizer import _pair_products, _party_update, _run_restarts
+import qchsh.optimizer
+from qchsh.optimizer import _deterministic_init, _pair_products, _party_update, _run_restarts
 
 from conftest import (
     is_admissible,
@@ -155,6 +156,35 @@ def test_ghz_optimal_settings_odd_padding(basis):
         assert operator_norm(obs.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("epsilon", [0.0, 1e-12])
+def test_deterministic_init_starts_ghz_from_the_block_strategy(d, epsilon):
+    b = build_gellmann_basis(d)
+    rho = (1.0 - epsilon) * ghz_state(d).rho + epsilon * np.eye(d * d) / d**2
+    b1, b2 = _deterministic_init(b, correlation_matrix(validate_state(rho, d), b))
+    settings = ghz_optimal_settings(b)
+    np.testing.assert_array_equal(b1.view(np.int64), settings.b1.coefficients.view(np.int64))
+    np.testing.assert_array_equal(b2.view(np.int64), settings.b2.coefficients.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("kind", ["near-ghz", "random", "mixed", "product"])
+def test_deterministic_init_takes_singular_directions_off_ghz(d, kind, monkeypatch):
+    if kind == "near-ghz":
+        rho = (1.0 - 1e-3) * ghz_state(d).rho + 1e-3 * np.eye(d * d) / d**2
+        state = validate_state(rho, d)
+    else:
+        state = property_state(kind, d, seed=3)
+
+    def refuse(d):
+        raise AssertionError("GHZ start taken")
+
+    monkeypatch.setattr(qchsh.optimizer, "_ghz_blocks", refuse)
+    b = build_gellmann_basis(d)
+    b1, b2 = _deterministic_init(b, correlation_matrix(state, b))
+    assert is_admissible(b1, b) and is_admissible(b2, b)
+
+
 def test_seesaw_reaches_ghz_maximum(basis):
     for d, tol in ((2, 1e-8), (3, 1e-6)):
         config = SeesawConfig(mode="exact", restarts=8, seed=1)
@@ -263,7 +293,7 @@ def test_lockstep_restarts_match_serial_oracle(
         mode=mode, restarts=restarts, seed=seed, max_iterations=max_iterations,
         tolerance=tolerance,
     )
-    runs = _run_restarts(state, b, config, correlation_matrix(state, b))
+    runs = _run_restarts(b, config, correlation_matrix(state, b))
     for i, (iterations, converged, monotone, vectors) in enumerate(
         serial_restarts(state, b, config)
     ):

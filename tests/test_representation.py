@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 
 from qchsh import (
     GellMannBasis,
+    SeesawConfig,
     build_gellmann_basis,
+    chsh_bounds,
+    correlation_matrix,
     expand_observable,
     ghz_chsh_maximum,
     ghz_correlation_matrix,
     ghz_state,
     max_admissible_norm,
     observable_from_coefficients,
-    operator_norm,
     project_to_admissible,
     random_two_qudit_state,
+    seesaw_maximize,
     validate_state,
 )
 from qchsh.errors import (
@@ -30,6 +33,7 @@ from conftest import (
     SIGMA_Y,
     SIGMA_Z,
     boundary_row,
+    dense_gellmann_stack,
     dense_pair_leading,
     dense_to_matrix,
     dense_to_vector,
@@ -167,6 +171,25 @@ def test_map_tables_reproduce_the_stack(d):
     pairings = b.to_vector(b.stack)
     assert _same_bits(pairings, dense_to_vector(b.stack, b.stack))
     np.testing.assert_allclose(pairings, 2.0 * np.eye(b.size), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", range(2, 25))
+def test_basis_matches_retired_loop_construction(d):
+    b = build_gellmann_basis(d)
+    assert "stack" not in vars(b)
+    stack, labels = dense_gellmann_stack(d)
+    assert b.labels == labels
+    np.testing.assert_array_equal(b.stack.view(np.int64), stack.view(np.int64))
+    assert not b.stack.flags.writeable
+    assert b.stack is b.stack
+
+
+def test_computations_leave_the_stack_unbuilt():
+    b = GellMannBasis(3)
+    state = random_two_qudit_state(3, seed=5)
+    chsh_bounds(correlation_matrix(state, b))
+    seesaw_maximize(state, b, SeesawConfig(restarts=2, max_iterations=20))
+    assert "stack" not in vars(b)
 
 
 def test_batched_maps_reject_wrong_shapes(basis):
