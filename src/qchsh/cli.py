@@ -242,8 +242,8 @@ def cmd_optimize(args) -> int:
     state = _resolve_state(args)
     basis = build_gellmann_basis(state.dim)
     config = _seesaw_config(args)
-    result = seesaw_maximize(state, basis, config)
-    report = chsh_bounds(result.correlations)
+    result = seesaw_maximize(correlation_matrix(state, basis), basis, config)
+    report = result.bounds
     payload = {
         "d": state.dim,
         "value": result.value,
@@ -278,7 +278,8 @@ def cmd_ghz_table(args) -> int:
         closed = ghz_chsh_maximum(d)
         settings = ghz_optimal_settings(basis)
         certificate = abs(chsh_expectation_direct(state, settings))
-        seesaw = seesaw_maximize(state, basis, config).value
+        # T from the state, not the closed form: the see-saw's digits follow T's bits
+        seesaw = seesaw_maximize(correlation_matrix(state, basis), basis, config).value
         report = chsh_bounds(ghz_correlation_matrix(d))
         rows.append(
             {

@@ -18,8 +18,17 @@ All restarts of one ``seesaw_maximize`` call advance in lockstep on
 every live restart and makes one basis map, one batched eigensolver call and
 one LP (exact mode) or one batched operator norm (closed-form mode).
 Matrix-vector products and dot products stay one BLAS call per row, so each
-restart gives bit for bit what it gives when run alone, whatever the number
-of restarts.  They read the state only through its correlation matrix T.
+restart gives bit for bit what it gives when run alone.  ``seesaw_maximize``
+takes the correlation matrix T, not the state.
+
+Certified stop: the paper proves ``max |CHSH| <= upper`` (``chsh_bounds``),
+and the bound is attained for GHZ at every d and by every state at d = 2.
+After each sweep, once any live restart has ``|value| >= upper - tolerance``
+it is within the tolerance of the global maximum, as a converged restart is
+of its fixed point, so every live restart leaves the batch at that sweep.
+The margin is the convergence tolerance ``SeesawConfig.tolerance``.  A
+restart's result does not depend on how many restarts run beside it, unless
+the batch certifies.
 
 ``ghz_optimal_settings`` realizes the attained GHZ maximum with a
 block-embedded qubit strategy: computational basis states are paired into
@@ -34,14 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import ghz_correlation_matrix
-from .correlation import (
-    ChshSettings,
-    CorrelationMatrix,
-    chsh_expectation_from_correlations,
-    correlation_matrix,
-)
-from .errors import ConvergenceFailure, InvalidConfig
+from .bounds import BoundsReport, chsh_bounds, ghz_correlation_matrix
+from .correlation import ChshSettings, CorrelationMatrix, chsh_expectation_from_correlations
+from .errors import ConvergenceFailure, InvalidConfig, NumericalError
 from .representation import (
     GellMannBasis,
     TracelessObservable,
@@ -51,7 +55,6 @@ from .representation import (
     project_to_admissible,
     symmetrized_traceless,
 )
-from .states import TwoQuditState
 
 DEGENERATE_NORM_ATOL = 1e-14
 LP_TIE_ATOL = 1e-12
@@ -60,6 +63,11 @@ LP_TIE_ATOL = 1e-12
 # as <GHZ|rho|GHZ> = 1/d**2 + (1/4) sum_ab T_ab T^GHZ_ab.
 GHZ_PROXIMITY_ATOL = 1e-8
 MAX_DEGENERATE_EVENTS = 8
+# A result above the proven upper bound by more than this is a numerical fault.
+UPPER_BOUND_ATOL = 1e-9
+# Why a restart left the batch, indexed by the codes of ``_run_restarts``.
+STOP_REASONS = ("max_iterations", "converged", "degenerate", "certified")
+MAX_ITERATIONS, CONVERGED, DEGENERATE, CERTIFIED = range(len(STOP_REASONS))
 
 
 @dataclass(frozen=True)
@@ -87,15 +95,21 @@ class SeesawResult:
     """Best |CHSH| value found plus the certifying settings.
 
     The coefficient vectors of the winning restart are ``settings.*.coefficients``.
+    ``bounds`` are the paper's bounds on T; ``stop_reasons`` holds one of
+    ``STOP_REASONS`` per restart.
     """
 
     value: float
     settings: ChshSettings
-    correlations: CorrelationMatrix
+    bounds: BoundsReport
     iterations_per_restart: list[int] = field(default_factory=list)
-    converged: list[bool] = field(default_factory=list)
+    stop_reasons: list[str] = field(default_factory=list)
     monotone: bool = True
     mode: str = "exact"
+
+    @property
+    def converged(self) -> list[bool]:
+        return [reason == "converged" for reason in self.stop_reasons]
 
     @property
     def converged_count(self) -> int:
@@ -256,16 +270,22 @@ def _deterministic_init(
 
 
 def _run_restarts(
-    basis: GellMannBasis, config: SeesawConfig, correlations: CorrelationMatrix
+    basis: GellMannBasis, config: SeesawConfig, correlations: CorrelationMatrix, upper: float
 ) -> dict:
     """Run every restart in lockstep on (restarts, 2, d**2-1) arrays.
 
     Each sweep updates Alice, then Bob, for all live restarts at once.  The
     products T(b1 +- b2) are Alice's input, and after Bob's update they give
     the sweep's value and the next sweep's input.  A restart leaves the batch
-    when it converges or exceeds MAX_DEGENERATE_EVENTS; its sweeps, flags and
-    vectors are frozen there.  Every row is computed on its own, so a
-    restart's result does not depend on how many restarts run beside it.
+    when it converges or exceeds MAX_DEGENERATE_EVENTS, and every live
+    restart leaves it at the first sweep in which any of them reaches
+    ``|value| >= upper - config.tolerance``; its sweeps, flags and vectors
+    are frozen there.  ``stop_reason`` records why, as an index into
+    STOP_REASONS: a restart stopped by more than one rule in the same sweep
+    reads degenerate before converged before certified, and one that runs
+    out of sweeps reads max_iterations.  Every row is computed on its own,
+    so a restart's result does not depend on how many restarts run beside
+    it, up to the sweep at which the batch certifies.
     """
     count = config.restarts
     rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
@@ -275,16 +295,18 @@ def _run_restarts(
         b[i] = basis.random_admissible(rngs[i], 2)
     t = correlations.matrix
     half = 0.5 * basis.dim
+    certified_at = upper - config.tolerance
     vectors = np.zeros((count, 4, basis.size))
     values = np.zeros(count)
     iterations = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
+    stop_reason = np.full(count, MAX_ITERATIONS)
     monotone = np.ones(count, dtype=bool)
     events = np.zeros(count, dtype=int)
     active = np.arange(count)
     live_rngs = rngs
     alice_in = _pair_products(t, b)
     previous = None
+    done = np.zeros(count, dtype=bool)  # sweep 1 has no convergence test
     for iteration in range(1, config.max_iterations + 1):
         a, bad_a = _party_update(alice_in, basis, config.mode, live_rngs)
         dots = _row_dots(a, alice_in)
@@ -297,15 +319,20 @@ def _run_restarts(
         values[active] = value
         vectors[active] = np.concatenate((a, b), axis=1)
         events[active] += bad_a.sum(axis=1) + bad_b.sum(axis=1)
-        stop = events[active] > MAX_DEGENERATE_EVENTS
+        degenerate = events[active] > MAX_DEGENERATE_EVENTS
+        reached = np.abs(value) >= certified_at
+        stop = degenerate | reached
         if previous is not None:
             dropped = (after_alice < previous - 1e-12) | (value < after_alice - 1e-12)
             monotone[active[dropped]] = False
             done = np.abs(value - previous) < config.tolerance
-            converged[active[done]] = True
             stop |= done
         previous = value
         if stop.any():
+            if reached.any():
+                stop[:] = True
+            reason = np.where(degenerate, DEGENERATE, np.where(done, CONVERGED, CERTIFIED))
+            stop_reason[active[stop]] = reason[stop]
             keep = ~stop
             active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
             live_rngs = [rngs[i] for i in active]
@@ -315,35 +342,41 @@ def _run_restarts(
         "values": np.abs(values),
         "vectors": vectors,
         "iterations": iterations,
-        "converged": converged & (events <= MAX_DEGENERATE_EVENTS),
+        "stop_reason": stop_reason,
         "monotone": monotone,
     }
 
 
 def seesaw_maximize(
-    state: TwoQuditState,
+    correlations: CorrelationMatrix,
     basis: GellMannBasis,
     config: SeesawConfig | None = None,
 ) -> SeesawResult:
-    """Alternating maximization of |CHSH| over admissible observables.
+    """Alternating maximization of |CHSH| over admissible observables, given T.
 
     Restart 0 is deterministic (structure-seeded); the remaining restarts
     draw Gaussian directions projected onto the admissible boundary, each
     from its own (seed, restart-index) substream.  All restarts run in
-    lockstep, one batched eigensolver call per party update, and a
-    restart's result does not depend on how many restarts run.  The best
-    restart wins, ties broken by index.  The state enters only through
-    its correlation matrix T.
+    lockstep, one batched eigensolver call per party update, and stop
+    together once one reaches the paper's upper bound (``chsh_bounds`` of
+    T, returned as ``bounds``) to within ``config.tolerance``.  The best
+    restart wins, ties broken by index.  A value above the upper bound by
+    more than UPPER_BOUND_ATOL raises NumericalError.
     """
     if config is None:
         config = SeesawConfig()
-    correlations = correlation_matrix(state, basis)
-    runs = _run_restarts(basis, config, correlations)
+    bounds = chsh_bounds(correlations)
+    runs = _run_restarts(basis, config, correlations, bounds.upper)
     a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
     if value < 0:
         a1, a2 = -a1, -a2
         value = -value
+    if value > bounds.upper + UPPER_BOUND_ATOL:
+        raise NumericalError(
+            f"see-saw value {value:.17g} exceeds the proven upper bound {bounds.upper:.17g} "
+            f"by {value - bounds.upper:.3e} (allowed {UPPER_BOUND_ATOL:.0e})"
+        )
     settings = ChshSettings(
         a1=observable_from_coefficients(a1, basis),
         a2=observable_from_coefficients(a2, basis),
@@ -353,10 +386,9 @@ def seesaw_maximize(
     return SeesawResult(
         value=float(value),
         settings=settings,
-        correlations=correlations,
+        bounds=bounds,
         iterations_per_restart=runs["iterations"].tolist(),
-        converged=runs["converged"].tolist(),
+        stop_reasons=[STOP_REASONS[code] for code in runs["stop_reason"].tolist()],
         monotone=bool(runs["monotone"].all()),
         mode=config.mode,
     )
-

@@ -6,6 +6,7 @@ import pytest
 
 from qchsh import (
     build_gellmann_basis,
+    chsh_bounds,
     correlation_matrix,
     ghz_state,
     project_to_admissible,
@@ -298,12 +299,16 @@ def serial_linear_max(c):
     return (vectors * mu) @ vectors.conj().T
 
 
-def serial_restarts(state, basis, config):
+def serial_restarts(correlations, basis, config):
     """Reference for optimizer._run_restarts: each restart alone, one vector at a time.
 
-    Returns one (iterations, converged, monotone, [a1, a2, b1, b2]) per restart.
+    Each restart runs to its own stop and records every sweep.  The batch's
+    certification sweep is the first at which a restart still running has
+    ``|value| >= upper - tolerance``; each restart is then cut at the
+    earlier of its own stop and that sweep, with its vectors and flags as of
+    that sweep.  Returns one (iterations, stop reason, monotone,
+    [a1, a2, b1, b2]) per restart.
     """
-    correlations = correlation_matrix(state, basis)
     t = correlations.matrix
     half = 0.5 * basis.dim
 
@@ -324,6 +329,7 @@ def serial_restarts(state, basis, config):
         return outputs[0], outputs[1], events
 
     def run(index):
+        """One (value, converged, degenerate, monotone, vectors) per sweep, to the own stop."""
         rng = np.random.default_rng([config.seed, index])
         if index == 0:
             b1, b2 = _deterministic_init(basis, correlations)
@@ -335,8 +341,8 @@ def serial_restarts(state, basis, config):
             return half * float(a1 @ (t @ (b1 + b2)) + a2 @ (t @ (b1 - b2)))
 
         previous = None
-        monotone, converged, events = True, False, 0
-        for iterations in range(1, config.max_iterations + 1):
+        monotone, events, sweeps = True, 0, []
+        for _ in range(config.max_iterations):
             if config.mode == "exact":
                 a1 = linear_update(t @ (b1 + b2))
                 a2 = linear_update(t @ (b1 - b2))
@@ -350,16 +356,36 @@ def serial_restarts(state, basis, config):
                 b1, b2, bad = closed_pair(t.T, a1, a2, rng)
                 events += bad
             value = evaluate()
+            converged = False
             if previous is not None:
                 if after_alice < previous - 1e-12 or value < after_alice - 1e-12:
                     monotone = False
-                if abs(value - previous) < config.tolerance:
-                    converged = True
-                    break
+                converged = abs(value - previous) < config.tolerance
             previous = value
-            if events > MAX_DEGENERATE_EVENTS:
+            degenerate = events > MAX_DEGENERATE_EVENTS
+            sweeps.append((value, converged, degenerate, monotone, np.array([a1, a2, b1, b2])))
+            if converged or degenerate:
                 break
-        converged = converged and events <= MAX_DEGENERATE_EVENTS
-        return iterations, converged, monotone, np.array([a1, a2, b1, b2])
+        return sweeps
 
-    return [run(i) for i in range(config.restarts)]
+    histories = [run(i) for i in range(config.restarts)]
+    upper = chsh_bounds(correlations).upper
+    certified = [
+        k for k in range(1, config.max_iterations + 1)
+        if any(len(h) >= k and abs(h[k - 1][0]) >= upper - config.tolerance for h in histories)
+    ]
+    cut = certified[0] if certified else config.max_iterations
+    results = []
+    for sweeps in histories:
+        iterations = min(len(sweeps), cut)
+        _, converged, degenerate, monotone, vectors = sweeps[iterations - 1]
+        if degenerate:
+            reason = "degenerate"
+        elif converged:
+            reason = "converged"
+        elif certified and iterations == cut:
+            reason = "certified"
+        else:
+            reason = "max_iterations"
+        results.append((iterations, reason, monotone, vectors))
+    return results

@@ -116,7 +116,7 @@ def test_criterion_05_seesaw_reaches_ghz_maximum():
     for d in range(2, 7):
         basis = _BASES[d]
         config = SeesawConfig(mode="exact", restarts=32, seed=1)
-        result = seesaw_maximize(ghz_state(d), basis, config)
+        result = seesaw_maximize(correlation_matrix(ghz_state(d), basis), basis, config)
         worst = max(worst, abs(result.value - ghz_chsh_maximum(d)))
     assert worst < 1e-6
     elapsed = _report(5, "see-saw on GHZ", started, f"32 restarts, worst gap {worst:.2e}")
@@ -136,7 +136,7 @@ def test_criterion_06_two_qubit_exact_value():
             worst_bounds, abs(report.lower - exact), abs(report.upper - exact)
         )
         config = SeesawConfig(mode="exact", restarts=8, seed=seed, tolerance=1e-12)
-        result = seesaw_maximize(state, basis, config)
+        result = seesaw_maximize(t, basis, config)
         worst_seesaw = max(worst_seesaw, abs(result.value - exact))
     assert worst_bounds < 1e-12
     assert worst_seesaw < 1e-6
@@ -157,7 +157,7 @@ def test_criterion_07_bound_sandwich():
             report = chsh_bounds(correlation_matrix(state, basis))
             assert report.lower <= report.upper + 1e-12
             config = SeesawConfig(mode="exact", restarts=6, seed=seed)
-            result = seesaw_maximize(state, basis, config)
+            result = seesaw_maximize(correlation_matrix(state, basis), basis, config)
             worst_excess = max(worst_excess, result.value - report.upper)
             assert result.value <= report.upper + 1e-8
             assert result.value <= TSIRELSON + 1e-9

@@ -11,7 +11,9 @@ from qchsh import (
     ghz_state,
     horodecki_two_qubit,
     random_two_qudit_state,
+    seesaw_maximize,
     top_two_gram_eigenvalues,
+    validate_state,
 )
 from qchsh.errors import InvalidDimension, WrongDimension
 
@@ -98,3 +100,18 @@ def test_ghz_maximum_equals_upper_bound():
         assert abs(ghz_chsh_maximum(d) - report.upper) < 1e-12
         if d % 2 == 1:
             assert report.upper < TSIRELSON - 0.1
+
+
+@pytest.mark.parametrize("d, upper, improves", [(3, 8.0 / 3.0, True), (4, 6.0, False), (5, 6.4, False)])
+def test_product_state_upper_bound_need_not_improve_tsirelson(basis, d, upper, improves):
+    # |00>: T = r r^T with |r|^2 = 2(1 - 1/d), so lower = 2 and upper = 2(d - 1) m_d^2,
+    # which passes 2*sqrt(2) from d = 4 on; the paper's upper bound does not
+    # improve on Tsirelson for every state
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho[0, 0] = 1.0
+    t = correlation_matrix(validate_state(rho, d), basis(d))
+    report = chsh_bounds(t)
+    assert report.lower == pytest.approx(2.0, abs=1e-12)
+    assert report.upper == pytest.approx(upper, abs=1e-12)
+    assert report.upper_improves_tsirelson == improves
+    assert seesaw_maximize(t, basis(d)).value == pytest.approx(2.0, abs=1e-9)

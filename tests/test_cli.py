@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from conftest import (
     state_to_json_dict,
     stdlib_json_text,
 )
-from qchsh import ghz_state, load_state_file, random_two_qudit_state
+from qchsh import chsh_bounds, ghz_state, load_state_file, random_two_qudit_state
 from qchsh.cli import _correlation_csv, _json_text, main
 from qchsh.errors import InvalidConfig, ValidationError
 from qchsh.representation import GellMannBasis
@@ -115,6 +116,20 @@ def test_optimize_random_state_within_bounds(capsys):
     assert payload["tsirelson_gap"] == pytest.approx(
         2.0 * ROOT2 - payload["upper_bound"], abs=1e-9
     )
+
+
+def test_optimize_above_the_upper_bound_exits_two(capsys, monkeypatch):
+    # the upper bound is a theorem, so a value above it is a numerical fault
+    def too_small(correlations):
+        report = chsh_bounds(correlations)
+        return dataclasses.replace(report, upper=0.5 * report.upper)
+
+    monkeypatch.setattr(qchsh.optimizer, "chsh_bounds", too_small)
+    code, out, err = run_cli(capsys, "optimize", "--state", "random:7", "--dim", "3",
+                             "--restarts", "2")
+    assert code == 2
+    assert out == ""
+    assert "NumericalError" in err and "exceeds the proven upper bound" in err
 
 
 def test_optimize_rejects_zero_restarts(capsys):

@@ -1,6 +1,7 @@
 """Static checks that stand in for a linter: no unused imports in the package
-modules or the tests, every name that ``qchsh.__all__`` exports exists, and
-each export is used by some package module other than ``__init__.py``."""
+modules or the tests, every name that ``qchsh.__all__`` exports exists, each
+export is used by some package module other than ``__init__.py``, and the
+optimizer reads states only through the correlation matrix it is given."""
 
 from __future__ import annotations
 
@@ -67,3 +68,11 @@ def test_every_export_is_used_in_the_package():
     unused = [name for name in qchsh.__all__ if name not in used and name not in UNUSED_EXPORTS]
     assert unused == []
     assert sorted(name for name in UNUSED_EXPORTS if name in used) == []
+
+
+def test_optimizer_takes_correlations_not_states():
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [node.module for node in imports if node.module == "states"] == []
+    names = {alias.name for node in imports for alias in node.names}
+    assert "correlation_matrix" not in names

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from qchsh import (
     SeesawConfig,
     build_gellmann_basis,
+    chsh_bounds,
     chsh_expectation_direct,
     correlation_matrix,
     ghz_chsh_maximum,
     ghz_optimal_settings,
     ghz_state,
+    horodecki_two_qubit,
     operator_norm,
     random_two_qudit_state,
     seesaw_maximize,
@@ -19,7 +21,13 @@ from qchsh import (
 )
 from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless
 import qchsh.optimizer
-from qchsh.optimizer import _deterministic_init, _pair_products, _party_update, _run_restarts
+from qchsh.optimizer import (
+    STOP_REASONS,
+    _deterministic_init,
+    _pair_products,
+    _party_update,
+    _run_restarts,
+)
 
 from conftest import (
     is_admissible,
@@ -71,8 +79,9 @@ def test_linear_max_eigensolver_failure_is_convergence_failure(basis, monkeypatc
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(ConvergenceFailure):
         traceless_linear_max(np.diag([1.0, -1.0]).astype(complex), basis(2))
+    t = correlation_matrix(ghz_state(2), basis(2))
     with pytest.raises(ConvergenceFailure):
-        seesaw_maximize(ghz_state(2), basis(2), SeesawConfig(restarts=1))
+        seesaw_maximize(t, basis(2), SeesawConfig(restarts=1))
 
 
 def test_linear_max_matches_vertex_enumeration(basis, rng):
@@ -188,21 +197,65 @@ def test_deterministic_init_takes_singular_directions_off_ghz(d, kind, monkeypat
 def test_seesaw_reaches_ghz_maximum(basis):
     for d, tol in ((2, 1e-8), (3, 1e-6)):
         config = SeesawConfig(mode="exact", restarts=8, seed=1)
-        result = seesaw_maximize(ghz_state(d), basis(d), config)
+        result = seesaw_maximize(correlation_matrix(ghz_state(d), basis(d)), basis(d), config)
         assert result.value == pytest.approx(ghz_chsh_maximum(d), abs=tol)
         assert result.monotone
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_seesaw_certifies_ghz_within_two_sweeps(d):
+    # restart 0 starts on the block strategy, which attains the upper bound,
+    # so the whole batch stops at once
+    b = build_gellmann_basis(d)
+    result = seesaw_maximize(correlation_matrix(ghz_state(d), b), b, SeesawConfig())
+    assert max(result.iterations_per_restart) <= 2
+    assert result.stop_reasons == ["certified"] * SeesawConfig().restarts
+    assert result.converged_count == 0
+    assert abs(result.value - ghz_chsh_maximum(d)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_seesaw_certifies_isotropic_states(d, p):
+    # p GHZ + (1 - p) I/d**2 has T = p T_GHZ, and its upper bound p * GHZ maximum is attained
+    b = build_gellmann_basis(d)
+    rho = p * ghz_state(d).rho + (1.0 - p) * np.eye(d * d) / d**2
+    config = SeesawConfig()
+    result = seesaw_maximize(correlation_matrix(validate_state(rho, d), b), b, config)
+    assert "certified" in result.stop_reasons
+    assert 0.0 <= result.bounds.upper - result.value <= config.tolerance
+    assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seesaw_certifies_two_qubit_states(seed):
+    # at d = 2 lower = upper = the exact Horodecki value
+    b = build_gellmann_basis(2)
+    t = correlation_matrix(random_two_qudit_state(2, seed), b)
+    result = seesaw_maximize(t, b, SeesawConfig(seed=seed))
+    assert "certified" in result.stop_reasons
+    assert abs(result.value - horodecki_two_qubit(t)) <= 1e-9
+
+
+def test_seesaw_returns_the_bounds_of_t(basis):
+    b = basis(3)
+    t = correlation_matrix(random_two_qudit_state(3, seed=4), b)
+    result = seesaw_maximize(t, b, SeesawConfig(restarts=2))
+    assert result.bounds == chsh_bounds(t)
+    assert result.bounds.lower <= result.value <= result.bounds.upper
+
+
 def test_seesaw_on_maximally_mixed_state(basis):
-    state = validate_state(np.eye(16, dtype=complex) / 16.0, 4)
-    result = seesaw_maximize(state, basis(4), SeesawConfig(restarts=4, seed=0))
+    t = correlation_matrix(validate_state(np.eye(16, dtype=complex) / 16.0, 4), basis(4))
+    result = seesaw_maximize(t, basis(4), SeesawConfig(restarts=4, seed=0))
     assert abs(result.value) < 1e-9
 
 
 def test_seesaw_certificate_consistency(basis):
     b = basis(3)
     state = random_two_qudit_state(3, seed=42)
-    result = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=6, seed=3))
+    t = correlation_matrix(state, b)
+    result = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=6, seed=3))
     recomputed = chsh_expectation_direct(state, result.settings)
     assert abs(abs(recomputed) - result.value) < 1e-9
     for obs in result.settings.all:
@@ -212,7 +265,8 @@ def test_seesaw_certificate_consistency(basis):
 
 def test_seesaw_closed_form_mode(basis):
     result = seesaw_maximize(
-        ghz_state(2), basis(2), SeesawConfig(mode="closed-form", restarts=8, seed=3)
+        correlation_matrix(ghz_state(2), basis(2)), basis(2),
+        SeesawConfig(mode="closed-form", restarts=8, seed=3),
     )
     assert result.value == pytest.approx(2.0 * ROOT2, abs=1e-8)
     assert result.mode == "closed-form"
@@ -220,21 +274,22 @@ def test_seesaw_closed_form_mode(basis):
 
 def test_seesaw_deterministic_and_restart_count_invariant(basis):
     b = basis(3)
-    state = random_two_qudit_state(3, seed=9)
-    first = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=5, seed=7))
-    second = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=5, seed=7))
+    t = correlation_matrix(random_two_qudit_state(3, seed=9), b)
+    first = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=5, seed=7))
+    second = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=5, seed=7))
     assert first.value == second.value
     np.testing.assert_array_equal(first.settings.a1.coefficients, second.settings.a1.coefficients)
     np.testing.assert_array_equal(first.settings.b2.coefficients, second.settings.b2.coefficients)
     # restart i draws from its own (seed, i) substream, so the first three
     # restarts run the same whether three or five are requested
-    fewer = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=3, seed=7))
+    fewer = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=3, seed=7))
     assert fewer.iterations_per_restart == first.iterations_per_restart[:3]
     assert fewer.converged == first.converged[:3]
     assert fewer.value <= first.value
     # the same holds in closed-form mode on the maximally mixed state, where
-    # every slot is degenerate and draws its replacement from its restart's rng
-    mixed = validate_state(np.eye(9, dtype=complex) / 9.0, 3)
+    # every slot is degenerate and draws its replacement from its restart's
+    # rng; T = 0 gives upper = 0, so both batches certify at sweep 1
+    mixed = correlation_matrix(validate_state(np.eye(9, dtype=complex) / 9.0, 3), b)
     many = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=5, seed=7))
     few = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=3, seed=7))
     assert few.iterations_per_restart == many.iterations_per_restart[:3]
@@ -284,21 +339,24 @@ def test_lockstep_restarts_match_serial_oracle(
     d, mode, restarts, seed, kind, max_iterations, tolerance
 ):
     # each restart of the lockstep batch reproduces, bit for bit, the same
-    # restart run alone by the one-vector-at-a-time reference loop; a tiny
-    # tolerance on product states makes restarts leave the batch at different
-    # sweeps, some at the degenerate-event cap
+    # restart run alone by the one-vector-at-a-time reference loop, cut at the
+    # sweep where the batch certifies (GHZ, maximally mixed with T = 0 and
+    # upper = 0, and d = 2 draws); a tiny tolerance on product states makes
+    # restarts leave the batch at different sweeps, some at the
+    # degenerate-event cap
     b = build_gellmann_basis(d)
     state = property_state(kind, d, seed)
     config = SeesawConfig(
         mode=mode, restarts=restarts, seed=seed, max_iterations=max_iterations,
         tolerance=tolerance,
     )
-    runs = _run_restarts(b, config, correlation_matrix(state, b))
-    for i, (iterations, converged, monotone, vectors) in enumerate(
-        serial_restarts(state, b, config)
+    correlations = correlation_matrix(state, b)
+    runs = _run_restarts(b, config, correlations, chsh_bounds(correlations).upper)
+    for i, (iterations, reason, monotone, vectors) in enumerate(
+        serial_restarts(correlations, b, config)
     ):
         assert runs["iterations"][i] == iterations
-        assert runs["converged"][i] == converged
+        assert STOP_REASONS[runs["stop_reason"][i]] == reason
         assert runs["monotone"][i] == monotone
         np.testing.assert_array_equal(runs["vectors"][i], vectors)
 
@@ -319,5 +377,7 @@ def test_random_search_never_beats_exact_seesaw(basis):
     for seed in (0, 1):
         state = random_two_qudit_state(3, seed)
         sampled = random_search_max(state, b, samples=2000, seed=seed)
-        optimized = seesaw_maximize(state, b, SeesawConfig(mode="exact", restarts=6, seed=seed))
+        optimized = seesaw_maximize(
+            correlation_matrix(state, b), b, SeesawConfig(mode="exact", restarts=6, seed=seed)
+        )
         assert sampled <= optimized.value + 1e-9

@@ -187,8 +187,9 @@ def test_basis_matches_retired_loop_construction(d):
 def test_computations_leave_the_stack_unbuilt():
     b = GellMannBasis(3)
     state = random_two_qudit_state(3, seed=5)
-    chsh_bounds(correlation_matrix(state, b))
-    seesaw_maximize(state, b, SeesawConfig(restarts=2, max_iterations=20))
+    t = correlation_matrix(state, b)
+    chsh_bounds(t)
+    seesaw_maximize(t, b, SeesawConfig(restarts=2, max_iterations=20))
     assert "stack" not in vars(b)
 
 
