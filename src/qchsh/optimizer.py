@@ -11,15 +11,22 @@ its eigenvalues solve the linear program
 whose optimum is mu_i = sign(lam_i - t*) with t* a median of the lam_i
 (ties adjusted to make the sum vanish exactly), with optimal value
 ``min_t sum_i |lam_i - t|``.  Exact updates make the value sequence
-monotonically non-decreasing.
+monotonically non-decreasing, and ``seesaw_maximize`` raises NumericalError
+when an exact run's value falls.
 
 All restarts of one ``seesaw_maximize`` call advance in lockstep on
-(restarts, 2, d**2-1) arrays.  A party update stacks the ``+-`` directions of
-every live restart and makes one basis map, one batched eigensolver call and
-one LP (exact mode) or one batched operator norm (closed-form mode).
-Matrix-vector products and dot products stay one BLAS call per row, so each
-restart gives bit for bit what it gives when run alone.  ``seesaw_maximize``
-takes the correlation matrix T, not the state.
+(restarts, 2, d**2-1) arrays.  A sweep is two party updates, Alice's then
+Bob's.  Each stacks the ``+-`` directions of every live restart and makes
+one map to matrices, one batched eigensolver call, one LP, one rebuild
+``V diag(mu) V^H`` and one map back (exact mode), or one batched operator
+norm (closed-form mode).  The LP optimum of a spectrum with no tie beside
+its median is one fixed sign pattern; only the other rows go through the
+tie-share formula.  Matrix-vector products and dot products stay one BLAS
+call per row, so each restart gives bit for bit what it gives when run
+alone.  The loop carries only the live restarts; a restart's sweeps,
+value, vectors, stop reason and largest value drop are written once, when
+it leaves the batch.  ``seesaw_maximize`` takes the correlation matrix T,
+not the state.
 
 Certified stop: the paper proves ``max |CHSH| <= upper`` (``chsh_bounds``),
 and the bound is attained for GHZ at every d and by every state at d = 2.
@@ -121,21 +128,36 @@ def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
 
     The optimum is mu_i = sign(lam_i - t*) for a median t*; eigenvalues tied
     with t* share the correction that makes the sum vanish exactly.  A median
-    t* guarantees the correction stays in [-1, 1].  Before the correction mu
-    holds only +-1 and 0, so its row sums are exact.
+    t* guarantees the correction stays in [-1, 1].  The deviations lam_i - t*
+    fall with i, so a row whose two entries beside t* are not tied with it
+    has no tie but the odd-d median entry, and its optimum is the pattern
+    (+1, ..., +1, -0.0, -1, ..., -1): the median's share of a zero sum is
+    -0.0 / 1.  Only rows with a tie beside t* go through the share formula;
+    before the correction mu holds only +-1 and 0, so their row sums are exact.
     """
     lam = lam_descending
     d = lam.shape[-1]
+    half = d // 2
     if d % 2 == 1:
-        t_star = lam[..., (d - 1) // 2]
+        t_star = lam[..., half]
     else:
-        t_star = 0.5 * (lam[..., d // 2 - 1] + lam[..., d // 2])
-    deviation = lam - t_star[..., None]
-    ties = np.abs(deviation) < LP_TIE_ATOL
-    mu = np.where(deviation > 0, 1.0, -1.0)
-    mu[ties] = 0.0
-    share = -mu.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
-    return np.where(ties, share, mu)
+        t_star = 0.5 * (lam[..., half - 1] + lam[..., half])
+    # entries half - 1 and d - half: the median's neighbours at odd d, the two
+    # middle entries at even d
+    beside = lam[..., half - 1 : d - half + 1 : d - 2 * half + 1]
+    ties_beside = np.abs(beside - t_star[..., None]) < LP_TIE_ATOL
+    mu = np.empty_like(lam)
+    mu[...] = np.array([1.0, -0.0, -1.0]).repeat((half, d % 2, half))
+    if np.count_nonzero(ties_beside):
+        rows = ties_beside.any(axis=-1)
+        lam, t_star = lam[rows], t_star[rows]
+        deviation = lam - t_star[..., None]
+        ties = np.abs(deviation) < LP_TIE_ATOL
+        tied = np.where(deviation > 0, 1.0, -1.0)
+        tied[ties] = 0.0
+        share = -tied.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
+        mu[rows] = np.where(ties, share, tied)
+    return mu
 
 
 def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +176,7 @@ def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lam = values[..., ::-1]
     mu = _lp_spectrum(lam)
     vectors = vectors[..., ::-1]
-    return (vectors * mu[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2), lam, mu
+    return (vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2), lam, mu
 
 
 def traceless_linear_max(
@@ -190,7 +212,7 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _party_update(
     directions: np.ndarray, basis: GellMannBasis, mode: str, rngs: list
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """One party's new (plus, minus) vectors for every restart.
 
     ``directions[r]`` holds the partner's ``T(u + v)`` and ``T(u - v)`` for
@@ -199,9 +221,10 @@ def _party_update(
     admissible n: all directions share one basis map, one eigensolver call
     and one LP, each row on its own.  "closed-form" rescales w onto the
     admissible boundary.  A vanishing w gives the zero vector in exact mode
-    (its row is mapped with the others, then zeroed); in closed-form mode it
-    is replaced by a random admissible vector from ``rngs[r]`` (plus slot
-    first) and marked in the returned mask of shape (R, 2).
+    (its row is mapped with the others, then zeroed), and the mask is None.
+    In closed-form mode it is replaced by a random admissible vector from
+    ``rngs[r]`` (plus slot first) and marked in the returned mask of shape
+    (R, 2).
     """
     w = directions.reshape(-1, basis.size)
     vanishing = np.sqrt(_row_dots(w, w)) <= DEGENERATE_NORM_ATOL
@@ -209,13 +232,18 @@ def _party_update(
         x, _, _ = _linear_max(basis.to_matrix(w))
         out = basis.to_vector(x)
         out /= math.sqrt(2.0 * basis.dim)
-        out[vanishing] = 0.0
-        return out.reshape(directions.shape), np.zeros(directions.shape[:-1], dtype=bool)
-    live = ~vanishing
-    out = np.zeros_like(w)
-    out[live] = basis.to_boundary(w[live])
-    for slot in np.flatnonzero(vanishing):
-        out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
+        if np.count_nonzero(vanishing):
+            out[vanishing] = 0.0
+        return out.reshape(directions.shape), None
+    if np.count_nonzero(vanishing):
+        live = ~vanishing
+        out = np.zeros_like(w)
+        out[live] = basis.to_boundary(w[live])
+        for slot in np.flatnonzero(vanishing):
+            out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
+    else:
+        # each row is rescaled on its own, so the live rows need no copy
+        out = basis.to_boundary(w)
     return out.reshape(directions.shape), vanishing.reshape(directions.shape[:-1])
 
 
@@ -274,76 +302,96 @@ def _run_restarts(
 ) -> dict:
     """Run every restart in lockstep on (restarts, 2, d**2-1) arrays.
 
-    Each sweep updates Alice, then Bob, for all live restarts at once.  The
+    Each sweep updates Alice, then Bob, for the live restarts at once.  The
     products T(b1 +- b2) are Alice's input, and after Bob's update they give
     the sweep's value and the next sweep's input.  A restart leaves the batch
     when it converges or exceeds MAX_DEGENERATE_EVENTS, and every live
     restart leaves it at the first sweep in which any of them reaches
-    ``|value| >= upper - config.tolerance``; its sweeps, flags and vectors
-    are frozen there.  ``stop_reason`` records why, as an index into
-    STOP_REASONS: a restart stopped by more than one rule in the same sweep
-    reads degenerate before converged before certified, and one that runs
-    out of sweeps reads max_iterations.  Every row is computed on its own,
-    so a restart's result does not depend on how many restarts run beside
-    it, up to the sweep at which the batch certifies.
+    ``|value| >= upper - config.tolerance`` or at the last sweep.  Only the
+    live batch is carried from sweep to sweep; a restart's sweeps, value,
+    vectors and stop reason are written once, when it leaves.
+    ``stop_reason`` indexes STOP_REASONS: a restart stopped by more than one
+    rule in the same sweep reads degenerate before converged before
+    certified, and one that runs out of sweeps reads max_iterations.
+    ``drop`` holds each restart's largest fall of more than 1e-12 within a
+    sweep, after Alice's update or Bob's, and 0 if there was none; its
+    ``monotone`` flag is ``drop == 0``.  Degenerate events, and the rngs that
+    replace vanishing directions, exist only in closed-form mode.  Every row is
+    computed on its own, so a restart's result does not depend on how many
+    restarts run beside it, up to the sweep at which the batch certifies.
     """
     count = config.restarts
+    closed_form = config.mode == "closed-form"
     rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
     b = np.empty((count, 2, basis.size))
     b[0] = _deterministic_init(basis, correlations)
     for i in range(1, count):
         b[i] = basis.random_admissible(rngs[i], 2)
     t = correlations.matrix
+    t_transposed = t.T
     half = 0.5 * basis.dim
     certified_at = upper - config.tolerance
-    vectors = np.zeros((count, 4, basis.size))
-    values = np.zeros(count)
-    iterations = np.zeros(count, dtype=int)
-    stop_reason = np.full(count, MAX_ITERATIONS)
-    monotone = np.ones(count, dtype=bool)
+    vectors = np.empty((count, 4, basis.size))
+    values = np.empty(count)
+    iterations = np.empty(count, dtype=int)
+    stop_reason = np.empty(count, dtype=int)
+    drop = np.zeros(count)
     events = np.zeros(count, dtype=int)
     active = np.arange(count)
-    live_rngs = rngs
+    live_rngs = rngs if closed_form else None
     alice_in = _pair_products(t, b)
     previous = None
-    done = np.zeros(count, dtype=bool)  # sweep 1 has no convergence test
     for iteration in range(1, config.max_iterations + 1):
         a, bad_a = _party_update(alice_in, basis, config.mode, live_rngs)
         dots = _row_dots(a, alice_in)
         after_alice = half * (dots[:, 0] + dots[:, 1])
-        b, bad_b = _party_update(_pair_products(t.T, a), basis, config.mode, live_rngs)
+        b, bad_b = _party_update(_pair_products(t_transposed, a), basis, config.mode, live_rngs)
         alice_in = _pair_products(t, b)
         dots = _row_dots(a, alice_in)
         value = half * (dots[:, 0] + dots[:, 1])
-        iterations[active] = iteration
-        values[active] = value
-        vectors[active] = np.concatenate((a, b), axis=1)
-        events[active] += bad_a.sum(axis=1) + bad_b.sum(axis=1)
-        degenerate = events[active] > MAX_DEGENERATE_EVENTS
-        reached = np.abs(value) >= certified_at
-        stop = degenerate | reached
+        stop = np.abs(value) >= certified_at
+        # np.count_nonzero tests a small mask in a fraction of the time of .any()
+        certified = np.count_nonzero(stop) > 0
+        if closed_form:
+            events += bad_a.sum(axis=1) + bad_b.sum(axis=1)
+            degenerate = events > MAX_DEGENERATE_EVENTS
+            stop |= degenerate
         if previous is not None:
             dropped = (after_alice < previous - 1e-12) | (value < after_alice - 1e-12)
-            monotone[active[dropped]] = False
+            if np.count_nonzero(dropped):
+                fall = np.maximum(previous - after_alice, after_alice - value)[dropped]
+                rows = active[dropped]
+                drop[rows] = np.maximum(drop[rows], fall)
             done = np.abs(value - previous) < config.tolerance
             stop |= done
         previous = value
-        if stop.any():
-            if reached.any():
-                stop[:] = True
-            reason = np.where(degenerate, DEGENERATE, np.where(done, CONVERGED, CERTIFIED))
-            stop_reason[active[stop]] = reason[stop]
+        if certified or iteration == config.max_iterations:
+            stop[:] = True
+        if np.count_nonzero(stop):
+            leaving = active[stop]
+            iterations[leaving] = iteration
+            values[leaving] = value[stop]
+            vectors[leaving] = np.concatenate((a[stop], b[stop]), axis=1)
+            reason = np.full(leaving.size, CERTIFIED if certified else MAX_ITERATIONS)
+            if iteration > 1:
+                reason[done[stop]] = CONVERGED
+            if closed_form:
+                reason[degenerate[stop]] = DEGENERATE
+            stop_reason[leaving] = reason
             keep = ~stop
             active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
-            live_rngs = [rngs[i] for i in active]
             if active.size == 0:
                 break
+            if closed_form:
+                events = events[keep]
+                live_rngs = [rngs[i] for i in active]
     return {
         "values": np.abs(values),
         "vectors": vectors,
         "iterations": iterations,
         "stop_reason": stop_reason,
-        "monotone": monotone,
+        "monotone": drop == 0.0,
+        "drop": drop,
     }
 
 
@@ -361,12 +409,21 @@ def seesaw_maximize(
     together once one reaches the paper's upper bound (``chsh_bounds`` of
     T, returned as ``bounds``) to within ``config.tolerance``.  The best
     restart wins, ties broken by index.  A value above the upper bound by
-    more than UPPER_BOUND_ATOL raises NumericalError.
+    more than UPPER_BOUND_ATOL raises NumericalError, and so does an exact
+    run whose value falls in some restart: exact party updates cannot lower
+    it.  Closed-form updates can, so closed-form runs only report
+    ``monotone``.
     """
     if config is None:
         config = SeesawConfig()
     bounds = chsh_bounds(correlations)
     runs = _run_restarts(basis, config, correlations, bounds.upper)
+    if config.mode == "exact" and not runs["monotone"].all():
+        restart = int(np.argmin(runs["monotone"]))
+        raise NumericalError(
+            f"exact see-saw restart {restart} is not monotone: its value fell by "
+            f"{runs['drop'][restart]:.3e} within one sweep (allowed 1e-12)"
+        )
     a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
     if value < 0:

@@ -66,9 +66,9 @@ def check_count(name: str, value, minimum: int) -> None:
 class GellMannBasis:
     """The d**2 - 1 generalized Gell-Mann operators, in label order.
 
-    Immutable after construction.  One pair list, ``np.triu_indices(d, 1)``,
-    orders the labels, the index tables and ``stack``, the operators as one
-    (d**2-1, d, d) array, which is built on first read.
+    Immutable after construction.  One pair list, the pairs m < k in
+    row-major order, orders the labels, the index tables and ``stack``, the
+    operators as one (d**2-1, d, d) array, which is built on first read.
 
     No map here contracts the dense stack, whose entries are almost all
     zero; each walks its sparse structure in O(d**2) work per matrix, and
@@ -89,7 +89,8 @@ class GellMannBasis:
 
     def __init__(self, dim: int):
         d = check_dim(dim)
-        rows, cols = np.triu_indices(d, 1)  # the pairs (m, k), m < k, in label order
+        # the pairs (m, k), m < k, in label order
+        rows, cols = np.nonzero(np.arange(d)[:, None] < np.arange(d))
         npairs = rows.size
         self.dim = d
         self.size = d * d - 1
@@ -143,16 +144,15 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
-        d, size, npairs = self.dim, self.size, self._npairs
+        d, npairs = self.dim, self._npairs
         lead = n.shape[:-1]
-        source = np.zeros(lead + (size + npairs + d + 1,))
-        source[..., :size] = n
-        np.negative(n[..., npairs : 2 * npairs], out=source[..., size : size + npairs])
         terms = n[..., 2 * npairs :, None] * self._diagonal
         np.add.accumulate(terms, axis=-2, out=terms)
-        source[..., size + npairs : -1] = terms[..., -1, :]
+        source = np.concatenate(
+            (n, -n[..., npairs : 2 * npairs], terms[..., -1, :], np.zeros(lead + (1,))), axis=-1
+        )
         source += 0.0
-        flat = np.take(source, self._matrix_index, axis=-1)
+        flat = source.take(self._matrix_index, axis=-1)
         return flat.view(np.complex128).reshape(lead + (d, d))
 
     def to_vector(self, matrices: np.ndarray) -> np.ndarray:
@@ -166,17 +166,17 @@ class GellMannBasis:
         npairs = self._npairs
         lead = x.shape[:-2]
         flat = x.view(np.float64).reshape(lead + (2 * d * d,))
-        parts = np.take(flat, self._vector_index, axis=-1)
-        out = np.empty(lead + (self.size,))
-        np.add(parts[..., :npairs], parts[..., npairs : 2 * npairs], out=out[..., :npairs])
-        np.subtract(
-            parts[..., 2 * npairs : 3 * npairs],
-            parts[..., 3 * npairs : 4 * npairs],
-            out=out[..., npairs : 2 * npairs],
-        )
+        parts = flat.take(self._vector_index, axis=-1)
         terms = parts[..., None, 4 * npairs :] * self._diagonal
         np.add.accumulate(terms, axis=-1, out=terms)
-        out[..., 2 * npairs :] = terms[..., -1]
+        out = np.concatenate(
+            (
+                parts[..., :npairs] + parts[..., npairs : 2 * npairs],
+                parts[..., 2 * npairs : 3 * npairs] - parts[..., 3 * npairs : 4 * npairs],
+                terms[..., -1],
+            ),
+            axis=-1,
+        )
         out += 0.0
         return out
 

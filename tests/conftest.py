@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -13,6 +14,7 @@ from qchsh import (
     random_two_qudit_state,
     validate_state,
 )
+from qchsh import optimizer
 from qchsh.errors import DimensionMismatch, NotHermitian, ValidationError
 from qchsh.numerics import HERMITIAN_ATOL, _require_square
 from qchsh.representation import MEMBERSHIP_ATOL, check_dim
@@ -283,6 +285,22 @@ def polytope_vertex_max(lam):
     return best
 
 
+def lp_spectrum_oracle(lam_descending):
+    """Reference for optimizer._lp_spectrum: the retired form, every row through the share formula."""
+    lam = lam_descending
+    d = lam.shape[-1]
+    if d % 2 == 1:
+        t_star = lam[..., (d - 1) // 2]
+    else:
+        t_star = 0.5 * (lam[..., d // 2 - 1] + lam[..., d // 2])
+    deviation = lam - t_star[..., None]
+    ties = np.abs(deviation) < LP_TIE_ATOL
+    mu = np.where(deviation > 0, 1.0, -1.0)
+    mu[ties] = 0.0
+    share = -mu.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
+    return np.where(ties, share, mu)
+
+
 def serial_linear_max(c):
     """Reference for optimizer._linear_max: the LP core on one matrix."""
     values, vectors = np.linalg.eigh(c)
@@ -389,3 +407,19 @@ def serial_restarts(correlations, basis, config):
             reason = "max_iterations"
         results.append((iterations, reason, monotone, vectors))
     return results
+
+
+def halve_bob_in_sweep_two(monkeypatch):
+    """Patch the see-saw so that Bob's update in sweep 2 returns half its vectors.
+
+    The value is linear in Bob's vectors, so that sweep's value falls to half
+    of the value after Alice's update.
+    """
+    update = optimizer._party_update
+    calls = itertools.count(1)
+
+    def halved(directions, basis, mode, rngs):
+        out, mask = update(directions, basis, mode, rngs)
+        return (0.5 * out if next(calls) == 4 else out), mask
+
+    monkeypatch.setattr(optimizer, "_party_update", halved)

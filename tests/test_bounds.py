@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchsh import (
     TSIRELSON,
     CorrelationMatrix,
+    build_gellmann_basis,
     chsh_bounds,
     correlation_matrix,
     ghz_chsh_maximum,
     ghz_correlation_matrix,
     ghz_state,
     horodecki_two_qubit,
+    max_admissible_norm,
     random_two_qudit_state,
     seesaw_maximize,
     top_two_gram_eigenvalues,
@@ -115,3 +119,19 @@ def test_product_state_upper_bound_need_not_improve_tsirelson(basis, d, upper, i
     assert report.upper == pytest.approx(upper, abs=1e-12)
     assert report.upper_improves_tsirelson == improves
     assert seesaw_maximize(t, basis(d)).value == pytest.approx(2.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(2, 7))
+def test_product_basis_states_are_an_exact_family(data, d):
+    # every |jk> has lower = max = 2 and upper = 2(d - 1) m_d^2
+    j = data.draw(st.integers(0, d - 1), label="j")
+    k = data.draw(st.integers(0, d - 1), label="k")
+    b = build_gellmann_basis(d)
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho[j * d + k, j * d + k] = 1.0
+    t = correlation_matrix(validate_state(rho, d), b)
+    report = chsh_bounds(t)
+    assert abs(report.lower - 2.0) <= 1e-9
+    assert abs(report.upper - 2.0 * (d - 1) * max_admissible_norm(d) ** 2) <= 1e-9
+    assert abs(seesaw_maximize(t, b).value - 2.0) <= 1e-9

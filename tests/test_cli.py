@@ -18,6 +18,7 @@ import qchsh.optimizer
 import qchsh.verify
 from conftest import (
     correlation_csv_oracle,
+    halve_bob_in_sweep_two,
     load_state_file_oracle,
     state_to_json_dict,
     stdlib_json_text,
@@ -130,6 +131,16 @@ def test_optimize_above_the_upper_bound_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "NumericalError" in err and "exceeds the proven upper bound" in err
+
+
+def test_optimize_with_a_falling_exact_sweep_exits_two(capsys, monkeypatch):
+    # exact party updates cannot lower the value, so a fall is a numerical fault
+    halve_bob_in_sweep_two(monkeypatch)
+    code, out, err = run_cli(capsys, "optimize", "--state", "random:7", "--dim", "3",
+                             "--restarts", "2")
+    assert code == 2
+    assert out == ""
+    assert "NumericalError" in err and "restart 0 is not monotone" in err
 
 
 def test_optimize_rejects_zero_restarts(capsys):

@@ -1,7 +1,8 @@
 """Static checks that stand in for a linter: no unused imports in the package
 modules or the tests, every name that ``qchsh.__all__`` exports exists, each
-export is used by some package module other than ``__init__.py``, and the
-optimizer reads states only through the correlation matrix it is given."""
+export is used by some package module other than ``__init__.py``, the
+optimizer reads states only through the correlation matrix it is given, and
+no package module reaches into numpy's private modules."""
 
 from __future__ import annotations
 
@@ -76,3 +77,53 @@ def test_optimizer_takes_correlations_not_states():
     assert [node.module for node in imports if node.module == "states"] == []
     names = {alias.name for node in imports for alias in node.names}
     assert "correlation_matrix" not in names
+
+
+def _private_numpy_paths(source: str) -> list[str]:
+    """Dotted numpy paths with a private part (``numpy._core``, ``numpy.linalg._x``)
+    that the source imports or reads as an attribute of ``numpy`` or ``np``."""
+    tree = ast.parse(source)
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+                paths.append(".".join(["numpy"] + parts[::-1]))
+    private = []
+    for path in paths:
+        parts = path.split(".")
+        if parts[0] == "numpy" and any(
+            part.startswith("_") and not part.startswith("__") for part in parts[1:]
+        ):
+            private.append(path)
+    return private
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_numpy_module(path):
+    assert _private_numpy_paths(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_numpy_module_is_reported():
+    source = (
+        "import numpy as np\n"
+        "import numpy._core.umath\n"
+        "from numpy.linalg import _umath_linalg, eigh\n"
+        "from numpy._core import multiarray\n"
+        "np.linalg._umath_linalg.eigh_lo(x)\n"
+        "np.linalg.eigh(x)\n"
+        "np.__version__\n"
+    )
+    assert set(_private_numpy_paths(source)) == {
+        "numpy._core.multiarray",
+        "numpy._core.umath",
+        "numpy.linalg._umath_linalg",
+        "numpy.linalg._umath_linalg.eigh_lo",
+    }

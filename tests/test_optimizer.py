@@ -22,15 +22,20 @@ from qchsh import (
 from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless
 import qchsh.optimizer
 from qchsh.optimizer import (
+    LP_TIE_ATOL,
     STOP_REASONS,
+    UPPER_BOUND_ATOL,
     _deterministic_init,
+    _lp_spectrum,
     _pair_products,
     _party_update,
     _run_restarts,
 )
 
 from conftest import (
+    halve_bob_in_sweep_two,
     is_admissible,
+    lp_spectrum_oracle,
     polytope_vertex_max,
     property_state,
     random_hermitian,
@@ -95,6 +100,56 @@ def test_linear_max_matches_vertex_enumeration(basis, rng):
             # the certificate reproduces the value and stays admissible
             assert np.trace(obs.matrix @ c).real == pytest.approx(value, abs=1e-10)
             assert obs.is_admissible()
+
+
+# Offsets, in units of LP_TIE_ATOL, of the values planted around a row's median.
+TIE_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5)
+
+
+@st.composite
+def planted_spectra(draw):
+    """Descending spectra, 1-8 rows at d = 2..12, some with values planted near the median.
+
+    A "cluster" row holds 2..d values within a few LP_TIE_ATOL of one center,
+    sorted into positions that cover the median, sit beside it or lie off it,
+    so that ties fall exactly at the median, next to it and at
+    +-0.5 LP_TIE_ATOL; an "equal" row has every value tied.
+    """
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["spread", "cluster", "equal"]))
+        center = float(rng.standard_normal())
+        if kind == "equal":
+            row = np.full(d, center)
+        elif kind == "spread":
+            row = rng.standard_normal(d)
+        else:
+            size = draw(st.integers(2, d))
+            above = draw(st.integers(0, d - size))
+            offsets = draw(st.lists(st.sampled_from(TIE_OFFSETS), min_size=size, max_size=size))
+            row = np.concatenate((
+                center + 1.0 + np.abs(rng.standard_normal(above)),
+                center + LP_TIE_ATOL * np.array(offsets),
+                center - 1.0 - np.abs(rng.standard_normal(d - size - above)),
+            ))
+        rows.append(np.sort(row)[::-1])
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=planted_spectra())
+def test_lp_spectrum_matches_full_row_oracle(lam):
+    # the sign pattern, the -0.0 at an odd-d median and every tie share equal
+    # the retired form that sends each row through the share formula, bit for bit
+    expected = lp_spectrum_oracle(lam).view(np.int64)
+    np.testing.assert_array_equal(_lp_spectrum(lam).view(np.int64), expected)
+    # one row alone, as traceless_linear_max passes it, and a reversed view, as
+    # _linear_max passes eigh's ascending output
+    np.testing.assert_array_equal(_lp_spectrum(lam[0]).view(np.int64), expected[0])
+    ascending = np.ascontiguousarray(lam[:, ::-1])
+    np.testing.assert_array_equal(_lp_spectrum(ascending[:, ::-1]).view(np.int64), expected)
 
 
 def test_linear_max_invariant_under_rotation(basis, rng):
@@ -227,6 +282,20 @@ def test_seesaw_certifies_isotropic_states(d, p):
     assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 7), p=st.floats(0.01, 1.0))
+def test_seesaw_certifies_the_isotropic_family(d, p):
+    # the whole family attains its upper bound; the value may pass it by a
+    # rounding error (up to 1.3e-15 at even d), never by UPPER_BOUND_ATOL
+    b = build_gellmann_basis(d)
+    rho = p * ghz_state(d).rho + (1.0 - p) * np.eye(d * d) / d**2
+    config = SeesawConfig()
+    result = seesaw_maximize(correlation_matrix(validate_state(rho, d), b), b, config)
+    assert "certified" in result.stop_reasons
+    assert -UPPER_BOUND_ATOL <= result.bounds.upper - result.value <= config.tolerance
+    assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_seesaw_certifies_two_qubit_states(seed):
     # at d = 2 lower = upper = the exact Horodecki value
@@ -261,6 +330,17 @@ def test_seesaw_certificate_consistency(basis):
     for obs in result.settings.all:
         assert is_admissible(obs.coefficients, b)
         assert obs.is_admissible()
+
+
+def test_closed_form_runs_may_fall(monkeypatch):
+    # a falling sweep is a fault only in exact mode (see test_cli); closed-form
+    # updates can lower the value, so the run reports it and returns
+    halve_bob_in_sweep_two(monkeypatch)
+    b = build_gellmann_basis(3)
+    t = correlation_matrix(random_two_qudit_state(3, 7), b)
+    result = seesaw_maximize(t, b, SeesawConfig(mode="closed-form", restarts=2))
+    assert not result.monotone
+    assert result.bounds.lower <= result.value <= result.bounds.upper
 
 
 def test_seesaw_closed_form_mode(basis):
