@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 invalid input, 2 numerical or convergence failure.
 Floating-point output is serialized with 15 significant digits, and
 identical requests (including seeds) produce byte-identical output.
+``main`` builds the argparse parser on its first call and reuses it on
+every later call in the process; importing the module builds nothing.
 
 JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
@@ -15,6 +17,7 @@ one ``%`` call, and the cells fill one ``%s`` template per array.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -323,7 +326,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Parsing fills a fresh namespace and leaves the parser as it was.
+    """
     parser = _Parser(
         prog="qchsh",
         description="CHSH expectation bounds and maximization for two-qudit states",
@@ -381,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

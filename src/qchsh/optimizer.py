@@ -28,6 +28,14 @@ value, vectors, stop reason and largest value drop are written once, when
 it leaves the batch.  ``seesaw_maximize`` takes the correlation matrix T,
 not the state.
 
+What every sweep reads is worked out before the first one.  A
+``_run_restarts`` call takes T's transpose, the value at which the batch
+certifies, and the random starts, each drawn from its own generator and
+all rescaled by one ``to_boundary`` call.  The LP's sign pattern and the
+slice its tie test reads depend on d alone and are built once per d
+(``_lp_pattern``).  The party updates hand the arrays they build straight
+to the basis's check-free map cores.
+
 Certified stop: the paper proves ``max |CHSH| <= upper`` (``chsh_bounds``),
 and the bound is attained for GHZ at every d and by every state at d = 2.
 After each sweep, once any live restart has ``|value| >= upper - tolerance``
@@ -45,6 +53,7 @@ settings, plus one zero row/column when d is odd.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -123,6 +132,20 @@ class SeesawResult:
         return sum(self.converged)
 
 
+@functools.cache
+def _lp_pattern(d: int) -> tuple[np.ndarray, slice]:
+    """The LP optimum of a d-entry spectrum with no tie beside its median, and
+    the slice of the entries beside it; built once per d, read-only.
+
+    The slice takes entries d//2 - 1 and d - d//2: the median's neighbours
+    at odd d, the two middle entries at even d.
+    """
+    half = d // 2
+    signs = np.array([1.0, -0.0, -1.0]).repeat((half, d % 2, half))
+    signs.setflags(write=False)
+    return signs, slice(half - 1, d - half + 1, d - 2 * half + 1)
+
+
 def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
     """Solve max sum(lam * mu) over mu in [-1, 1]^d with sum(mu) = 0, per row of lam[..., d].
 
@@ -138,20 +161,19 @@ def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
     lam = lam_descending
     d = lam.shape[-1]
     half = d // 2
+    # t* keeps a length-1 last axis, to broadcast against the rows
     if d % 2 == 1:
-        t_star = lam[..., half]
+        t_star = lam[..., half : half + 1]
     else:
-        t_star = 0.5 * (lam[..., half - 1] + lam[..., half])
-    # entries half - 1 and d - half: the median's neighbours at odd d, the two
-    # middle entries at even d
-    beside = lam[..., half - 1 : d - half + 1 : d - 2 * half + 1]
-    ties_beside = np.abs(beside - t_star[..., None]) < LP_TIE_ATOL
+        t_star = 0.5 * (lam[..., half - 1 : half] + lam[..., half : half + 1])
+    signs, beside = _lp_pattern(d)
+    ties_beside = np.abs(lam[..., beside] - t_star) < LP_TIE_ATOL
     mu = np.empty_like(lam)
-    mu[...] = np.array([1.0, -0.0, -1.0]).repeat((half, d % 2, half))
+    mu[...] = signs
     if np.count_nonzero(ties_beside):
         rows = ties_beside.any(axis=-1)
         lam, t_star = lam[rows], t_star[rows]
-        deviation = lam - t_star[..., None]
+        deviation = lam - t_star
         ties = np.abs(deviation) < LP_TIE_ATOL
         tied = np.where(deviation > 0, 1.0, -1.0)
         tied[ties] = 0.0
@@ -199,9 +221,10 @@ def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
     Each row is its own matrix-vector product, so its bits do not depend on R.
     """
+    u, v = pairs[:, 0], pairs[:, 1]
     sums = np.empty(pairs.shape)
-    np.add(pairs[:, 0], pairs[:, 1], out=sums[:, 0])
-    np.subtract(pairs[:, 0], pairs[:, 1], out=sums[:, 1])
+    np.add(u, v, out=sums[:, 0])
+    np.subtract(u, v, out=sums[:, 1])
     return np.matmul(t, sums[..., None])[..., 0]
 
 
@@ -229,8 +252,8 @@ def _party_update(
     w = directions.reshape(-1, basis.size)
     vanishing = np.sqrt(_row_dots(w, w)) <= DEGENERATE_NORM_ATOL
     if mode == "exact":
-        x, _, _ = _linear_max(basis.to_matrix(w))
-        out = basis.to_vector(x)
+        x, _, _ = _linear_max(basis._matrices(w))
+        out = basis._vectors(x)
         out /= math.sqrt(2.0 * basis.dim)
         if np.count_nonzero(vanishing):
             out[vanishing] = 0.0
@@ -238,12 +261,12 @@ def _party_update(
     if np.count_nonzero(vanishing):
         live = ~vanishing
         out = np.zeros_like(w)
-        out[live] = basis.to_boundary(w[live])
+        out[live] = basis._boundary(w[live])
         for slot in np.flatnonzero(vanishing):
             out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
     else:
         # each row is rescaled on its own, so the live rows need no copy
-        out = basis.to_boundary(w)
+        out = basis._boundary(w)
     return out.reshape(directions.shape), vanishing.reshape(directions.shape[:-1])
 
 
@@ -325,8 +348,9 @@ def _run_restarts(
     rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
     b = np.empty((count, 2, basis.size))
     b[0] = _deterministic_init(basis, correlations)
-    for i in range(1, count):
-        b[i] = basis.random_admissible(rngs[i], 2)
+    if count > 1:
+        # each start is drawn from its own rng and rescaled on its own row
+        b[1:] = basis.to_boundary([rng.standard_normal((2, basis.size)) for rng in rngs[1:]])
     t = correlations.matrix
     t_transposed = t.T
     half = 0.5 * basis.dim

@@ -85,6 +85,10 @@ class GellMannBasis:
     must be finite: a NaN or an infinity, which the einsum spreads through
     its zero products to every entry, here stays in the entries it reaches.
     ``_check_vector`` refuses single vectors that are not finite.
+
+    Each public map checks its input and hands it to one check-free core
+    (``_matrices``, ``_vectors``, ``_boundary``); the see-saw calls the
+    cores directly on the arrays it builds.
     """
 
     def __init__(self, dim: int):
@@ -137,13 +141,21 @@ class GellMannBasis:
         stack.setflags(write=False)
         return stack
 
-    def to_matrix(self, components: np.ndarray) -> np.ndarray:
-        """Contraction n . L over the last axis of ``components[..., d**2-1]``."""
+    def _components(self, components: np.ndarray) -> np.ndarray:
+        """components as float64, checked to hold d**2-1 entries on its last axis."""
         n = np.asarray(components, dtype=np.float64)
         if n.ndim == 0 or n.shape[-1] != self.size:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
+        return n
+
+    def to_matrix(self, components: np.ndarray) -> np.ndarray:
+        """Contraction n . L over the last axis of ``components[..., d**2-1]``."""
+        return self._matrices(self._components(components))
+
+    def _matrices(self, n: np.ndarray) -> np.ndarray:
+        """``to_matrix`` without its checks, for a float64 ``n[..., d**2-1]``."""
         d, npairs = self.dim, self._npairs
         lead = n.shape[:-1]
         terms = n[..., 2 * npairs :, None] * self._diagonal
@@ -163,7 +175,11 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"matrices must be {d}x{d}, got shape {x.shape}"
             )
-        npairs = self._npairs
+        return self._vectors(x)
+
+    def _vectors(self, x: np.ndarray) -> np.ndarray:
+        """``to_vector`` without its checks, for a C-contiguous complex128 ``x[..., d, d]``."""
+        d, npairs = self.dim, self._npairs
         lead = x.shape[:-2]
         flat = x.view(np.float64).reshape(lead + (2 * d * d,))
         parts = flat.take(self._vector_index, axis=-1)
@@ -226,7 +242,11 @@ class GellMannBasis:
 
     def vector_operator_norm(self, components: np.ndarray) -> np.ndarray:
         """Operator norm of n . L for each coefficient vector in ``components[..., d**2-1]``."""
-        eigs = np.linalg.eigvalsh(self.to_matrix(components))
+        return self._operator_norms(self._components(components))
+
+    def _operator_norms(self, n: np.ndarray) -> np.ndarray:
+        """``vector_operator_norm`` without its checks, for a float64 ``n[..., d**2-1]``."""
+        eigs = np.linalg.eigvalsh(self._matrices(n))
         return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
 
     def to_boundary(self, components: np.ndarray) -> np.ndarray:
@@ -235,12 +255,15 @@ class GellMannBasis:
         Each result's contraction has operator norm sqrt(2/d), the boundary
         of the admissible set.  Rows must be nonzero; callers check that.
         """
-        n = np.asarray(components, dtype=np.float64)
-        return np.sqrt(2.0 / self.dim) * n / self.vector_operator_norm(n)[..., None]
+        return self._boundary(self._components(components))
+
+    def _boundary(self, n: np.ndarray) -> np.ndarray:
+        """``to_boundary`` without its checks, for a float64 ``n[..., d**2-1]``."""
+        return np.sqrt(2.0 / self.dim) * n / self._operator_norms(n)[..., None]
 
     def random_admissible(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Gaussian directions rescaled onto the admissible boundary, one per row."""
-        return self.to_boundary(rng.standard_normal((count, self.size)))
+        return self._boundary(rng.standard_normal((count, self.size)))
 
     def _check_vector(self, components: np.ndarray) -> np.ndarray:
         n = np.asarray(components, dtype=np.float64)

@@ -119,9 +119,8 @@ def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
         raise DimensionMismatch(
             f"requested d={d} but state file declares d={file_d}"
         )
-    raw = _parse_pairs(payload["rho"], path)
-    with np.errstate(invalid="ignore"):  # 1j * inf; validate_state rejects it by name
-        rho = raw[:, :, 0] + 1j * raw[:, :, 1]
+    # each [re, im] pair read as one complex number, so a -0.0 part stays -0.0
+    rho = _parse_pairs(payload["rho"], path).view(np.complex128)[..., 0]
     return validate_state(rho, file_d)
 
 

@@ -162,14 +162,15 @@ def suite_bound_ordering(dims, trials, seed) -> SuiteResult:
         checks += 1
         for _ in range(states_per_dim):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))
-            report = chsh_bounds(correlation_matrix(state, basis))
+            correlations = correlation_matrix(state, basis)
+            report = chsh_bounds(correlations)
             if report.lower > report.upper + 1e-12:
                 return SuiteResult(
                     "bound-ordering", checks, False,
                     f"d={d}: lower {report.lower!r} above upper {report.upper!r}",
                 )
             if d == 2:
-                exact = horodecki_two_qubit(correlation_matrix(state, basis))
+                exact = horodecki_two_qubit(correlations)
                 if abs(report.lower - report.upper) > 1e-12 or abs(exact - report.upper) > 1e-12:
                     return SuiteResult(
                         "bound-ordering", checks, False,

@@ -260,9 +260,7 @@ def load_state_file_oracle(path, d=None):
             f'state file {path}: "rho" must be a matrix of [re, im] pairs, '
             f"got array shape {raw.shape}"
         )
-    with np.errstate(invalid="ignore"):  # 1j * inf; validate_state rejects it by name
-        rho = raw[:, :, 0] + 1j * raw[:, :, 1]
-    return validate_state(rho, file_d)
+    return validate_state(raw.view(np.complex128)[..., 0], file_d)
 
 
 def polytope_vertex_max(lam):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -561,3 +562,46 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     assert file_out == ""
     assert out.endswith("}\n")
     assert path.read_bytes() == out[:-1].encode("utf-8")
+
+
+# One process reuses the parser that main builds on its first call.
+_BACK_TO_BACK = (
+    ("bounds", "--no-such-flag"),
+    ("--help",),
+    ("optimize", "--state", "random:7", "--dim", "3", "--restarts", "2", "--seed", "1"),
+    ("ghz-table", "--dims", "2:3", "--restarts", "2", "--output", "csv"),
+    ("verify", "--suite", "lemma1", "--dims", "2:3", "--trials", "20"),
+    # JSON again: the CSV request above must leave no default behind
+    ("ghz-table", "--dims", "2:2", "--restarts", "1"),
+)
+
+
+def _in_process(argv):
+    stdout, stderr = StringIO(), StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_back_to_back_calls_print_what_fresh_processes_print(monkeypatch):
+    # help text wraps at the terminal width, which COLUMNS fixes for both sides
+    monkeypatch.setenv("COLUMNS", "100")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qchsh.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from qchsh.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, encoding="utf-8", env=env, timeout=300,
+        )
+        for argv in _BACK_TO_BACK
+    ]
+    expected = [(run.returncode, run.stdout, run.stderr) for run in fresh]
+    assert [code for code, _, _ in expected] == [1, 0, 0, 0, 0, 0]
+    # twice over, so that the second round runs on a parser that has parsed each call
+    for _ in range(2):
+        assert [_in_process(argv) for argv in _BACK_TO_BACK] == expected

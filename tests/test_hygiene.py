@@ -1,12 +1,16 @@
 """Static checks that stand in for a linter: no unused imports in the package
 modules or the tests, every name that ``qchsh.__all__`` exports exists, each
 export is used by some package module other than ``__init__.py``, the
-optimizer reads states only through the correlation matrix it is given, and
-no package module reaches into numpy's private modules."""
+optimizer reads states only through the correlation matrix it is given, no
+package module reaches into numpy's private modules, and the CLI builds its
+parser on the first ``main`` call, once, and not at import."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,44 @@ def test_private_numpy_module_is_reported():
         "numpy.linalg._umath_linalg",
         "numpy.linalg._umath_linalg.eigh_lo",
     }
+
+
+# Counts the ArgumentParser objects built by the import and by each of three
+# main calls, in a fresh interpreter.
+_PARSER_COUNT = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import qchsh
+import qchsh.cli
+counts = [len(built)]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        qchsh.cli.main(["verify", "--suite", "lemma1", "--dims", "2:2", "--trials", "10"])
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+def _parser_counts() -> list[int]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _PARSER_COUNT],
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return [int(word) for word in run.stdout.split()]
+
+
+def test_cli_parser_is_built_on_first_main_call_only():
+    at_import, *after_calls = _parser_counts()
+    # import qchsh and qchsh.cli build nothing, so start-up keeps its cost
+    assert at_import == 0
+    # the first call builds the parser and its subparsers; later calls reuse them
+    assert after_calls[0] > 0
+    assert after_calls == [after_calls[0]] * 3

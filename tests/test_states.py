@@ -115,11 +115,10 @@ def test_random_state_matches_retired_draw(d, seed):
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.parametrize("kind", ["random", "ghz", "product", "mixed"])
+@pytest.mark.parametrize("kind", ["random", "ghz", "product", "mixed", "diagonal"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_state_file_roundtrip_is_bit_exact(tmp_path, kind, d):
-    # the "diagonal" kind is left out: its -0.0 real parts come back as +0.0,
-    # because the file's pairs are combined as re + 1j * im
+    # "diagonal" writes its zero coherences with -0.0 real parts
     state = property_state(kind, d, seed=11)
     path = tmp_path / "state.json"
     with open(path, "w", encoding="utf-8") as fh:
