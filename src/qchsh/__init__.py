@@ -32,7 +32,6 @@ from .representation import (
     expand_observable,
     max_admissible_norm,
     observable_from_coefficients,
-    project_to_admissible,
 )
 from .states import (
     TwoQuditState,
@@ -68,7 +67,6 @@ __all__ = [
     "max_admissible_norm",
     "observable_from_coefficients",
     "operator_norm",
-    "project_to_admissible",
     "random_two_qudit_state",
     "seesaw_maximize",
     "top_two_gram_eigenvalues",

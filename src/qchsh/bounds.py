@@ -15,7 +15,6 @@ correlation matrix is diagonal with entries +-2/d, both eigenvalues equal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -35,14 +34,13 @@ class BoundsReport:
     lambda2: float
     lower: float
     upper: float
-    tsirelson: ClassVar[float] = TSIRELSON
 
     @property
     def upper_improves_tsirelson(self) -> bool:
         # a margin of 1e-12 keeps one-ulp noise (e.g. the even-d GHZ upper,
         # which equals the ceiling exactly) from being reported as a strict
         # improvement
-        return self.upper < self.tsirelson - 1e-12
+        return self.upper < TSIRELSON - 1e-12
 
 
 def top_two_gram_eigenvalues(correlations: CorrelationMatrix) -> tuple[float, float]:

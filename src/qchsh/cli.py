@@ -33,17 +33,13 @@ from .representation import build_gellmann_basis, check_dim
 from .states import ghz_state, load_state_file, random_two_qudit_state
 
 
-def _round15(x: float) -> float:
-    return float(f"{float(x):.15g}")
-
-
 def _scalar_text(obj) -> str:
     if isinstance(obj, (bool, np.bool_)):
         obj = bool(obj)
     elif isinstance(obj, (int, np.integer)):
         obj = int(obj)
     elif isinstance(obj, (float, np.floating)):
-        obj = _round15(obj)
+        obj = float(f"{float(obj):.15g}")
     return json.dumps(obj)
 
 
@@ -84,7 +80,7 @@ def _float_array_text(a: np.ndarray, nl: str) -> str:
     For a normal double whose 15-digit rounding is not an integer (which
     every rounding of 1e14 and above is), the ``%.15g`` text already is the
     shortest repr of the rounded value.  Only the other values take the
-    round trip through ``_round15``; ``plain`` leaves out a superset of them:
+    round trip through ``_scalar_text``; ``plain`` leaves out a superset of them:
     zeros, subnormals, non-finite values and values within 1e-14 (relative)
     of an integer, twice the most that 15-digit rounding moves a value.
     """
@@ -100,8 +96,8 @@ def _float_array_text(a: np.ndarray, nl: str) -> str:
 def _json_text(obj, nl: str = "\n") -> str:
     """The ``json.dumps(obj, indent=2)`` text of obj, placed at indent ``nl``.
 
-    Floats are rounded by ``_round15``; numpy scalars and arrays are written
-    as Python scalars and (nested) lists.
+    Floats are rounded to 15 significant digits; numpy scalars and arrays
+    are written as Python scalars and (nested) lists.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
@@ -158,10 +154,6 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _dump_json(payload: dict, out_path: str | None) -> None:
-    _emit(_json_text(payload), out_path)
-
-
 def _parse_dims(spec: str) -> list[int]:
     try:
         lo_text, hi_text = spec.split(":")
@@ -197,6 +189,13 @@ def _resolve_state(args):
     )
 
 
+def _correlations(args):
+    """The Gell-Mann basis and correlation matrix of the requested state."""
+    state = _resolve_state(args)
+    basis = build_gellmann_basis(state.dim)
+    return basis, correlation_matrix(state, basis)
+
+
 def _seesaw_config(args) -> SeesawConfig:
     return SeesawConfig(mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed)
 
@@ -209,48 +208,44 @@ def cmd_basis(args) -> int:
         "d": basis.dim,
         "operators": _matrix_pairs(basis.stack),
     }
-    _dump_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
 def cmd_correlation(args) -> int:
-    state = _resolve_state(args)
-    basis = build_gellmann_basis(state.dim)
-    t = correlation_matrix(state, basis)
+    basis, t = _correlations(args)
     if args.output == "csv":
         _emit(_correlation_csv(basis.labels, t.matrix), args.out)
     else:
-        _dump_json({"d": state.dim, "T": t.matrix}, args.out)
+        _emit(_json_text({"d": t.dim, "T": t.matrix}), args.out)
     return 0
 
 
 def cmd_bounds(args) -> int:
-    state = _resolve_state(args)
-    basis = build_gellmann_basis(state.dim)
-    report = chsh_bounds(correlation_matrix(state, basis))
+    _, t = _correlations(args)
+    report = chsh_bounds(t)
     payload = {
         "d": report.dim,
         "lambda1": report.lambda1,
         "lambda2": report.lambda2,
         "lower": report.lower,
         "upper": report.upper,
-        "tsirelson": report.tsirelson,
+        "tsirelson": TSIRELSON,
         "upper_improves_tsirelson": report.upper_improves_tsirelson,
     }
-    _dump_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
 def cmd_optimize(args) -> int:
-    state = _resolve_state(args)
-    basis = build_gellmann_basis(state.dim)
+    basis, t = _correlations(args)
     config = _seesaw_config(args)
-    result = seesaw_maximize(correlation_matrix(state, basis), basis, config)
+    result = seesaw_maximize(t, basis, config)
     report = result.bounds
     payload = {
-        "d": state.dim,
+        "d": t.dim,
         "value": result.value,
-        "mode": result.mode,
+        "mode": config.mode,
         "restarts": config.restarts,
         "converged_count": result.converged_count,
         "a1": result.settings.a1.coefficients,
@@ -267,7 +262,7 @@ def cmd_optimize(args) -> int:
         "lower_bound": report.lower,
         "tsirelson_gap": TSIRELSON - report.upper,
     }
-    _dump_json(payload, args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -300,7 +295,7 @@ def cmd_ghz_table(args) -> int:
         lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _dump_json({"rows": rows}, args.out)
+        _emit(_json_text({"rows": rows}), args.out)
     return 0
 
 

@@ -68,7 +68,6 @@ from .representation import (
     check_count,
     expand_observable,
     observable_from_coefficients,
-    project_to_admissible,
     symmetrized_traceless,
 )
 
@@ -121,7 +120,6 @@ class SeesawResult:
     iterations_per_restart: list[int] = field(default_factory=list)
     stop_reasons: list[str] = field(default_factory=list)
     monotone: bool = True
-    mode: str = "exact"
 
     @property
     def converged(self) -> list[bool]:
@@ -312,12 +310,9 @@ def _deterministic_init(
         return expand_observable(b1, basis), expand_observable(b2, basis)
     gram = t.T @ t
     _, vectors = np.linalg.eigh(gram)
-    v1 = vectors[:, -1]
-    v2 = vectors[:, -2]
-    return (
-        project_to_admissible(v1 + v2, basis),
-        project_to_admissible(v1 - v2, basis),
-    )
+    v1, v2 = vectors[:, -1], vectors[:, -2]
+    # each row is rescaled on its own, as two single calls would rescale it
+    return tuple(basis._boundary(np.stack((v1 + v2, v1 - v2))))
 
 
 def _run_restarts(
@@ -471,5 +466,4 @@ def seesaw_maximize(
         iterations_per_restart=runs["iterations"].tolist(),
         stop_reasons=[STOP_REASONS[code] for code in runs["stop_reason"].tolist()],
         monotone=bool(runs["monotone"].all()),
-        mode=config.mode,
     )

@@ -84,7 +84,6 @@ class GellMannBasis:
     the end to make that so, which leaves every other value as it is.  Input
     must be finite: a NaN or an infinity, which the einsum spreads through
     its zero products to every entry, here stays in the entries it reaches.
-    ``_check_vector`` refuses single vectors that are not finite.
 
     Each public map checks its input and hands it to one check-free core
     (``_matrices``, ``_vectors``, ``_boundary``); the see-saw calls the
@@ -141,13 +140,16 @@ class GellMannBasis:
         stack.setflags(write=False)
         return stack
 
-    def _components(self, components: np.ndarray) -> np.ndarray:
-        """components as float64, checked to hold d**2-1 entries on its last axis."""
+    def _components(self, components: np.ndarray, finite: bool = False) -> np.ndarray:
+        """components as float64, checked to hold d**2-1 entries on its last axis
+        and, with ``finite``, to hold finite entries only."""
         n = np.asarray(components, dtype=np.float64)
         if n.ndim == 0 or n.shape[-1] != self.size:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
+        if finite and not np.all(np.isfinite(n)):
+            raise NotHermitian("coefficient vector contains non-finite entries")
         return n
 
     def to_matrix(self, components: np.ndarray) -> np.ndarray:
@@ -253,9 +255,13 @@ class GellMannBasis:
         """``sqrt(2/d) * n / ||n . L||_op`` for each row n of ``components[..., d**2-1]``.
 
         Each result's contraction has operator norm sqrt(2/d), the boundary
-        of the admissible set.  Rows must be nonzero; callers check that.
+        of the admissible set.  A zero row raises ZeroVector and a row that
+        is not finite raises NotHermitian.
         """
-        return self._boundary(self._components(components))
+        n = self._components(components, finite=True)
+        if not np.all(np.any(n, axis=-1)):
+            raise ZeroVector("cannot rescale the zero vector onto the boundary")
+        return self._boundary(n)
 
     def _boundary(self, n: np.ndarray) -> np.ndarray:
         """``to_boundary`` without its checks, for a float64 ``n[..., d**2-1]``."""
@@ -264,16 +270,6 @@ class GellMannBasis:
     def random_admissible(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Gaussian directions rescaled onto the admissible boundary, one per row."""
         return self._boundary(rng.standard_normal((count, self.size)))
-
-    def _check_vector(self, components: np.ndarray) -> np.ndarray:
-        n = np.asarray(components, dtype=np.float64)
-        if n.shape != (self.size,):
-            raise DimensionMismatch(
-                f"coefficient vector must have length {self.size}, got shape {n.shape}"
-            )
-        if not np.all(np.isfinite(n)):
-            raise NotHermitian("coefficient vector contains non-finite entries")
-        return n
 
 
 def build_gellmann_basis(d: int) -> GellMannBasis:
@@ -326,30 +322,21 @@ def expand_observable(matrix: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     ``sqrt(d/2) * (n . L)`` reproduces X.
     """
     x = symmetrized_traceless(matrix, basis, "observable")
-    return basis.to_vector(x) / np.sqrt(2.0 * basis.dim)
+    return basis._vectors(x) / np.sqrt(2.0 * basis.dim)
 
 
 def observable_from_coefficients(
     components: np.ndarray, basis: GellMannBasis
 ) -> TracelessObservable:
-    """Observable ``sqrt(d/2) * (n . L)`` for a coefficient vector n."""
-    n = basis._check_vector(components)
-    matrix = np.sqrt(basis.dim / 2.0) * basis.to_matrix(n)
+    """Observable ``sqrt(d/2) * (n . L)`` for one finite coefficient vector n."""
+    n = basis._components(components, finite=True)
+    if n.ndim != 1:
+        raise DimensionMismatch(f"expected one coefficient vector, got shape {n.shape}")
+    matrix = np.sqrt(basis.dim / 2.0) * basis._matrices(n)
     matrix.setflags(write=False)
     frozen = n.copy()
     frozen.setflags(write=False)
     return TracelessObservable(matrix=matrix, coefficients=frozen)
-
-
-def project_to_admissible(components: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Rescale a nonzero vector onto the admissible boundary.
-
-    See ``GellMannBasis.to_boundary``.
-    """
-    n = basis._check_vector(components)
-    if not np.any(n):
-        raise ZeroVector("cannot project the zero vector")
-    return basis.to_boundary(n)
 
 
 def max_admissible_norm(d: int) -> float:

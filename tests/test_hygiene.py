@@ -2,12 +2,15 @@
 modules or the tests, every name that ``qchsh.__all__`` exports exists, each
 export is used by some package module other than ``__init__.py``, the
 optimizer reads states only through the correlation matrix it is given, no
-package module reaches into numpy's private modules, and the CLI builds its
-parser on the first ``main`` call, once, and not at import."""
+package module reaches into numpy's private modules, the CLI builds its
+parser on the first ``main`` call, once, and not at import, and the public
+surface keeps the size ROADMAP.md records."""
 
 from __future__ import annotations
 
+import argparse
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import qchsh
+import qchsh.cli
 
 PACKAGE = Path(qchsh.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -172,3 +176,36 @@ def test_cli_parser_is_built_on_first_main_call_only():
     # the first call builds the parser and its subparsers; later calls reuse them
     assert after_calls[0] > 0
     assert after_calls == [after_calls[0]] * 3
+
+
+def _parameter_count(obj) -> int:
+    """Parameters of an exported function, or of a class's constructor plus
+    those of its public methods (``self`` not counted); 0 for a constant."""
+    if inspect.isclass(obj):
+        methods = [m for name, m in inspect.getmembers(obj, inspect.isfunction)
+                   if not name.startswith("_")]
+        return len(inspect.signature(obj).parameters) + sum(
+            len(inspect.signature(m).parameters) - 1 for m in methods
+        )
+    return len(inspect.signature(obj).parameters) if callable(obj) else 0
+
+
+def _cli_option_count() -> int:
+    """Options of every subcommand, ``--help`` not counted."""
+    subparsers = [a for a in qchsh.cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return sum(
+        1
+        for group in subparsers
+        for sub in group.choices.values()
+        for action in sub._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    )
+
+
+def test_public_surface_size():
+    # 69 + 27 = 96 settable values.  A change to the surface changes these
+    # counts; ROADMAP.md records them.
+    assert len(qchsh.__all__) == 30
+    api = sum(_parameter_count(getattr(qchsh, name)) for name in qchsh.__all__)
+    assert (api, _cli_option_count()) == (69, 27)

@@ -15,7 +15,6 @@ from qchsh import (
     ghz_state,
     max_admissible_norm,
     observable_from_coefficients,
-    project_to_admissible,
     random_two_qudit_state,
     seesaw_maximize,
     validate_state,
@@ -297,40 +296,52 @@ def test_roundtrip_both_directions(basis, rng):
             np.testing.assert_allclose(expand_observable(obs.matrix, b), v, atol=1e-10)
 
 
-def test_project_to_admissible_examples(basis):
+def test_to_boundary_examples(basis):
     np.testing.assert_allclose(
-        project_to_admissible(np.array([0.0, 0.0, 5.0]), basis(2)), [0.0, 0.0, 1.0], atol=1e-15
+        basis(2).to_boundary(np.array([0.0, 0.0, 5.0])), [0.0, 0.0, 1.0], atol=1e-15
     )
     e7 = np.zeros(8)
     e7[6] = 1.0
     np.testing.assert_allclose(
-        project_to_admissible(e7, basis(3))[6], np.sqrt(2.0 / 3.0), atol=1e-14
+        basis(3).to_boundary(e7)[6], np.sqrt(2.0 / 3.0), atol=1e-14
     )
     e8 = np.zeros(8)
     e8[7] = 1.0
     np.testing.assert_allclose(
-        project_to_admissible(e8, basis(3))[7], 1.0 / np.sqrt(2.0), atol=1e-14
+        basis(3).to_boundary(e8)[7], 1.0 / np.sqrt(2.0), atol=1e-14
     )
 
 
-def test_project_zero_vector(basis):
+def test_to_boundary_zero_vector(basis):
     with pytest.raises(ZeroVector):
-        project_to_admissible(np.zeros(3), basis(2))
+        basis(2).to_boundary(np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+def test_to_boundary_refuses_a_bad_row_among_good_rows(basis, rng, bad):
+    b = basis(3)
+    error = ZeroVector if bad == 0.0 else NotHermitian
+    for shape, row in (((4, b.size), (2,)), ((2, 3, b.size), (1, 0))):
+        n = rng.standard_normal(shape)
+        n[row] = 0.0
+        n[row + (5,)] = bad
+        with pytest.raises(error):
+            b.to_boundary(n)
 
 
 def test_non_finite_vector_rejected(basis):
     for bad in (np.array([np.nan, 0.0, 1.0]), np.array([0.0, np.inf, 1.0])):
         with pytest.raises(NotHermitian):
-            project_to_admissible(bad, basis(2))
+            basis(2).to_boundary(bad)
         with pytest.raises(NotHermitian):
             observable_from_coefficients(bad, basis(2))
 
 
-def test_projection_lands_on_boundary(basis, rng):
+def test_to_boundary_lands_on_boundary(basis, rng):
     for d in (2, 3, 4):
         b = basis(d)
         for _ in range(50):
-            n = project_to_admissible(rng.standard_normal(b.size), b)
+            n = b.to_boundary(rng.standard_normal(b.size))
             assert b.vector_operator_norm(n) == pytest.approx(np.sqrt(2.0 / d), abs=1e-10)
             assert is_admissible(n, b)
 
