@@ -31,7 +31,7 @@ not the state.
 What every sweep reads is worked out before the first one.  A
 ``_run_restarts`` call takes T's transpose, the value at which the batch
 certifies, and the random starts, each drawn from its own generator and
-all rescaled by one ``to_boundary`` call.  The LP's sign pattern and the
+all rescaled by one ``_boundary`` call.  The LP's sign pattern and the
 slice its tie test reads depend on d alone and are built once per d
 (``_lp_pattern``).  The party updates hand the arrays they build straight
 to the basis's check-free map cores.
@@ -345,7 +345,8 @@ def _run_restarts(
     b[0] = _deterministic_init(basis, correlations)
     if count > 1:
         # each start is drawn from its own rng and rescaled on its own row
-        b[1:] = basis.to_boundary([rng.standard_normal((2, basis.size)) for rng in rngs[1:]])
+        starts = np.array([rng.standard_normal((2, basis.size)) for rng in rngs[1:]])
+        b[1:] = basis._boundary(starts)
     t = correlations.matrix
     t_transposed = t.T
     half = 0.5 * basis.dim

@@ -140,16 +140,13 @@ class GellMannBasis:
         stack.setflags(write=False)
         return stack
 
-    def _components(self, components: np.ndarray, finite: bool = False) -> np.ndarray:
-        """components as float64, checked to hold d**2-1 entries on its last axis
-        and, with ``finite``, to hold finite entries only."""
+    def _components(self, components: np.ndarray) -> np.ndarray:
+        """components as float64, checked to hold d**2-1 entries on its last axis."""
         n = np.asarray(components, dtype=np.float64)
         if n.ndim == 0 or n.shape[-1] != self.size:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
-        if finite and not np.all(np.isfinite(n)):
-            raise NotHermitian("coefficient vector contains non-finite entries")
         return n
 
     def to_matrix(self, components: np.ndarray) -> np.ndarray:
@@ -258,7 +255,9 @@ class GellMannBasis:
         of the admissible set.  A zero row raises ZeroVector and a row that
         is not finite raises NotHermitian.
         """
-        n = self._components(components, finite=True)
+        n = self._components(components)
+        if not np.all(np.isfinite(n)):
+            raise NotHermitian("coefficient vector contains non-finite entries")
         if not np.all(np.any(n, axis=-1)):
             raise ZeroVector("cannot rescale the zero vector onto the boundary")
         return self._boundary(n)
@@ -329,9 +328,13 @@ def observable_from_coefficients(
     components: np.ndarray, basis: GellMannBasis
 ) -> TracelessObservable:
     """Observable ``sqrt(d/2) * (n . L)`` for one finite coefficient vector n."""
-    n = basis._components(components, finite=True)
+    n = basis._components(components)
     if n.ndim != 1:
-        raise DimensionMismatch(f"expected one coefficient vector, got shape {n.shape}")
+        raise DimensionMismatch(
+            f"coefficient vector must have length {basis.size}, got shape {n.shape}"
+        )
+    if not np.all(np.isfinite(n)):
+        raise NotHermitian("coefficient vector contains non-finite entries")
     matrix = np.sqrt(basis.dim / 2.0) * basis._matrices(n)
     matrix.setflags(write=False)
     frozen = n.copy()

@@ -335,6 +335,10 @@ def test_non_finite_vector_rejected(basis):
             basis(2).to_boundary(bad)
         with pytest.raises(NotHermitian):
             observable_from_coefficients(bad, basis(2))
+    # the shape is checked before the entries: two vectors, one of them not
+    # finite, are refused as two vectors
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        observable_from_coefficients(np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]), basis(2))
 
 
 def test_to_boundary_lands_on_boundary(basis, rng):
