@@ -9,9 +9,9 @@ every later call in the process; importing the module builds nothing.
 JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
 2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
-keys.  Float arrays, in JSON and in the correlation CSV, are printed through
-``_distinct_floats``: each distinct value is formatted once, all of them in
-one ``%`` call, and the cells fill one ``%s`` template per array.
+keys.  The correlation CSV and each JSON float array of ``_plain`` values
+fill one template of ``%.15g`` cells in one ``%`` call; any other float
+array fills a ``%s`` template with the text of each distinct value.
 """
 
 from __future__ import annotations
@@ -43,54 +43,60 @@ def _scalar_text(obj) -> str:
     return json.dumps(obj)
 
 
-def _array_template(shape: tuple, nl: str) -> str:
-    """Layout of a nested JSON list of this shape, one ``%s`` per element."""
+def _array_template(shape: tuple, nl: str, leaf: str) -> str:
+    """Layout of a nested JSON list of this shape, with ``leaf`` for each element."""
     if not shape:
-        return "%s"
+        return leaf
     if shape[0] == 0:
         return "[]"
     inner = nl + "  "
-    item = _array_template(shape[1:], inner)
+    item = _array_template(shape[1:], inner, leaf)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
-def _distinct_floats(a: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Distinct values of a float array, their ``%.15g`` texts and the inverse index.
+def _plain(values: np.ndarray) -> np.ndarray:
+    """Mask of the float64 values whose JSON text is their ``%.15g`` text.
+
+    For a normal double whose 15-digit rounding is not an integer (which
+    every rounding of 1e14 and above is), the ``%.15g`` text already is the
+    shortest repr of the rounded value.  The mask leaves out a superset of
+    the other values: zeros, subnormals, non-finite values and values within
+    1e-14 (relative) of an integer, twice the most that 15-digit rounding
+    moves a value.
+    """
+    magnitude = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        return (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
+
+
+def _distinct_floats(flat: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Distinct values of a flat float64 array, their ``%.15g`` texts and the inverse index.
 
     Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
     All texts come from one C-level ``%`` call; ``%.15g`` never prints a
     space, so splitting on spaces recovers them.
     """
-    bits, inverse = np.unique(
-        np.asarray(a, dtype=np.float64).ravel().view(np.int64), return_inverse=True
-    )
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
     texts = ("%.15g " * values.size % tuple(values.tolist())).split()
     return values, texts, inverse
 
 
-def _cells(texts: list[str], inverse: np.ndarray) -> tuple:
-    """The text of every element, in row-major order, as ``%`` arguments."""
-    return tuple(np.array(texts, dtype=object)[inverse].tolist())
-
-
 def _float_array_text(a: np.ndarray, nl: str) -> str:
     """JSON text of a float array, each element printed as ``_scalar_text`` would.
 
-    For a normal double whose 15-digit rounding is not an integer (which
-    every rounding of 1e14 and above is), the ``%.15g`` text already is the
-    shortest repr of the rounded value.  Only the other values take the
-    round trip through ``_scalar_text``; ``plain`` leaves out a superset of them:
-    zeros, subnormals, non-finite values and values within 1e-14 (relative)
-    of an integer, twice the most that 15-digit rounding moves a value.
+    All ``_plain`` values fill a template of ``%.15g`` leaves.  Otherwise each
+    distinct value is formatted once (``_distinct_floats``, which pays off
+    when values repeat), and those not plain go through ``_scalar_text``.
     """
-    values, texts, inverse = _distinct_floats(a)
-    magnitude = np.abs(values)
-    with np.errstate(invalid="ignore"):
-        plain = (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
-    for i in np.flatnonzero(~plain).tolist():
+    flat = np.asarray(a, dtype=np.float64).ravel()
+    if flat.all() and _plain(flat).all():  # a zero, the usual odd cell, ends it early
+        return _array_template(a.shape, nl, "%.15g") % tuple(flat.tolist())
+    values, texts, inverse = _distinct_floats(flat)
+    for i in np.flatnonzero(~_plain(values)).tolist():
         texts[i] = _scalar_text(values[i])
-    return _array_template(a.shape, nl) % _cells(texts, inverse)
+    cells = np.array(texts, dtype=object)[inverse].tolist()
+    return _array_template(a.shape, nl, "%s") % tuple(cells)
 
 
 def _json_text(obj, nl: str = "\n") -> str:
@@ -130,12 +136,12 @@ def _matrix_pairs(matrices: np.ndarray) -> np.ndarray:
 def _correlation_csv(labels, matrix: np.ndarray) -> str:
     """CSV text of a square matrix: a header row of labels, then one labelled row each.
 
-    Cells are the plain ``%.15g`` texts, with no JSON round trip.
+    Every cell is a ``%.15g`` directive of one template, which the matrix
+    fills in one ``%`` call, with no JSON round trip.
     """
-    _, texts, inverse = _distinct_floats(matrix)
-    row = ",%s" * len(labels) + "\n"
+    row = ",%.15g" * len(labels) + "\n"
     template = "," + ",".join(labels) + "\n" + "".join([label + row for label in labels])
-    return template % _cells(texts, inverse)
+    return template % tuple(matrix.ravel().tolist())
 
 
 def _csv_cell(value) -> str:
@@ -146,8 +152,11 @@ def _csv_cell(value) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write report to {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -10,7 +10,7 @@ from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,7 +25,7 @@ from conftest import (
     stdlib_json_text,
 )
 from qchsh import chsh_bounds, ghz_state, load_state_file, random_two_qudit_state
-from qchsh.cli import _correlation_csv, _json_text, main
+from qchsh.cli import _correlation_csv, _json_text, _plain, main
 from qchsh.errors import InvalidConfig, ValidationError
 from qchsh.representation import GellMannBasis
 
@@ -435,6 +435,49 @@ def test_correlation_csv_matches_per_cell_writer(matrix):
     assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
 
 
+def _scaled_normals(seed, size, exponents):
+    """Standard normals times 10**k, k uniform over the inclusive range ``exponents``."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", under="ignore"):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(*exponents, size, endpoint=True)
+
+
+# Arrays too large for element-wise drawing: 1-3 dims, sides up to 30, every
+# cell plain (its JSON text is its %.15g text).  The exponents reach past both
+# ends of the plain range, so the filter has cells to drop.
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=30),
+    seed=st.integers(0, 2**32 - 1),
+    odd=st.sampled_from([0.0, -0.0, 1.0, 5e-324, float("inf"), float("nan")]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_json_writer_matches_stdlib_encoder_on_large_plain_arrays(shape, seed, odd, where):
+    size = int(np.prod(shape))
+    pool = _scaled_normals(seed, 2 * size + 64, (-310, 16))
+    pool = pool[_plain(pool)]
+    assume(pool.size >= size)
+    a = pool[:size].reshape(shape)
+    assert _json_text(a) == stdlib_json_text(a)
+    a.flat[int(where * size)] = odd  # one cell that is not plain takes the distinct-value path
+    assert _json_text(a) == stdlib_json_text(a)
+    assert _json_text({"a": [a]}) == stdlib_json_text({"a": [a]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _EDGE_FLOATS), max_size=8),
+)
+def test_correlation_csv_matches_per_cell_writer_at_large_sides(n, seed, edits):
+    matrix = _scaled_normals(seed, (n, n), (-330, 310))
+    for where, value in edits if n else ():
+        matrix.flat[int(where * n * n)] = value
+    labels = [f"l{i}" for i in range(n)]
+    assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
+
+
 # State-file payloads: a valid state's file with up to three faults.  Cells
 # may turn into NaN/inf, strings, bools or None; pairs into lists of another
 # length; rows may lose or gain an entry (ragged) or the matrix a column or a
@@ -562,6 +605,24 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     assert file_out == ""
     assert out.endswith("}\n")
     assert path.read_bytes() == out[:-1].encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("bounds", "--state", "ghz", "--dim", "2"), "report.json"),
+        (("basis", "--dim", "2"), "report.json"),
+        (("ghz-table", "--dims", "2:2", "--restarts", "1", "--output", "csv"), "table.csv"),
+    ],
+)
+def test_out_file_in_a_missing_directory_exits_one(capsys, tmp_path, argv, name):
+    path = tmp_path / "missing" / name
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: ValidationError: cannot write report to {path}: ")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
 
 
 # One process reuses the parser that main builds on its first call.
