@@ -23,7 +23,6 @@ from .optimizer import (
     SeesawResult,
     ghz_optimal_settings,
     seesaw_maximize,
-    traceless_linear_max,
 )
 from .representation import (
     GellMannBasis,
@@ -70,7 +69,6 @@ __all__ = [
     "random_two_qudit_state",
     "seesaw_maximize",
     "top_two_gram_eigenvalues",
-    "traceless_linear_max",
     "validate_state",
 ]
 

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical or convergence failure.
+Exit codes: 0 success, 1 invalid input or a stdout closed by its reader,
+2 numerical or convergence failure.
 Floating-point output is serialized with 15 significant digits, and
 identical requests (including seeds) produce byte-identical output.
 ``main`` builds the argparse parser on its first call and reuses it on
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -28,7 +30,7 @@ from . import verify as verify_module
 from .bounds import TSIRELSON, chsh_bounds, ghz_chsh_maximum, ghz_correlation_matrix
 from .correlation import chsh_expectation_direct, correlation_matrix
 from .errors import InvalidDimension, NumericalError, ValidationError
-from .optimizer import SeesawConfig, ghz_optimal_settings, seesaw_maximize
+from .optimizer import MODES, SeesawConfig, ghz_optimal_settings, seesaw_maximize
 from .representation import build_gellmann_basis, check_dim
 from .states import ghz_state, load_state_file, random_two_qudit_state
 
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_seesaw(p):
         defaults = SeesawConfig()
-        p.add_argument("--mode", choices=("exact", "closed-form"), default=defaults.mode)
+        p.add_argument("--mode", choices=MODES, default=defaults.mode)
         p.add_argument("--restarts", type=int, default=defaults.restarts)
         p.add_argument("--seed", type=int, default=defaults.seed)
         p.add_argument("--tol", type=float, default=defaults.tolerance)
@@ -395,7 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``qchsh basis --dim 12 | head``).  Point
+        # stdout at devnull, so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

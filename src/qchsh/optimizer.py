@@ -1,18 +1,22 @@
 """Maximization of |CHSH| over admissible traceless observables.
 
-Two alternating-update modes are provided.  In "closed-form" mode each party
-update rescales the partner-driven directions ``T(b1 +- b2)`` onto the
-admissible boundary.  In "exact" mode each update solves the inner problem
-``max tr[X C]`` over admissible X exactly: X shares the eigenbasis of C and
-its eigenvalues solve the linear program
+Two alternating-update modes are provided; the mode selects only the party
+update.  In "closed-form" mode each update rescales the partner-driven
+directions ``T(b1 +- b2)`` onto the admissible boundary.  In "exact" mode
+each update solves the inner problem ``max tr[X C]`` over admissible X
+exactly: X shares the eigenbasis of C and its eigenvalues solve the linear
+program
 
     max sum_i lam_i mu_i   s.t.   mu_i in [-1, 1],  sum_i mu_i = 0,
 
 whose optimum is mu_i = sign(lam_i - t*) with t* a median of the lam_i
 (ties adjusted to make the sum vanish exactly), with optimal value
-``min_t sum_i |lam_i - t|``.  Exact updates make the value sequence
-monotonically non-decreasing, and ``seesaw_maximize`` raises NumericalError
-when an exact run's value falls.
+``min_t sum_i |lam_i - t|``.  In both modes a direction of norm at most
+``DEGENERATE_NORM_ATOL`` gives the zero vector, which maximizes the zero
+objective it stands for.  Exact updates make the value sequence
+monotonically non-decreasing, so an exact run raises NumericalError at the
+first sweep in which a restart's value falls; closed-form updates can lower
+it, and closed-form runs track nothing.
 
 All restarts of one ``seesaw_maximize`` call advance in lockstep on
 (restarts, 2, d**2-1) arrays.  A sweep is two party updates, Alice's then
@@ -24,9 +28,8 @@ its median is one fixed sign pattern; only the other rows go through the
 tie-share formula.  Matrix-vector products and dot products stay one BLAS
 call per row, so each restart gives bit for bit what it gives when run
 alone.  The loop carries only the live restarts; a restart's sweeps,
-value, vectors, stop reason and largest value drop are written once, when
-it leaves the batch.  ``seesaw_maximize`` takes the correlation matrix T,
-not the state.
+value, vectors and stop reason are written once, when it leaves the batch.
+``seesaw_maximize`` takes the correlation matrix T, not the state.
 
 What every sweep reads is worked out before the first one.  A
 ``_run_restarts`` call takes T's transpose, the value at which the batch
@@ -64,11 +67,9 @@ from .correlation import ChshSettings, CorrelationMatrix, chsh_expectation_from_
 from .errors import ConvergenceFailure, InvalidConfig, NumericalError
 from .representation import (
     GellMannBasis,
-    TracelessObservable,
     check_count,
     expand_observable,
     observable_from_coefficients,
-    symmetrized_traceless,
 )
 
 DEGENERATE_NORM_ATOL = 1e-14
@@ -77,12 +78,13 @@ LP_TIE_ATOL = 1e-12
 # GHZ correlation matrix, which T equals exactly when rho is the GHZ state,
 # as <GHZ|rho|GHZ> = 1/d**2 + (1/4) sum_ab T_ab T^GHZ_ab.
 GHZ_PROXIMITY_ATOL = 1e-8
-MAX_DEGENERATE_EVENTS = 8
 # A result above the proven upper bound by more than this is a numerical fault.
 UPPER_BOUND_ATOL = 1e-9
 # Why a restart left the batch, indexed by the codes of ``_run_restarts``.
-STOP_REASONS = ("max_iterations", "converged", "degenerate", "certified")
-MAX_ITERATIONS, CONVERGED, DEGENERATE, CERTIFIED = range(len(STOP_REASONS))
+STOP_REASONS = ("max_iterations", "converged", "certified")
+MAX_ITERATIONS, CONVERGED, CERTIFIED = range(len(STOP_REASONS))
+# The update rules ``SeesawConfig.mode`` and the CLI's ``--mode`` accept.
+MODES = ("exact", "closed-form")
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,9 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "closed-form"):
-            raise InvalidConfig(f'mode must be "exact" or "closed-form", got {self.mode!r}')
+        if self.mode not in MODES:
+            choices = " or ".join(f'"{mode}"' for mode in MODES)
+            raise InvalidConfig(f"mode must be {choices}, got {self.mode!r}")
         check_count("restarts", self.restarts, 1)
         check_count("max_iterations", self.max_iterations, 1)
         check_count("seed", self.seed, 0)
@@ -119,7 +122,6 @@ class SeesawResult:
     bounds: BoundsReport
     iterations_per_restart: list[int] = field(default_factory=list)
     stop_reasons: list[str] = field(default_factory=list)
-    monotone: bool = True
 
     @property
     def converged(self) -> list[bool]:
@@ -199,21 +201,6 @@ def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2), lam, mu
 
 
-def traceless_linear_max(
-    target: np.ndarray, basis: GellMannBasis
-) -> tuple[TracelessObservable, float]:
-    """Maximize tr[X C] over admissible traceless X for Hermitian traceless C.
-
-    Returns the maximizer (sharing C's eigenbasis, spectrum in [-1, 1] with
-    zero sum) and the attained value.
-    """
-    c = symmetrized_traceless(target, basis, "target")
-    x, lam, mu = _linear_max(c)
-    coefficients = expand_observable(x, basis)
-    observable = observable_from_coefficients(coefficients, basis)
-    return observable, float(_row_dots(lam, mu))
-
-
 def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """``t(u + v)`` and ``t(u - v)`` for each pair (u, v) in pairs[R, 2, d**2-1].
 
@@ -231,9 +218,7 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def _party_update(
-    directions: np.ndarray, basis: GellMannBasis, mode: str, rngs: list
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _party_update(directions: np.ndarray, basis: GellMannBasis, mode: str) -> np.ndarray:
     """One party's new (plus, minus) vectors for every restart.
 
     ``directions[r]`` holds the partner's ``T(u + v)`` and ``T(u - v)`` for
@@ -241,11 +226,10 @@ def _party_update(
     as (A1+A2) x B1 + (A1-A2) x B2).  "exact" maximizes <n, w> over
     admissible n: all directions share one basis map, one eigensolver call
     and one LP, each row on its own.  "closed-form" rescales w onto the
-    admissible boundary.  A vanishing w gives the zero vector in exact mode
-    (its row is mapped with the others, then zeroed), and the mask is None.
-    In closed-form mode it is replaced by a random admissible vector from
-    ``rngs[r]`` (plus slot first) and marked in the returned mask of shape
-    (R, 2).
+    admissible boundary.  In either mode a vanishing w (norm at most
+    ``DEGENERATE_NORM_ATOL``) gives the zero vector: exact mode maps its row
+    with the others and then zeroes it, closed-form mode rescales only the
+    other rows, so no 0/0 is formed.
     """
     w = directions.reshape(-1, basis.size)
     vanishing = np.sqrt(_row_dots(w, w)) <= DEGENERATE_NORM_ATOL
@@ -255,17 +239,13 @@ def _party_update(
         out /= math.sqrt(2.0 * basis.dim)
         if np.count_nonzero(vanishing):
             out[vanishing] = 0.0
-        return out.reshape(directions.shape), None
-    if np.count_nonzero(vanishing):
-        live = ~vanishing
+    elif np.count_nonzero(vanishing):
         out = np.zeros_like(w)
-        out[live] = basis._boundary(w[live])
-        for slot in np.flatnonzero(vanishing):
-            out[slot] = basis.random_admissible(rngs[slot // 2], 1)[0]
+        out[~vanishing] = basis._boundary(w[~vanishing])
     else:
         # each row is rescaled on its own, so the live rows need no copy
         out = basis._boundary(w)
-    return out.reshape(directions.shape), vanishing.reshape(directions.shape[:-1])
+    return out.reshape(directions.shape)
 
 
 def _ghz_blocks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -323,29 +303,29 @@ def _run_restarts(
     Each sweep updates Alice, then Bob, for the live restarts at once.  The
     products T(b1 +- b2) are Alice's input, and after Bob's update they give
     the sweep's value and the next sweep's input.  A restart leaves the batch
-    when it converges or exceeds MAX_DEGENERATE_EVENTS, and every live
-    restart leaves it at the first sweep in which any of them reaches
-    ``|value| >= upper - config.tolerance`` or at the last sweep.  Only the
-    live batch is carried from sweep to sweep; a restart's sweeps, value,
-    vectors and stop reason are written once, when it leaves.
-    ``stop_reason`` indexes STOP_REASONS: a restart stopped by more than one
-    rule in the same sweep reads degenerate before converged before
-    certified, and one that runs out of sweeps reads max_iterations.
-    ``drop`` holds each restart's largest fall of more than 1e-12 within a
-    sweep, after Alice's update or Bob's, and 0 if there was none; its
-    ``monotone`` flag is ``drop == 0``.  Degenerate events, and the rngs that
-    replace vanishing directions, exist only in closed-form mode.  Every row is
-    computed on its own, so a restart's result does not depend on how many
-    restarts run beside it, up to the sweep at which the batch certifies.
+    when it converges, and every live restart leaves it at the first sweep in
+    which any of them reaches ``|value| >= upper - config.tolerance`` or at
+    the last sweep.  Only the live batch is carried from sweep to sweep; a
+    restart's sweeps, value, vectors and stop reason are written once, when
+    it leaves.  ``stop_reason`` indexes STOP_REASONS: a restart stopped by
+    both rules in the same sweep reads converged, and one that runs out of
+    sweeps reads max_iterations.  In exact mode, from the second sweep on, a
+    live restart whose value falls by more than 1e-12 after Alice's update
+    or after Bob's raises NumericalError at that sweep, naming the first
+    such restart.  Every row is computed on its own, so a restart's result
+    does not depend on how many restarts run beside it, up to the sweep at
+    which the batch certifies.
     """
     count = config.restarts
-    closed_form = config.mode == "closed-form"
-    rngs = [np.random.default_rng([config.seed, i]) for i in range(count)]
+    exact = config.mode == "exact"
     b = np.empty((count, 2, basis.size))
     b[0] = _deterministic_init(basis, correlations)
     if count > 1:
         # each start is drawn from its own rng and rescaled on its own row
-        starts = np.array([rng.standard_normal((2, basis.size)) for rng in rngs[1:]])
+        starts = np.array([
+            np.random.default_rng([config.seed, i]).standard_normal((2, basis.size))
+            for i in range(1, count)
+        ])
         b[1:] = basis._boundary(starts)
     t = correlations.matrix
     t_transposed = t.T
@@ -355,33 +335,30 @@ def _run_restarts(
     values = np.empty(count)
     iterations = np.empty(count, dtype=int)
     stop_reason = np.empty(count, dtype=int)
-    drop = np.zeros(count)
-    events = np.zeros(count, dtype=int)
     active = np.arange(count)
-    live_rngs = rngs if closed_form else None
     alice_in = _pair_products(t, b)
     previous = None
     for iteration in range(1, config.max_iterations + 1):
-        a, bad_a = _party_update(alice_in, basis, config.mode, live_rngs)
+        a = _party_update(alice_in, basis, config.mode)
         dots = _row_dots(a, alice_in)
         after_alice = half * (dots[:, 0] + dots[:, 1])
-        b, bad_b = _party_update(_pair_products(t_transposed, a), basis, config.mode, live_rngs)
+        b = _party_update(_pair_products(t_transposed, a), basis, config.mode)
         alice_in = _pair_products(t, b)
         dots = _row_dots(a, alice_in)
         value = half * (dots[:, 0] + dots[:, 1])
         stop = np.abs(value) >= certified_at
         # np.count_nonzero tests a small mask in a fraction of the time of .any()
         certified = np.count_nonzero(stop) > 0
-        if closed_form:
-            events += bad_a.sum(axis=1) + bad_b.sum(axis=1)
-            degenerate = events > MAX_DEGENERATE_EVENTS
-            stop |= degenerate
         if previous is not None:
-            dropped = (after_alice < previous - 1e-12) | (value < after_alice - 1e-12)
-            if np.count_nonzero(dropped):
-                fall = np.maximum(previous - after_alice, after_alice - value)[dropped]
-                rows = active[dropped]
-                drop[rows] = np.maximum(drop[rows], fall)
+            if exact:
+                fell = (after_alice < previous - 1e-12) | (value < after_alice - 1e-12)
+                if np.count_nonzero(fell):
+                    row = int(np.argmax(fell))
+                    fall = max(previous[row] - after_alice[row], after_alice[row] - value[row])
+                    raise NumericalError(
+                        f"exact see-saw restart {active[row]} is not monotone: its value fell "
+                        f"by {fall:.3e} within one sweep (allowed 1e-12)"
+                    )
             done = np.abs(value - previous) < config.tolerance
             stop |= done
         previous = value
@@ -395,23 +372,16 @@ def _run_restarts(
             reason = np.full(leaving.size, CERTIFIED if certified else MAX_ITERATIONS)
             if iteration > 1:
                 reason[done[stop]] = CONVERGED
-            if closed_form:
-                reason[degenerate[stop]] = DEGENERATE
             stop_reason[leaving] = reason
             keep = ~stop
             active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
             if active.size == 0:
                 break
-            if closed_form:
-                events = events[keep]
-                live_rngs = [rngs[i] for i in active]
     return {
         "values": np.abs(values),
         "vectors": vectors,
         "iterations": iterations,
         "stop_reason": stop_reason,
-        "monotone": drop == 0.0,
-        "drop": drop,
     }
 
 
@@ -430,20 +400,14 @@ def seesaw_maximize(
     T, returned as ``bounds``) to within ``config.tolerance``.  The best
     restart wins, ties broken by index.  A value above the upper bound by
     more than UPPER_BOUND_ATOL raises NumericalError, and so does an exact
-    run whose value falls in some restart: exact party updates cannot lower
-    it.  Closed-form updates can, so closed-form runs only report
-    ``monotone``.
+    run whose value falls within a sweep of some restart, at that sweep:
+    exact party updates cannot lower it.  Closed-form updates can, and
+    closed-form runs do not check.
     """
     if config is None:
         config = SeesawConfig()
     bounds = chsh_bounds(correlations)
     runs = _run_restarts(basis, config, correlations, bounds.upper)
-    if config.mode == "exact" and not runs["monotone"].all():
-        restart = int(np.argmin(runs["monotone"]))
-        raise NumericalError(
-            f"exact see-saw restart {restart} is not monotone: its value fell by "
-            f"{runs['drop'][restart]:.3e} within one sweep (allowed 1e-12)"
-        )
     a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
     if value < 0:
@@ -466,5 +430,4 @@ def seesaw_maximize(
         bounds=bounds,
         iterations_per_restart=runs["iterations"].tolist(),
         stop_reasons=[STOP_REASONS[code] for code in runs["stop_reason"].tolist()],
-        monotone=bool(runs["monotone"].all()),
     )

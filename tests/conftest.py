@@ -16,12 +16,18 @@ from qchsh import (
 from qchsh import optimizer
 from qchsh.errors import DimensionMismatch, NotHermitian, ValidationError
 from qchsh.numerics import HERMITIAN_ATOL, _require_square
-from qchsh.representation import MEMBERSHIP_ATOL, check_dim
+from qchsh.representation import (
+    MEMBERSHIP_ATOL,
+    check_dim,
+    expand_observable,
+    observable_from_coefficients,
+    symmetrized_traceless,
+)
 from qchsh.optimizer import (
     DEGENERATE_NORM_ATOL,
     LP_TIE_ATOL,
-    MAX_DEGENERATE_EVENTS,
     _deterministic_init,
+    _linear_max,
     _pair_products,
     _row_dots,
 )
@@ -57,6 +63,13 @@ def random_hermitian(rng, d, traceless=False):
     if traceless:
         h -= np.trace(h) / d * np.eye(d)
     return h
+
+
+def random_unitary(rng, d):
+    """A Haar-random d x d unitary: the QR factor of a Ginibre draw, phases fixed."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def dense_gellmann_stack(d):
@@ -298,6 +311,19 @@ def lp_spectrum_oracle(lam_descending):
     return np.where(ties, share, mu)
 
 
+def traceless_linear_max(target, basis):
+    """Maximize tr[X C] over admissible traceless X for Hermitian traceless C.
+
+    Returns the maximizer, as a TracelessObservable sharing C's eigenbasis
+    with spectrum in [-1, 1] and zero sum, and the attained value.  The
+    see-saw's linear-max core, ``optimizer._linear_max``, on one checked matrix.
+    """
+    c = symmetrized_traceless(target, basis, "target")
+    x, lam, mu = _linear_max(c)
+    observable = observable_from_coefficients(expand_observable(x, basis), basis)
+    return observable, float(_row_dots(lam, mu))
+
+
 def serial_linear_max(c):
     """Reference for optimizer._linear_max: the LP core on one matrix."""
     values, vectors = np.linalg.eigh(c)
@@ -320,66 +346,39 @@ def serial_restarts(correlations, basis, config):
     Each restart runs to its own stop and records every sweep.  The batch's
     certification sweep is the first at which a restart still running has
     ``|value| >= upper - tolerance``; each restart is then cut at the
-    earlier of its own stop and that sweep, with its vectors and flags as of
-    that sweep.  Returns one (iterations, stop reason, monotone,
-    [a1, a2, b1, b2]) per restart.
+    earlier of its own stop and that sweep, with its vectors as of that
+    sweep.  A vanishing direction gives the zero vector in either mode.
+    Returns one (iterations, stop reason, [a1, a2, b1, b2]) per restart.
     """
     t = correlations.matrix
     half = 0.5 * basis.dim
 
-    def linear_update(w):
+    def update(w):
         if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
             return np.zeros(basis.size)
+        if config.mode == "closed-form":
+            return basis.to_boundary(w)
         x = serial_linear_max(basis.to_matrix(w))
         return basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
 
-    def closed_pair(m, u, v, rng):
-        outputs, events = [], 0
-        for direction in (m @ (u + v), m @ (u - v)):
-            if float(np.linalg.norm(direction)) <= DEGENERATE_NORM_ATOL:
-                events += 1
-                outputs.append(basis.random_admissible(rng, 1)[0])
-            else:
-                outputs.append(basis.to_boundary(direction))
-        return outputs[0], outputs[1], events
-
     def run(index):
-        """One (value, converged, degenerate, monotone, vectors) per sweep, to the own stop."""
-        rng = np.random.default_rng([config.seed, index])
+        """One (value, converged, vectors) per sweep, to the own stop."""
         if index == 0:
             b1, b2 = _deterministic_init(basis, correlations)
         else:
-            b1, b2 = basis.random_admissible(rng, 2)
-        a1 = a2 = np.zeros(basis.size)
-
-        def evaluate():
-            return half * float(a1 @ (t @ (b1 + b2)) + a2 @ (t @ (b1 - b2)))
-
+            b1, b2 = basis.random_admissible(np.random.default_rng([config.seed, index]), 2)
         previous = None
-        monotone, events, sweeps = True, 0, []
+        sweeps = []
         for _ in range(config.max_iterations):
-            if config.mode == "exact":
-                a1 = linear_update(t @ (b1 + b2))
-                a2 = linear_update(t @ (b1 - b2))
-                after_alice = evaluate()
-                b1 = linear_update(t.T @ (a1 + a2))
-                b2 = linear_update(t.T @ (a1 - a2))
-            else:
-                a1, a2, bad = closed_pair(t, b1, b2, rng)
-                events += bad
-                after_alice = evaluate()
-                b1, b2, bad = closed_pair(t.T, a1, a2, rng)
-                events += bad
-            value = evaluate()
-            converged = False
-            if previous is not None:
-                if after_alice < previous - 1e-12 or value < after_alice - 1e-12:
-                    monotone = False
-                converged = abs(value - previous) < config.tolerance
+            a1 = update(t @ (b1 + b2))
+            a2 = update(t @ (b1 - b2))
+            b1 = update(t.T @ (a1 + a2))
+            b2 = update(t.T @ (a1 - a2))
+            value = half * float(a1 @ (t @ (b1 + b2)) + a2 @ (t @ (b1 - b2)))
+            converged = previous is not None and abs(value - previous) < config.tolerance
             previous = value
-            degenerate = events > MAX_DEGENERATE_EVENTS
-            sweeps.append((value, converged, degenerate, monotone, np.array([a1, a2, b1, b2])))
-            if converged or degenerate:
+            sweeps.append((value, converged, np.array([a1, a2, b1, b2])))
+            if converged:
                 break
         return sweeps
 
@@ -393,16 +392,14 @@ def serial_restarts(correlations, basis, config):
     results = []
     for sweeps in histories:
         iterations = min(len(sweeps), cut)
-        _, converged, degenerate, monotone, vectors = sweeps[iterations - 1]
-        if degenerate:
-            reason = "degenerate"
-        elif converged:
+        _, converged, vectors = sweeps[iterations - 1]
+        if converged:
             reason = "converged"
         elif certified and iterations == cut:
             reason = "certified"
         else:
             reason = "max_iterations"
-        results.append((iterations, reason, monotone, vectors))
+        results.append((iterations, reason, vectors))
     return results
 
 
@@ -415,8 +412,8 @@ def halve_bob_in_sweep_two(monkeypatch):
     update = optimizer._party_update
     calls = itertools.count(1)
 
-    def halved(directions, basis, mode, rngs):
-        out, mask = update(directions, basis, mode, rngs)
-        return (0.5 * out if next(calls) == 4 else out), mask
+    def halved(directions, basis, mode):
+        out = update(directions, basis, mode)
+        return 0.5 * out if next(calls) == 4 else out
 
     monkeypatch.setattr(optimizer, "_party_update", halved)

@@ -24,11 +24,10 @@ from qchsh import (
     observable_from_coefficients,
     random_two_qudit_state,
     seesaw_maximize,
-    traceless_linear_max,
 )
 from qchsh.correlation import ChshSettings
 
-from conftest import polytope_vertex_max, random_hermitian
+from conftest import polytope_vertex_max, random_hermitian, traceless_linear_max
 
 ROOT2 = np.sqrt(2.0)
 _BASES = {d: build_gellmann_basis(d) for d in range(2, 11)}

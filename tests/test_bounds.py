@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qchsh import (
     TSIRELSON,
     CorrelationMatrix,
+    SeesawConfig,
     build_gellmann_basis,
     chsh_bounds,
     correlation_matrix,
@@ -20,6 +21,8 @@ from qchsh import (
     validate_state,
 )
 from qchsh.errors import InvalidDimension, WrongDimension
+
+from conftest import random_unitary
 
 ROOT2 = np.sqrt(2.0)
 
@@ -119,6 +122,11 @@ def test_product_state_upper_bound_need_not_improve_tsirelson(basis, d, upper, i
     assert report.upper == pytest.approx(upper, abs=1e-12)
     assert report.upper_improves_tsirelson == improves
     assert seesaw_maximize(t, basis(d)).value == pytest.approx(2.0, abs=1e-9)
+    # T has rank one, so closed-form updates meet vanishing directions; their
+    # zero vectors still reach the maximum
+    closed = seesaw_maximize(t, basis(d), SeesawConfig(mode="closed-form"))
+    assert closed.value == pytest.approx(2.0, abs=1e-9)
+    assert max(closed.iterations_per_restart) <= 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,3 +143,53 @@ def test_product_basis_states_are_an_exact_family(data, d):
     assert abs(report.lower - 2.0) <= 1e-9
     assert abs(report.upper - 2.0 * (d - 1) * max_admissible_norm(d) ** 2) <= 1e-9
     assert abs(seesaw_maximize(t, b).value - 2.0) <= 1e-9
+
+
+# The paper leaves open whether its upper bound improves on Tsirelson's 2*sqrt(2)
+# for every state.  At d = 2 it is Horodecki's exact value; at d >= 4 |00>
+# passes 2*sqrt(2) (test_product_state_upper_bound_need_not_improve_tsirelson).
+# At d = 3 the tests below are numerical evidence that it never does: the
+# largest lambda1 + lambda2 is 2, where upper = 2*sqrt(2), reached by an
+# embedded Bell pair.
+
+
+def test_embedded_bell_pair_meets_tsirelson_at_d3(basis):
+    d = 3
+    psi = np.zeros(d * d, dtype=complex)
+    psi[0] = psi[d + 1] = 1.0 / ROOT2
+    t = correlation_matrix(validate_state(np.outer(psi, psi.conj()), d), basis(d))
+    report = chsh_bounds(t)
+    assert abs(report.lambda1 + report.lambda2 - 2.0) <= 1e-12
+    assert abs(report.upper - TSIRELSON) <= 1e-12
+    assert not report.upper_improves_tsirelson
+    result = seesaw_maximize(t, basis(d))
+    assert "certified" in result.stop_reasons
+    assert abs(result.value - TSIRELSON) <= 1e-9
+
+
+def test_pure_two_qutrit_states_keep_lambda_sum_at_most_two(basis):
+    # mixtures are covered by convexity: lambda1 + lambda2 is a convex
+    # function of T, and T is linear in rho
+    rng = np.random.default_rng(11)
+    b = basis(3)
+    worst = 0.0
+    for _ in range(300):
+        psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        psi /= np.linalg.norm(psi)
+        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3), b))
+        worst = max(worst, report.lambda1 + report.lambda2)
+    assert worst <= 2.0 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_bounds_are_local_unitary_invariant(d, seed):
+    b = build_gellmann_basis(d)
+    rng = np.random.default_rng(seed)
+    state = random_two_qudit_state(d, seed)
+    local = np.kron(random_unitary(rng, d), random_unitary(rng, d))
+    rotated = validate_state(local @ state.rho @ local.conj().T, d)
+    before = chsh_bounds(correlation_matrix(state, b))
+    after = chsh_bounds(correlation_matrix(rotated, b))
+    for name in ("lambda1", "lambda2", "lower", "upper"):
+        assert abs(getattr(before, name) - getattr(after, name)) <= 1e-12

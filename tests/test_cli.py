@@ -666,3 +666,23 @@ def test_back_to_back_calls_print_what_fresh_processes_print(monkeypatch):
     # twice over, so that the second round runs on a parser that has parsed each call
     for _ in range(2):
         assert [_in_process(argv) for argv in _BACK_TO_BACK] == expected
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the basis at d = 12 is about 1 MB of JSON, far more than a pipe holds,
+    # so the write meets the closed pipe whatever the timing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qchsh.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qchsh.cli", "basis", "--dim", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert head == b'{\n  "d": 1'
+    assert "Traceback" not in err
+    assert err == ""

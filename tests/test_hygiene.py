@@ -58,12 +58,6 @@ def test_every_exported_name_resolves():
     assert len(set(qchsh.__all__)) == len(qchsh.__all__)
 
 
-# Exports no package module uses, each with the reason it stays public.
-UNUSED_EXPORTS = {
-    "traceless_linear_max": "the acceptance suite's linear-program oracle",
-}
-
-
 def _names_used_in_package() -> set[str]:
     used = set()
     for path in MODULES:
@@ -74,9 +68,7 @@ def _names_used_in_package() -> set[str]:
 
 def test_every_export_is_used_in_the_package():
     used = _names_used_in_package()
-    unused = [name for name in qchsh.__all__ if name not in used and name not in UNUSED_EXPORTS]
-    assert unused == []
-    assert sorted(name for name in UNUSED_EXPORTS if name in used) == []
+    assert [name for name in qchsh.__all__ if name not in used] == []
 
 
 def test_optimizer_takes_correlations_not_states():
@@ -204,8 +196,8 @@ def _cli_option_count() -> int:
 
 
 def test_public_surface_size():
-    # 69 + 27 = 96 settable values.  A change to the surface changes these
+    # 66 + 27 = 93 settable values.  A change to the surface changes these
     # counts; ROADMAP.md records them.
-    assert len(qchsh.__all__) == 30
+    assert len(qchsh.__all__) == 29
     api = sum(_parameter_count(getattr(qchsh, name)) for name in qchsh.__all__)
-    assert (api, _cli_option_count()) == (69, 27)
+    assert (api, _cli_option_count()) == (66, 27)

@@ -4,12 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qchsh import operator_norm, traceless_linear_max
+from qchsh import operator_norm
 from qchsh.errors import NotHermitian
 from qchsh.numerics import symmetrized_hermitian
 from qchsh.optimizer import _linear_max, _row_dots
 
-from conftest import SIGMA_X, SIGMA_Z, random_hermitian, symmetrized_hermitian_oracle
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    random_hermitian,
+    symmetrized_hermitian_oracle,
+    traceless_linear_max,
+)
 
 
 # The eigendecomposition behind the linear-max core: its maximizer shares the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,9 @@ from qchsh import (
     operator_norm,
     random_two_qudit_state,
     seesaw_maximize,
-    traceless_linear_max,
     validate_state,
 )
-from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless
+from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless, NumericalError
 import qchsh.optimizer
 from qchsh.optimizer import (
     LP_TIE_ATOL,
@@ -40,16 +41,12 @@ from conftest import (
     property_state,
     random_hermitian,
     random_search_max,
+    random_unitary,
     serial_restarts,
+    traceless_linear_max,
 )
 
 ROOT2 = np.sqrt(2.0)
-
-
-def random_unitary(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def test_linear_max_antisymmetric_spectrum(basis):
@@ -162,7 +159,7 @@ def test_linear_max_invariant_under_rotation(basis, rng):
         assert value == pytest.approx(1.3, abs=1e-12)
 
 
-def test_closed_form_update_bell_example(basis, rng):
+def test_closed_form_update_bell_example(basis):
     from qchsh import chsh_expectation_from_correlations
 
     b = basis(2)
@@ -170,8 +167,7 @@ def test_closed_form_update_bell_example(basis, rng):
     b1 = np.array([1.0, 0.0, 0.0])
     b2 = np.array([0.0, 0.0, 1.0])
     directions = _pair_products(t.matrix, np.array([[b1, b2]]))
-    ((a1, a2),), degenerate = _party_update(directions, b, "closed-form", [rng])
-    assert degenerate.tolist() == [[False, False]]
+    ((a1, a2),) = _party_update(directions, b, "closed-form")
     np.testing.assert_allclose(a1, np.array([1.0, 0.0, 1.0]) / ROOT2, atol=1e-12)
     np.testing.assert_allclose(a2, np.array([1.0, 0.0, -1.0]) / ROOT2, atol=1e-12)
     assert is_admissible(a1, b) and is_admissible(a2, b)
@@ -180,25 +176,26 @@ def test_closed_form_update_bell_example(basis, rng):
     assert value == pytest.approx(2.0 * ROOT2, abs=1e-14)
 
 
-def test_closed_form_update_degenerate_paths(basis, rng):
+def test_closed_form_update_degenerate_paths(basis):
     b = basis(2)
     u = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 0.0, 1.0])
-    directions = _pair_products(np.zeros((3, 3)), np.array([[u, v]]))
-    ((plus, minus),), degenerate = _party_update(directions, b, "closed-form", [rng])
-    assert degenerate.tolist() == [[True, True]]
-    # vanishing directions are replaced by random vectors on the admissible boundary
-    for replacement in (plus, minus):
-        assert is_admissible(replacement, b)
-        assert b.vector_operator_norm(replacement) == pytest.approx(1.0, abs=1e-12)
+    # T = 0: every direction vanishes, and every row comes back zero, with no
+    # 0/0 warning
+    directions = _pair_products(np.zeros((3, 3)), np.array([[u, v], [v, u]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _party_update(directions, b, "closed-form")
+    np.testing.assert_array_equal(out, np.zeros((2, 2, 3)))
 
     # Bob's update uses T^T; u - u vanishes in the minus slot only
     t = correlation_matrix(ghz_state(2), b)
     directions = _pair_products(t.matrix.T, np.array([[u, u]]))
-    ((plus, minus),), degenerate = _party_update(directions, b, "closed-form", [rng])
-    assert degenerate.tolist() == [[False, True]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((plus, minus),) = _party_update(directions, b, "closed-form")
     np.testing.assert_allclose(plus, u, atol=1e-12)
-    assert is_admissible(minus, b)
+    np.testing.assert_array_equal(minus, np.zeros(3))
 
 
 def test_ghz_optimal_settings_values(basis):
@@ -254,7 +251,6 @@ def test_seesaw_reaches_ghz_maximum(basis):
         config = SeesawConfig(mode="exact", restarts=8, seed=1)
         result = seesaw_maximize(correlation_matrix(ghz_state(d), basis(d)), basis(d), config)
         assert result.value == pytest.approx(ghz_chsh_maximum(d), abs=tol)
-        assert result.monotone
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -334,13 +330,31 @@ def test_seesaw_certificate_consistency(basis):
 
 def test_closed_form_runs_may_fall(monkeypatch):
     # a falling sweep is a fault only in exact mode (see test_cli); closed-form
-    # updates can lower the value, so the run reports it and returns
+    # updates can lower the value, so the run returns
     halve_bob_in_sweep_two(monkeypatch)
     b = build_gellmann_basis(3)
     t = correlation_matrix(random_two_qudit_state(3, 7), b)
     result = seesaw_maximize(t, b, SeesawConfig(mode="closed-form", restarts=2))
-    assert not result.monotone
     assert result.bounds.lower <= result.value <= result.bounds.upper
+
+
+def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch):
+    # Bob's halved update in sweep 2 is the fall; the run stops there
+    halve_bob_in_sweep_two(monkeypatch)
+    calls = []
+    pair_products = qchsh.optimizer._pair_products
+
+    def counted(t, pairs):
+        calls.append(pairs.shape)
+        return pair_products(t, pairs)
+
+    monkeypatch.setattr(qchsh.optimizer, "_pair_products", counted)
+    b = build_gellmann_basis(3)
+    t = correlation_matrix(random_two_qudit_state(3, 7), b)
+    with pytest.raises(NumericalError, match="restart 0 is not monotone.*allowed 1e-12"):
+        seesaw_maximize(t, b, SeesawConfig(restarts=2))
+    # the starts, then two products per sweep for two sweeps
+    assert len(calls) == 1 + 2 * 2
 
 
 def test_seesaw_closed_form_mode(basis):
@@ -366,8 +380,8 @@ def test_seesaw_deterministic_and_restart_count_invariant(basis):
     assert fewer.converged == first.converged[:3]
     assert fewer.value <= first.value
     # the same holds in closed-form mode on the maximally mixed state, where
-    # every slot is degenerate and draws its replacement from its restart's
-    # rng; T = 0 gives upper = 0, so both batches certify at sweep 1
+    # every direction vanishes and every vector is zero; T = 0 gives
+    # upper = 0, so both batches certify at sweep 1
     mixed = correlation_matrix(validate_state(np.eye(9, dtype=complex) / 9.0, 3), b)
     many = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=5, seed=7))
     few = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=3, seed=7))
@@ -421,8 +435,7 @@ def test_lockstep_restarts_match_serial_oracle(
     # restart run alone by the one-vector-at-a-time reference loop, cut at the
     # sweep where the batch certifies (GHZ, maximally mixed with T = 0 and
     # upper = 0, and d = 2 draws); a tiny tolerance on product states makes
-    # restarts leave the batch at different sweeps, some at the
-    # degenerate-event cap
+    # restarts leave the batch at different sweeps
     b = build_gellmann_basis(d)
     state = property_state(kind, d, seed)
     config = SeesawConfig(
@@ -431,12 +444,9 @@ def test_lockstep_restarts_match_serial_oracle(
     )
     correlations = correlation_matrix(state, b)
     runs = _run_restarts(b, config, correlations, chsh_bounds(correlations).upper)
-    for i, (iterations, reason, monotone, vectors) in enumerate(
-        serial_restarts(correlations, b, config)
-    ):
+    for i, (iterations, reason, vectors) in enumerate(serial_restarts(correlations, b, config)):
         assert runs["iterations"][i] == iterations
         assert STOP_REASONS[runs["stop_reason"][i]] == reason
-        assert runs["monotone"][i] == monotone
         np.testing.assert_array_equal(runs["vectors"][i], vectors)
 
 
