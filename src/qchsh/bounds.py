@@ -95,7 +95,7 @@ def ghz_correlation_matrix(d: int) -> CorrelationMatrix:
     )
     matrix = np.diag(diag)
     matrix.setflags(write=False)
-    return CorrelationMatrix(dim=d, matrix=matrix)
+    return CorrelationMatrix(matrix)
 
 
 def ghz_chsh_maximum(d: int) -> float:

@@ -17,12 +17,13 @@ two-einsum contraction over the basis stack, which costs O(d**6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ImaginaryResidual, NotInLd
-from .representation import GellMannBasis, TracelessObservable
+from .representation import GellMannBasis, TracelessObservable, dim_from_side
 from .states import TwoQuditState
 
 IMAGINARY_ATOL = 1e-10
@@ -30,10 +31,16 @@ IMAGINARY_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Real matrix of joint basis-operator expectations for one state."""
+    """Real (d**2-1)-square matrix of joint basis-operator expectations; d is read from its side."""
 
-    dim: int
     matrix: np.ndarray
+
+    def __post_init__(self):
+        dim_from_side(self.matrix, 1, "correlation matrix")
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.matrix) + 1)
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ def correlation_matrix(state: TwoQuditState, basis: GellMannBasis) -> Correlatio
         )
     matrix = np.ascontiguousarray(entries.real)
     matrix.setflags(write=False)
-    return CorrelationMatrix(dim=state.dim, matrix=matrix)
+    return CorrelationMatrix(matrix)
 
 
 def _complex_entries(state: TwoQuditState, basis: GellMannBasis) -> np.ndarray:

@@ -42,10 +42,6 @@ class NotPositive(ValidationError):
     pass
 
 
-class ZeroVector(ValidationError):
-    pass
-
-
 class NotInLd(ValidationError):
     """Observable is not a traceless contraction (spectrum outside [-1, 1])."""
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from .bounds import BoundsReport, chsh_bounds, ghz_correlation_matrix
 from .correlation import ChshSettings, CorrelationMatrix, chsh_expectation_from_correlations
-from .errors import ConvergenceFailure, InvalidConfig, NumericalError
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidConfig, NumericalError
 from .representation import (
     GellMannBasis,
     check_count,
@@ -404,6 +404,10 @@ def seesaw_maximize(
     exact party updates cannot lower it.  Closed-form updates can, and
     closed-form runs do not check.
     """
+    if correlations.dim != basis.dim:
+        raise DimensionMismatch(
+            f"correlation matrix has d={correlations.dim} but basis has d={basis.dim}"
+        )
     if config is None:
         config = SeesawConfig()
     bounds = chsh_bounds(correlations)

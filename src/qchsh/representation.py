@@ -16,18 +16,21 @@ A traceless Hermitian observable X with coefficient vector n (components
 ``n_j = tr[X L_j] / sqrt(2 d)``) satisfies ``X = sqrt(d/2) * (n . L)``.  We
 call X *admissible* when its spectrum lies in [-1, 1], and call n admissible
 when the operator norm of ``n . L`` is at most sqrt(2/d); the map between
-the two sets is one-to-one, and ``GellMannBasis.to_boundary`` rescales a
-nonzero n onto the boundary of the admissible set.  The largest Euclidean
-norm among admissible vectors is 1 for even d and sqrt((d-1)/d) for odd d.
+the two sets is one-to-one, and ``GellMannBasis._boundary`` rescales
+nonzero rows n onto the boundary of the admissible set.  The largest
+Euclidean norm among admissible vectors is 1 for even d and sqrt((d-1)/d)
+for odd d.
 
 The input checks every layer shares live here too: ``check_dim`` for qudit
-dimensions, ``check_count`` for integer counts and seeds, and
+dimensions, ``dim_from_side`` for the d that fixes the side of a square
+array, ``check_count`` for integer counts and seeds, and
 ``symmetrized_traceless`` for traceless Hermitian operators.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,6 @@ from .errors import (
     InvalidDimension,
     NotHermitian,
     NotTraceless,
-    ZeroVector,
 )
 from .numerics import operator_norm, symmetrized_hermitian
 
@@ -53,6 +55,22 @@ def check_dim(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimension(f"qudit dimension must be an integer >= 2, got {d!r}")
     return int(d)
+
+
+def dim_from_side(array, removed: int, name: str) -> int:
+    """The qudit dimension d of a square array of side d**2 - removed, d >= 2.
+
+    Raises DimensionMismatch for any other shape.
+    """
+    shape = np.shape(array)
+    side = shape[0] if len(shape) == 2 else -1
+    d = math.isqrt(max(side + removed, 0))
+    if d < 2 or shape != (d * d - removed,) * 2:
+        formula = f"d**2 - {removed}" if removed else "d**2"
+        raise DimensionMismatch(
+            f"{name} must be square with side {formula} for some d >= 2, got shape {shape}"
+        )
+    return d
 
 
 def check_count(name: str, value, minimum: int) -> None:
@@ -86,8 +104,10 @@ class GellMannBasis:
     its zero products to every entry, here stays in the entries it reaches.
 
     Each public map checks its input and hands it to one check-free core
-    (``_matrices``, ``_vectors``, ``_boundary``); the see-saw calls the
-    cores directly on the arrays it builds.
+    (``_matrices``, ``_vectors``); the see-saw calls the cores directly on
+    the arrays it builds.  ``_boundary``, the one copy of the rescale onto
+    the admissible boundary, has no checked twin: only code that builds its
+    own rows calls it.
     """
 
     def __init__(self, dim: int):
@@ -248,22 +268,13 @@ class GellMannBasis:
         eigs = np.linalg.eigvalsh(self._matrices(n))
         return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
 
-    def to_boundary(self, components: np.ndarray) -> np.ndarray:
-        """``sqrt(2/d) * n / ||n . L||_op`` for each row n of ``components[..., d**2-1]``.
+    def _boundary(self, n: np.ndarray) -> np.ndarray:
+        """``sqrt(2/d) * n / ||n . L||_op`` for each row n of a float64 ``n[..., d**2-1]``.
 
         Each result's contraction has operator norm sqrt(2/d), the boundary
-        of the admissible set.  A zero row raises ZeroVector and a row that
-        is not finite raises NotHermitian.
+        of the admissible set.  Rows must be finite and nonzero; there is no
+        check, as every caller builds its rows itself.
         """
-        n = self._components(components)
-        if not np.all(np.isfinite(n)):
-            raise NotHermitian("coefficient vector contains non-finite entries")
-        if not np.all(np.any(n, axis=-1)):
-            raise ZeroVector("cannot rescale the zero vector onto the boundary")
-        return self._boundary(n)
-
-    def _boundary(self, n: np.ndarray) -> np.ndarray:
-        """``to_boundary`` without its checks, for a float64 ``n[..., d**2-1]``."""
         return np.sqrt(2.0 / self.dim) * n / self._operator_norms(n)[..., None]
 
     def random_admissible(self, rng: np.random.Generator, count: int) -> np.ndarray:

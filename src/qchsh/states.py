@@ -11,6 +11,7 @@ the product basis vector |j> x |k| (0-based).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositive, TraceNotOne, ValidationError
 from .numerics import symmetrized_hermitian
-from .representation import check_count, check_dim
+from .representation import check_count, check_dim, dim_from_side
 
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
@@ -26,10 +27,16 @@ POSITIVITY_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class TwoQuditState:
-    """A validated d**2 x d**2 density matrix for a pair of qudits."""
+    """A validated d**2 x d**2 density matrix for a pair of qudits; d is read from its side."""
 
-    dim: int
     rho: np.ndarray
+
+    def __post_init__(self):
+        dim_from_side(self.rho, 0, "state")
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.rho))
 
 
 def ghz_state(d: int) -> TwoQuditState:
@@ -40,7 +47,7 @@ def ghz_state(d: int) -> TwoQuditState:
     jj = np.arange(d) * (d + 1)
     rho[np.ix_(jj, jj)] = 1.0 / d
     rho.setflags(write=False)
-    return TwoQuditState(dim=d, rho=rho)
+    return TwoQuditState(rho)
 
 
 def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
@@ -100,7 +107,7 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
         if min_eig < -POSITIVITY_ATOL:
             raise NotPositive(f"state has minimum eigenvalue {min_eig:.3e}")
     m.setflags(write=False)
-    return TwoQuditState(dim=d, rho=m)
+    return TwoQuditState(m)
 
 
 def load_state_file(path: str, d: int | None = None) -> TwoQuditState:

@@ -122,8 +122,13 @@ def is_admissible(components, basis):
     return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + MEMBERSHIP_ATOL)
 
 
+def boundary(components, basis):
+    """``GellMannBasis._boundary`` of finite, nonzero rows given in any float form."""
+    return basis._boundary(np.asarray(components, dtype=np.float64))
+
+
 def boundary_row(n, basis):
-    """Reference for GellMannBasis.to_boundary: one nonzero row rescaled on its own."""
+    """Reference for GellMannBasis._boundary: one nonzero row rescaled on its own."""
     return np.sqrt(2.0 / basis.dim) * n / basis.vector_operator_norm(n)
 
 
@@ -357,7 +362,7 @@ def serial_restarts(correlations, basis, config):
         if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
             return np.zeros(basis.size)
         if config.mode == "closed-form":
-            return basis.to_boundary(w)
+            return boundary(w, basis)
         x = serial_linear_max(basis.to_matrix(w))
         return basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
 

@@ -27,7 +27,7 @@ from qchsh import (
 )
 from qchsh.correlation import ChshSettings
 
-from conftest import polytope_vertex_max, random_hermitian, traceless_linear_max
+from conftest import boundary, polytope_vertex_max, random_hermitian, traceless_linear_max
 
 ROOT2 = np.sqrt(2.0)
 _BASES = {d: build_gellmann_basis(d) for d in range(2, 11)}
@@ -177,7 +177,7 @@ def test_criterion_08_form_equivalence():
             t = correlation_matrix(state, basis)
             vectors = [
                 rng.uniform(0.0, 1.0)
-                * basis.to_boundary(rng.standard_normal(basis.size))
+                * boundary(rng.standard_normal(basis.size), basis)
                 for _ in range(4)
             ]
             settings = ChshSettings(

@@ -28,8 +28,8 @@ ROOT2 = np.sqrt(2.0)
 
 
 def test_top_two_gram_eigenvalues_examples():
-    assert top_two_gram_eigenvalues(CorrelationMatrix(2, np.diag([1.0, -1.0, 1.0]))) == (1.0, 1.0)
-    assert top_two_gram_eigenvalues(CorrelationMatrix(2, np.zeros((3, 3)))) == (0.0, 0.0)
+    assert top_two_gram_eigenvalues(CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))) == (1.0, 1.0)
+    assert top_two_gram_eigenvalues(CorrelationMatrix(np.zeros((3, 3)))) == (0.0, 0.0)
     for d in range(2, 9):
         lam1, lam2 = top_two_gram_eigenvalues(ghz_correlation_matrix(d))
         assert lam1 == pytest.approx(4.0 / d**2, abs=1e-14)
@@ -45,14 +45,17 @@ def test_chsh_bounds_ghz_qutrit():
 
 
 def test_chsh_bounds_ghz_qubit():
-    report = chsh_bounds(ghz_correlation_matrix(2))
-    assert report.lower == pytest.approx(2.0 * ROOT2, abs=1e-14)
-    assert report.upper == pytest.approx(2.0 * ROOT2, abs=1e-14)
-    assert not report.upper_improves_tsirelson
+    # the Bell state's T, built directly too: its side fixes d = 2
+    for t in (ghz_correlation_matrix(2), CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))):
+        report = chsh_bounds(t)
+        assert report.dim == 2
+        assert report.lower == pytest.approx(2.0 * ROOT2, abs=1e-14)
+        assert report.upper == pytest.approx(2.0 * ROOT2, abs=1e-14)
+        assert not report.upper_improves_tsirelson
 
 
 def test_chsh_bounds_zero_matrix():
-    report = chsh_bounds(CorrelationMatrix(3, np.zeros((8, 8))))
+    report = chsh_bounds(CorrelationMatrix(np.zeros((8, 8))))
     assert report.lower == 0.0
     assert report.upper == 0.0
 
@@ -68,10 +71,10 @@ def test_bounds_ordering_random_states(basis):
 
 
 def test_horodecki_examples(basis):
-    assert horodecki_two_qubit(CorrelationMatrix(2, np.diag([1.0, -1.0, 1.0]))) == pytest.approx(
+    assert horodecki_two_qubit(CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))) == pytest.approx(
         2.0 * ROOT2, abs=1e-14
     )
-    assert horodecki_two_qubit(CorrelationMatrix(2, np.zeros((3, 3)))) == 0.0
+    assert horodecki_two_qubit(CorrelationMatrix(np.zeros((3, 3)))) == 0.0
     with pytest.raises(WrongDimension):
         horodecki_two_qubit(ghz_correlation_matrix(3))
     # coincides with both spectral bounds at d = 2
@@ -109,7 +112,17 @@ def test_ghz_maximum_equals_upper_bound():
             assert report.upper < TSIRELSON - 0.1
 
 
-@pytest.mark.parametrize("d, upper, improves", [(3, 8.0 / 3.0, True), (4, 6.0, False), (5, 6.4, False)])
+@pytest.mark.parametrize(
+    "d, upper, improves",
+    [
+        (3, 8.0 / 3.0, True),
+        (4, 6.0, False),
+        (5, 6.4, False),
+        (6, 10.0, False),
+        (7, 72.0 / 7.0, False),
+        (8, 14.0, False),
+    ],
+)
 def test_product_state_upper_bound_need_not_improve_tsirelson(basis, d, upper, improves):
     # |00>: T = r r^T with |r|^2 = 2(1 - 1/d), so lower = 2 and upper = 2(d - 1) m_d^2,
     # which passes 2*sqrt(2) from d = 4 on; the paper's upper bound does not
@@ -179,6 +192,48 @@ def test_pure_two_qutrit_states_keep_lambda_sum_at_most_two(basis):
         report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3), b))
         worst = max(worst, report.lambda1 + report.lambda2)
     assert worst <= 2.0 + 1e-12
+
+
+def test_gradient_ascent_keeps_two_qutrit_lambda_sum_at_most_two(basis):
+    # Projected gradient ascent of f = lambda1 + lambda2 over pure states psi,
+    # with T_ab = <psi|L_a x L_b|psi>.  With V the top two eigenvectors of
+    # T^T T, f = ||T V||_F^2 has gradient G = 2 (T V) V^T in T, so its
+    # gradient in psi is 2 sum_ab G_ab (L_a x L_b) psi.  Each step moves
+    # along that gradient's tangent part and renormalizes; a step that
+    # lowers f is refused and the step length halved.
+    b = basis(3)
+    products = np.einsum("aij,bkl->abikjl", b.stack, b.stack).reshape(64, 9, 9)
+
+    def value_and_gradient(psi):
+        terms = products @ psi
+        t = (terms @ psi.conj()).real.reshape(8, 8)
+        eigenvalues, eigenvectors = np.linalg.eigh(t.T @ t)
+        top = eigenvectors[:, -2:]
+        g = 2.0 * (t @ top) @ top.T
+        return eigenvalues[-1] + eigenvalues[-2], 2.0 * (g.reshape(64) @ terms)
+
+    finals = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        psi /= np.linalg.norm(psi)
+        value, gradient = value_and_gradient(psi)
+        step = 0.2
+        for _ in range(400):
+            tangent = gradient - np.vdot(psi, gradient) * psi
+            trial = psi + step * tangent
+            trial /= np.linalg.norm(trial)
+            trial_value, trial_gradient = value_and_gradient(trial)
+            if trial_value < value:
+                step /= 2.0
+                continue
+            psi, value, gradient = trial, trial_value, trial_gradient
+        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3), b))
+        assert abs(report.lambda1 + report.lambda2 - value) <= 1e-12
+        finals.append(value)
+    assert max(finals) <= 2.0 + 1e-12
+    # the ascent climbs to the supremum, so the bound above is tested where it is tight
+    assert max(finals) >= 2.0 - 1e-6
 
 
 @settings(max_examples=40, deadline=None)

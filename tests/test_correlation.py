@@ -21,7 +21,7 @@ from qchsh import (
 from qchsh.correlation import _complex_entries
 from qchsh.errors import DimensionMismatch, ImaginaryResidual, NotInLd
 
-from conftest import SIGMA_X, SIGMA_Z, dense_correlation, property_state
+from conftest import SIGMA_X, SIGMA_Z, boundary, dense_correlation, property_state
 
 ROOT2 = np.sqrt(2.0)
 
@@ -41,7 +41,7 @@ def bell_optimal_settings(basis):
 def random_settings(rng, basis):
     """Four admissible observables with uniformly scaled boundary vectors."""
     vectors = [
-        rng.uniform(0.0, 1.0) * basis.to_boundary(rng.standard_normal(basis.size))
+        rng.uniform(0.0, 1.0) * boundary(rng.standard_normal(basis.size), basis)
         for _ in range(4)
     ]
     return (
@@ -77,11 +77,23 @@ def test_correlation_rejects_dimension_mismatch(basis):
         correlation_matrix(ghz_state(3), basis(2))
 
 
+def test_correlation_matrix_reads_d_from_its_side():
+    assert CorrelationMatrix(np.zeros((3, 3))).dim == 2
+    assert CorrelationMatrix(np.zeros((80, 80))).dim == 9
+    assert correlation_matrix(ghz_state(4), build_gellmann_basis(4)).dim == 4
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (5, 5), (9, 9), (0, 0), (8,), (2, 3, 3)])
+def test_correlation_matrix_side_must_be_d_squared_minus_one(shape):
+    with pytest.raises(DimensionMismatch, match=r"side d\*\*2 - 1"):
+        CorrelationMatrix(np.zeros(shape))
+
+
 def test_correlation_raises_on_imaginary_residual(basis):
     rho = ghz_state(2).rho.copy()
     rho[0, 3] += 0.2j
     rho[3, 0] += 0.2j  # keeps the matrix non-Hermitian on purpose
-    broken = TwoQuditState(dim=2, rho=rho)
+    broken = TwoQuditState(rho)
     with pytest.raises(ImaginaryResidual):
         correlation_matrix(broken, basis(2))
 
@@ -236,7 +248,7 @@ def test_product_state_expectation(basis):
 
 def test_expectation_from_correlations_frozen_example():
     # <a1, T(b1+b2)> = <a2, T(b1-b2)> = sqrt(2) for the Bell-optimal vectors.
-    t = CorrelationMatrix(2, np.diag([1.0, -1.0, 1.0]))
+    t = CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))
     a1 = np.array([1.0, 0.0, 1.0]) / ROOT2
     a2 = np.array([1.0, 0.0, -1.0]) / ROOT2
     b1 = np.array([1.0, 0.0, 0.0])
@@ -244,12 +256,12 @@ def test_expectation_from_correlations_frozen_example():
     value = chsh_expectation_from_correlations(t, a1, a2, b1, b2)
     assert value == pytest.approx(2.0 * ROOT2, abs=1e-14)
 
-    zero = CorrelationMatrix(2, np.zeros((3, 3)))
+    zero = CorrelationMatrix(np.zeros((3, 3)))
     assert chsh_expectation_from_correlations(zero, a1, a2, b1, b2) == 0.0
 
 
 def test_expectation_from_correlations_checks_lengths():
-    t = CorrelationMatrix(2, np.diag([1.0, -1.0, 1.0]))
+    t = CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         chsh_expectation_from_correlations(t, np.zeros(4), np.zeros(3), np.zeros(3), np.zeros(3))
 
@@ -273,6 +285,6 @@ def test_correlation_pairing_bound(basis, rng):
         state = random_two_qudit_state(d, seed=d)
         t = correlation_matrix(state, b)
         for _ in range(200):
-            a = b.to_boundary(rng.standard_normal(b.size))
-            v = b.to_boundary(rng.standard_normal(b.size))
+            a = boundary(rng.standard_normal(b.size), b)
+            v = boundary(rng.standard_normal(b.size), b)
             assert abs(a @ (t.matrix @ v)) <= 2.0 / d + 1e-9

@@ -1,10 +1,10 @@
 """Static checks that stand in for a linter: no unused imports in the package
 modules or the tests, every name that ``qchsh.__all__`` exports exists, each
-export is used by some package module other than ``__init__.py``, the
-optimizer reads states only through the correlation matrix it is given, no
-package module reaches into numpy's private modules, the CLI builds its
-parser on the first ``main`` call, once, and not at import, and the public
-surface keeps the size ROADMAP.md records."""
+export and each public method of an exported class is used by some package
+module other than ``__init__.py``, the optimizer reads states only through
+the correlation matrix it is given, no package module reaches into numpy's
+private modules, the CLI builds its parser on the first ``main`` call, once,
+and not at import, and the public surface keeps the size ROADMAP.md records."""
 
 from __future__ import annotations
 
@@ -69,6 +69,43 @@ def _names_used_in_package() -> set[str]:
 def test_every_export_is_used_in_the_package():
     used = _names_used_in_package()
     assert [name for name in qchsh.__all__ if name not in used] == []
+
+
+def _attributes_read(sources) -> set[str]:
+    """Every attribute name the sources read, as in ``obj.name``."""
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def _unused_public_methods(classes, read: set[str]) -> list[str]:
+    return [
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, _ in inspect.getmembers(cls, inspect.isfunction)
+        if not name.startswith("_") and name not in read
+    ]
+
+
+def test_every_public_method_is_called_in_the_package():
+    classes = [obj for obj in map(qchsh.__dict__.get, qchsh.__all__) if inspect.isclass(obj)]
+    read = _attributes_read(path.read_text(encoding="utf-8") for path in MODULES)
+    assert _unused_public_methods(classes, read) == []
+
+
+def test_unused_public_method_is_reported():
+    class Planted:
+        def called(self): ...
+
+        def uncalled(self): ...
+
+        def _private(self): ...
+
+    read = _attributes_read(["x.called()\n", "uncalled = x._private\n"])
+    assert _unused_public_methods([Planted], read) == ["Planted.uncalled"]
 
 
 def test_optimizer_takes_correlations_not_states():
@@ -196,8 +233,8 @@ def _cli_option_count() -> int:
 
 
 def test_public_surface_size():
-    # 66 + 27 = 93 settable values.  A change to the surface changes these
+    # 63 + 27 = 90 settable values.  A change to the surface changes these
     # counts; ROADMAP.md records them.
     assert len(qchsh.__all__) == 29
     api = sum(_parameter_count(getattr(qchsh, name)) for name in qchsh.__all__)
-    assert (api, _cli_option_count()) == (66, 27)
+    assert (api, _cli_option_count()) == (63, 27)

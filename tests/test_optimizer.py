@@ -12,6 +12,7 @@ from qchsh import (
     chsh_expectation_direct,
     correlation_matrix,
     ghz_chsh_maximum,
+    ghz_correlation_matrix,
     ghz_optimal_settings,
     ghz_state,
     horodecki_two_qubit,
@@ -20,7 +21,14 @@ from qchsh import (
     seesaw_maximize,
     validate_state,
 )
-from qchsh.errors import ConvergenceFailure, InvalidConfig, NotTraceless, NumericalError
+from qchsh.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    InvalidConfig,
+    NotTraceless,
+    NumericalError,
+)
+import qchsh.cli
 import qchsh.optimizer
 from qchsh.optimizer import (
     LP_TIE_ATOL,
@@ -308,6 +316,26 @@ def test_seesaw_returns_the_bounds_of_t(basis):
     result = seesaw_maximize(t, b, SeesawConfig(restarts=2))
     assert result.bounds == chsh_bounds(t)
     assert result.bounds.lower <= result.value <= result.bounds.upper
+
+
+@pytest.mark.parametrize("t_dim, basis_dim", [(2, 3), (2, 4), (3, 2)])
+def test_seesaw_refuses_a_basis_of_another_dimension(basis, capsys, monkeypatch, t_dim, basis_dim):
+    message = f"correlation matrix has d={t_dim} but basis has d={basis_dim}"
+    t = ghz_correlation_matrix(t_dim)
+
+    def not_reached(*args):
+        raise AssertionError("the see-saw started work before checking dimensions")
+
+    # the check comes before the bounds and the restarts
+    monkeypatch.setattr(qchsh.optimizer, "chsh_bounds", not_reached)
+    with pytest.raises(DimensionMismatch, match=message):
+        seesaw_maximize(t, basis(basis_dim))
+    # in CLI terms: exit code 1 with the message on stderr
+    monkeypatch.setattr(qchsh.cli, "_correlations", lambda args: (basis(basis_dim), t))
+    assert qchsh.cli.main(["optimize", "--state", "ghz", "--dim", str(t_dim)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: DimensionMismatch: {message}\n"
 
 
 def test_seesaw_on_maximally_mixed_state(basis):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_state_oracle, property_state, state_to_json_dict
-from qchsh import ghz_state, load_state_file, random_two_qudit_state, validate_state
+from qchsh import TwoQuditState, ghz_state, load_state_file, random_two_qudit_state, validate_state
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -96,6 +96,18 @@ def test_validate_rejects_non_hermitian():
 def test_validate_rejects_wrong_shape():
     with pytest.raises(DimensionMismatch):
         validate_state(np.eye(4, dtype=complex) / 4.0, 3)
+
+
+def test_state_reads_d_from_rho():
+    assert TwoQuditState(np.eye(9) / 9).dim == 3
+    assert ghz_state(5).dim == 5
+    assert random_two_qudit_state(4, seed=0).dim == 4
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (8, 8), (1, 1), (0, 0), (9,), (3, 3, 3)])
+def test_state_side_must_be_d_squared(shape):
+    with pytest.raises(DimensionMismatch, match=r"side d\*\*2 for"):
+        TwoQuditState(np.zeros(shape))
 
 
 def test_state_file_roundtrip(tmp_path):
