@@ -30,7 +30,6 @@ from .representation import (
     build_gellmann_basis,
     expand_observable,
     max_admissible_norm,
-    observable_from_coefficients,
 )
 from .states import (
     TwoQuditState,
@@ -64,7 +63,6 @@ __all__ = [
     "horodecki_two_qubit",
     "load_state_file",
     "max_admissible_norm",
-    "observable_from_coefficients",
     "operator_norm",
     "random_two_qudit_state",
     "seesaw_maximize",

@@ -200,13 +200,6 @@ def _resolve_state(args):
     )
 
 
-def _correlations(args):
-    """The Gell-Mann basis and correlation matrix of the requested state."""
-    state = _resolve_state(args)
-    basis = build_gellmann_basis(state.dim)
-    return basis, correlation_matrix(state, basis)
-
-
 def _seesaw_config(args) -> SeesawConfig:
     return SeesawConfig(mode=args.mode, restarts=args.restarts, tolerance=args.tol, seed=args.seed)
 
@@ -224,17 +217,16 @@ def cmd_basis(args) -> int:
 
 
 def cmd_correlation(args) -> int:
-    basis, t = _correlations(args)
+    t = correlation_matrix(_resolve_state(args))
     if args.output == "csv":
-        _emit(_correlation_csv(basis.labels, t.matrix), args.out)
+        _emit(_correlation_csv(build_gellmann_basis(t.dim).labels, t.matrix), args.out)
     else:
         _emit(_json_text({"d": t.dim, "T": t.matrix}), args.out)
     return 0
 
 
 def cmd_bounds(args) -> int:
-    _, t = _correlations(args)
-    report = chsh_bounds(t)
+    report = chsh_bounds(correlation_matrix(_resolve_state(args)))
     payload = {
         "d": report.dim,
         "lambda1": report.lambda1,
@@ -249,9 +241,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    basis, t = _correlations(args)
+    t = correlation_matrix(_resolve_state(args))
     config = _seesaw_config(args)
-    result = seesaw_maximize(t, basis, config)
+    result = seesaw_maximize(t, config)
     report = result.bounds
     payload = {
         "d": t.dim,
@@ -282,13 +274,12 @@ def cmd_ghz_table(args) -> int:
     config = _seesaw_config(args)
     rows = []
     for d in dims:
-        basis = build_gellmann_basis(d)
         state = ghz_state(d)
         closed = ghz_chsh_maximum(d)
-        settings = ghz_optimal_settings(basis)
+        settings = ghz_optimal_settings(d)
         certificate = abs(chsh_expectation_direct(state, settings))
         # T from the state, not the closed form: the see-saw's digits follow T's bits
-        seesaw = seesaw_maximize(correlation_matrix(state, basis), basis, config).value
+        seesaw = seesaw_maximize(correlation_matrix(state), config).value
         report = chsh_bounds(ghz_correlation_matrix(d))
         rows.append(
             {

@@ -12,7 +12,8 @@ vectors a, b.  The CHSH operator for settings A1, A2, B1, B2 is
 T is contracted with the sparse structure of the basis in O(d**4) work
 (``GellMannBasis.pair_leading``, once per party, on the diagonal table that
 ``to_matrix`` and ``to_vector`` read).  It equals bit for bit the dense
-two-einsum contraction over the basis stack, which costs O(d**6).
+two-einsum contraction over the basis stack, which costs O(d**6).  The
+basis is the shared one of the state's d (``build_gellmann_basis``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ImaginaryResidual, NotInLd
-from .representation import GellMannBasis, TracelessObservable, dim_from_side
+from .errors import DimensionMismatch, ImaginaryResidual, NotHermitian, NotInLd
+from .representation import TracelessObservable, build_gellmann_basis, dim_from_side
 from .states import TwoQuditState
 
 IMAGINARY_ATOL = 1e-10
@@ -31,12 +32,21 @@ IMAGINARY_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Real (d**2-1)-square matrix of joint basis-operator expectations; d is read from its side."""
+    """Real (d**2-1)-square matrix of joint basis-operator expectations; d is read from its side.
+
+    Stored as a float64 ndarray (a float64 ndarray as it is, not copied);
+    NaN, infinite and non-real entries are refused.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        dim_from_side(self.matrix, 1, "correlation matrix")
+        t = np.asarray(self.matrix)
+        dim_from_side(t, 1, "correlation matrix")
+        real = t.dtype.kind in "biuf" or t.dtype.kind == "c" and not np.any(t.imag)
+        if not real or not np.all(np.isfinite(t)):
+            raise NotHermitian("correlation matrix entries must be finite and real")
+        object.__setattr__(self, "matrix", np.asarray(t.real, dtype=np.float64))
 
     @property
     def dim(self) -> int:
@@ -69,7 +79,7 @@ class ChshSettings:
         return self.a1.dim
 
 
-def correlation_matrix(state: TwoQuditState, basis: GellMannBasis) -> CorrelationMatrix:
+def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     """Joint expectations tr[rho (L_i x L_j)] as a real matrix.
 
     The basis pairing runs first over Alice's indices of rho, giving a
@@ -80,25 +90,22 @@ def correlation_matrix(state: TwoQuditState, basis: GellMannBasis) -> Correlatio
     Raises ImaginaryResidual when any entry has |Im| >= 1e-10, which signals
     an invalid state rather than roundoff.
     """
-    entries = _complex_entries(state, basis)
+    entries = _complex_entries(state)
     imag_max = float(np.max(np.abs(entries.imag)))
     if imag_max >= IMAGINARY_ATOL:
         raise ImaginaryResidual(
             f"correlation entries have max |Im| = {imag_max:.3e}, "
-            f"state or basis is inconsistent"
+            f"the state is not a valid density matrix"
         )
     matrix = np.ascontiguousarray(entries.real)
     matrix.setflags(write=False)
     return CorrelationMatrix(matrix)
 
 
-def _complex_entries(state: TwoQuditState, basis: GellMannBasis) -> np.ndarray:
+def _complex_entries(state: TwoQuditState) -> np.ndarray:
     """tr[rho (L_a x L_b)] as computed, imaginary parts included."""
-    if state.dim != basis.dim:
-        raise DimensionMismatch(
-            f"state has d={state.dim} but basis has d={basis.dim}"
-        )
     d = state.dim
+    basis = build_gellmann_basis(d)
     # tr[rho (A x B)] = sum_{ikjl} rho[(i,k),(j,l)] A[j,i] B[l,k]
     r4 = state.rho.reshape(d, d, d, d)
     partial = basis.pair_leading(r4.transpose(0, 2, 1, 3))  # [a, k, l]

@@ -29,7 +29,8 @@ tie-share formula.  Matrix-vector products and dot products stay one BLAS
 call per row, so each restart gives bit for bit what it gives when run
 alone.  The loop carries only the live restarts; a restart's sweeps,
 value, vectors and stop reason are written once, when it leaves the batch.
-``seesaw_maximize`` takes the correlation matrix T, not the state.
+``seesaw_maximize`` takes the correlation matrix T, not the state, and
+looks up the shared basis of T's d once; the loop hands it down.
 
 What every sweep reads is worked out before the first one.  A
 ``_run_restarts`` call takes T's transpose, the value at which the batch
@@ -64,12 +65,14 @@ import numpy as np
 
 from .bounds import BoundsReport, chsh_bounds, ghz_correlation_matrix
 from .correlation import ChshSettings, CorrelationMatrix, chsh_expectation_from_correlations
-from .errors import ConvergenceFailure, DimensionMismatch, InvalidConfig, NumericalError
+from .errors import ConvergenceFailure, InvalidConfig, NumericalError
 from .representation import (
     GellMannBasis,
+    TracelessObservable,
+    build_gellmann_basis,
     check_count,
+    check_dim,
     expand_observable,
-    observable_from_coefficients,
 )
 
 DEGENERATE_NORM_ATOL = 1e-14
@@ -266,11 +269,10 @@ def _ghz_blocks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return a1, a2, (a1 + a2) / math.sqrt(2.0), (a1 - a2) / math.sqrt(2.0)
 
 
-def ghz_optimal_settings(basis: GellMannBasis) -> ChshSettings:
+def ghz_optimal_settings(d: int) -> ChshSettings:
     """The ``_ghz_blocks`` settings, attaining the GHZ maximum 2 * m_d**2 * sqrt(2)."""
     return ChshSettings(*(
-        observable_from_coefficients(expand_observable(m, basis), basis)
-        for m in _ghz_blocks(basis.dim)
+        TracelessObservable(expand_observable(m)) for m in _ghz_blocks(check_dim(d))
     ))
 
 
@@ -287,7 +289,7 @@ def _deterministic_init(
     t = correlations.matrix
     if float(np.max(np.abs(t - ghz_correlation_matrix(basis.dim).matrix))) < GHZ_PROXIMITY_ATOL:
         _, _, b1, b2 = _ghz_blocks(basis.dim)
-        return expand_observable(b1, basis), expand_observable(b2, basis)
+        return expand_observable(b1), expand_observable(b2)
     gram = t.T @ t
     _, vectors = np.linalg.eigh(gram)
     v1, v2 = vectors[:, -1], vectors[:, -2]
@@ -386,9 +388,7 @@ def _run_restarts(
 
 
 def seesaw_maximize(
-    correlations: CorrelationMatrix,
-    basis: GellMannBasis,
-    config: SeesawConfig | None = None,
+    correlations: CorrelationMatrix, config: SeesawConfig | None = None
 ) -> SeesawResult:
     """Alternating maximization of |CHSH| over admissible observables, given T.
 
@@ -404,13 +404,10 @@ def seesaw_maximize(
     exact party updates cannot lower it.  Closed-form updates can, and
     closed-form runs do not check.
     """
-    if correlations.dim != basis.dim:
-        raise DimensionMismatch(
-            f"correlation matrix has d={correlations.dim} but basis has d={basis.dim}"
-        )
     if config is None:
         config = SeesawConfig()
     bounds = chsh_bounds(correlations)
+    basis = build_gellmann_basis(correlations.dim)
     runs = _run_restarts(basis, config, correlations, bounds.upper)
     a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
     value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
@@ -422,12 +419,7 @@ def seesaw_maximize(
             f"see-saw value {value:.17g} exceeds the proven upper bound {bounds.upper:.17g} "
             f"by {value - bounds.upper:.3e} (allowed {UPPER_BOUND_ATOL:.0e})"
         )
-    settings = ChshSettings(
-        a1=observable_from_coefficients(a1, basis),
-        a2=observable_from_coefficients(a2, basis),
-        b1=observable_from_coefficients(b1, basis),
-        b2=observable_from_coefficients(b2, basis),
-    )
+    settings = ChshSettings(*map(TracelessObservable, (a1, a2, b1, b2)))
     return SeesawResult(
         value=float(value),
         settings=settings,

@@ -21,6 +21,9 @@ nonzero rows n onto the boundary of the admissible set.  The largest
 Euclidean norm among admissible vectors is 1 for even d and sqrt((d-1)/d)
 for odd d.
 
+d alone fixes the basis, so no function takes one: each looks up the one
+``GellMannBasis`` that ``build_gellmann_basis`` shares per d.
+
 The input checks every layer shares live here too: ``check_dim`` for qudit
 dimensions, ``dim_from_side`` for the d that fixes the side of a square
 array, ``check_count`` for integer counts and seeds, and
@@ -84,9 +87,10 @@ def check_count(name: str, value, minimum: int) -> None:
 class GellMannBasis:
     """The d**2 - 1 generalized Gell-Mann operators, in label order.
 
-    Immutable after construction.  One pair list, the pairs m < k in
-    row-major order, orders the labels, the index tables and ``stack``, the
-    operators as one (d**2-1, d, d) array, which is built on first read.
+    Immutable after construction: every table, and ``stack``, is read-only.
+    One pair list, the pairs m < k in row-major order, orders the labels,
+    the index tables and ``stack``, the operators as one (d**2-1, d, d)
+    array, which is built on first read.
 
     No map here contracts the dense stack, whose entries are almost all
     zero; each walks its sparse structure in O(d**2) work per matrix, and
@@ -144,6 +148,8 @@ class GellMannBasis:
         # to_vector gathers Re X[m, k], Re X[k, m], Im X[k, m], Im X[m, k]
         # for every pair, then Re X[k, k] for every k.
         self._vector_index = np.concatenate((upper, lower, lower + 1, upper + 1, diagonal))
+        for table in (rows, cols, self._diagonal, index, self._vector_index):
+            table.setflags(write=False)
 
     @functools.cached_property
     def stack(self) -> np.ndarray:
@@ -282,41 +288,61 @@ class GellMannBasis:
         return self._boundary(rng.standard_normal((count, self.size)))
 
 
+_shared_basis = functools.cache(GellMannBasis)
+
+
 def build_gellmann_basis(d: int) -> GellMannBasis:
-    """Construct the generalized Gell-Mann basis for qudit dimension d."""
-    return GellMannBasis(d)
+    """The generalized Gell-Mann basis for qudit dimension d, one shared instance per d.
+
+    d is checked first, so ``2.0`` or ``True`` cannot find the entry for 2.
+    """
+    return _shared_basis(check_dim(d))
 
 
 @dataclass(frozen=True)
 class TracelessObservable:
-    """A traceless Hermitian matrix together with its coefficient vector.
+    """A traceless Hermitian observable, held as a read-only float64 copy of
+    its coefficient vector n: one finite vector of length d**2 - 1, d >= 2."""
 
-    The two representations are tied by ``matrix = sqrt(d/2) * (coefficients . L)``.
-    """
-
-    matrix: np.ndarray
     coefficients: np.ndarray
+
+    def __post_init__(self):
+        n = np.array(self.coefficients, dtype=np.float64)
+        d = math.isqrt(n.size + 1)
+        if n.ndim != 1 or d < 2 or n.size != d * d - 1:
+            raise DimensionMismatch(
+                f"coefficient vector must have length d**2 - 1 for some d >= 2, "
+                f"got shape {n.shape}"
+            )
+        if not np.all(np.isfinite(n)):
+            raise NotHermitian("coefficient vector contains non-finite entries")
+        n.setflags(write=False)
+        object.__setattr__(self, "coefficients", n)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return math.isqrt(self.coefficients.size + 1)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only matrix ``sqrt(d/2) * (n . L)``, built on first read."""
+        basis = build_gellmann_basis(self.dim)
+        matrix = np.sqrt(basis.dim / 2.0) * basis._matrices(self.coefficients)
+        matrix.setflags(write=False)
+        return matrix
 
     def is_admissible(self) -> bool:
         """True when the spectrum lies in [-1 - MEMBERSHIP_ATOL, 1 + MEMBERSHIP_ATOL]."""
         return operator_norm(self.matrix) <= 1.0 + MEMBERSHIP_ATOL
 
 
-def symmetrized_traceless(matrix: np.ndarray, basis: GellMannBasis, name: str) -> np.ndarray:
-    """Check that matrix is a traceless Hermitian d x d operator and return (M + M†)/2.
+def symmetrized_traceless(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Check that matrix is a traceless Hermitian square operator and return (M + M†)/2.
 
     Hermiticity is checked by ``numerics.symmetrized_hermitian``; the trace of
     the symmetrized matrix must stay within ``TRACELESS_ATOL``.
     """
     x = symmetrized_hermitian(matrix, name)
-    if x.shape[0] != basis.dim:
-        raise DimensionMismatch(
-            f"{name} is {x.shape[0]}x{x.shape[0]} but basis has d={basis.dim}"
-        )
     trace_residual = abs(complex(np.trace(x)))
     if trace_residual > TRACELESS_ATOL:
         raise NotTraceless(
@@ -325,32 +351,15 @@ def symmetrized_traceless(matrix: np.ndarray, basis: GellMannBasis, name: str) -
     return x
 
 
-def expand_observable(matrix: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Coefficient vector of a traceless Hermitian matrix.
+def expand_observable(matrix: np.ndarray) -> np.ndarray:
+    """Coefficient vector of a traceless Hermitian d x d matrix, d >= 2.
 
     Components are ``n_j = tr[X L_j] / sqrt(2 d)``, so that
     ``sqrt(d/2) * (n . L)`` reproduces X.
     """
-    x = symmetrized_traceless(matrix, basis, "observable")
+    x = symmetrized_traceless(matrix, "observable")
+    basis = build_gellmann_basis(len(x))
     return basis._vectors(x) / np.sqrt(2.0 * basis.dim)
-
-
-def observable_from_coefficients(
-    components: np.ndarray, basis: GellMannBasis
-) -> TracelessObservable:
-    """Observable ``sqrt(d/2) * (n . L)`` for one finite coefficient vector n."""
-    n = basis._components(components)
-    if n.ndim != 1:
-        raise DimensionMismatch(
-            f"coefficient vector must have length {basis.size}, got shape {n.shape}"
-        )
-    if not np.all(np.isfinite(n)):
-        raise NotHermitian("coefficient vector contains non-finite entries")
-    matrix = np.sqrt(basis.dim / 2.0) * basis._matrices(n)
-    matrix.setflags(write=False)
-    frozen = n.copy()
-    frozen.setflags(write=False)
-    return TracelessObservable(matrix=matrix, coefficients=frozen)
 
 
 def max_admissible_norm(d: int) -> float:

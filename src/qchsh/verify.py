@@ -114,7 +114,7 @@ def suite_correlation_bound(dims, trials, seed) -> SuiteResult:
         basis = build_gellmann_basis(d)
         for k in range(3):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))
-            t = correlation_matrix(state, basis).matrix
+            t = correlation_matrix(state).matrix
             a = basis.random_admissible(rng, pairs)
             b = basis.random_admissible(rng, pairs)
             values = np.abs(np.einsum("nj,nj->n", a, b @ t.T))
@@ -131,12 +131,11 @@ def suite_correlation_bound(dims, trials, seed) -> SuiteResult:
 def suite_ghz_closed_form(dims, trials, seed) -> SuiteResult:
     checks = 0
     for d in dims:
-        basis = build_gellmann_basis(d)
-        computed = correlation_matrix(ghz_state(d), basis).matrix
+        computed = correlation_matrix(ghz_state(d)).matrix
         closed = ghz_correlation_matrix(d).matrix
         entry_err = float(np.max(np.abs(computed - closed)))
         square_err = float(
-            np.max(np.abs(computed @ computed - (4.0 / d**2) * np.eye(basis.size)))
+            np.max(np.abs(computed @ computed - (4.0 / d**2) * np.eye(d * d - 1)))
         )
         if entry_err > 1e-12 or square_err > 1e-12:
             return SuiteResult(
@@ -152,7 +151,6 @@ def suite_bound_ordering(dims, trials, seed) -> SuiteResult:
     checks = 0
     states_per_dim = min(max(trials // 100, 5), 50)
     for d in dims:
-        basis = build_gellmann_basis(d)
         closed_upper = chsh_bounds(ghz_correlation_matrix(d)).upper
         if abs(closed_upper - ghz_chsh_maximum(d)) > 1e-12:
             return SuiteResult(
@@ -162,7 +160,7 @@ def suite_bound_ordering(dims, trials, seed) -> SuiteResult:
         checks += 1
         for _ in range(states_per_dim):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))
-            correlations = correlation_matrix(state, basis)
+            correlations = correlation_matrix(state)
             report = chsh_bounds(correlations)
             if report.lower > report.upper + 1e-12:
                 return SuiteResult(

@@ -18,9 +18,9 @@ from qchsh.errors import DimensionMismatch, NotHermitian, ValidationError
 from qchsh.numerics import HERMITIAN_ATOL, _require_square
 from qchsh.representation import (
     MEMBERSHIP_ATOL,
+    TracelessObservable,
     check_dim,
     expand_observable,
-    observable_from_coefficients,
     symmetrized_traceless,
 )
 from qchsh.optimizer import (
@@ -32,19 +32,10 @@ from qchsh.optimizer import (
     _row_dots,
 )
 
-_CACHE = {}
-
-
 @pytest.fixture
 def basis():
-    """Memoized basis factory: basis(d) -> GellMannBasis."""
-
-    def factory(d):
-        if d not in _CACHE:
-            _CACHE[d] = build_gellmann_basis(d)
-        return _CACHE[d]
-
-    return factory
+    """Basis factory: basis(d) -> the library's shared GellMannBasis for d."""
+    return build_gellmann_basis
 
 
 @pytest.fixture
@@ -132,23 +123,25 @@ def boundary_row(n, basis):
     return np.sqrt(2.0 / basis.dim) * n / basis.vector_operator_norm(n)
 
 
-def dense_correlation(state, basis):
+def dense_correlation(state):
     """Reference for correlation_matrix: the dense einsums over the basis stack.
 
     Returns the complex entries tr[rho (L_a x L_b)], imaginary parts included.
     """
     d = state.dim
+    stack = build_gellmann_basis(d).stack
     r4 = state.rho.reshape(d, d, d, d)
-    partial = np.einsum("ikjl,aji->akl", r4, basis.stack)
-    return np.einsum("akl,blk->ab", partial, basis.stack)
+    partial = np.einsum("ikjl,aji->akl", r4, stack)
+    return np.einsum("akl,blk->ab", partial, stack)
 
 
-def random_search_max(state, basis, samples, seed):
+def random_search_max(state, samples, seed):
     """Feasible-point oracle: best |CHSH| over random admissible 4-tuples.
 
     Never exceeds the true maximum; deterministic per seed.
     """
-    t = correlation_matrix(state, basis).matrix
+    basis = build_gellmann_basis(state.dim)
+    t = correlation_matrix(state).matrix
     rng = np.random.default_rng(seed)
     best = 0.0
     remaining = samples
@@ -316,17 +309,16 @@ def lp_spectrum_oracle(lam_descending):
     return np.where(ties, share, mu)
 
 
-def traceless_linear_max(target, basis):
+def traceless_linear_max(target):
     """Maximize tr[X C] over admissible traceless X for Hermitian traceless C.
 
     Returns the maximizer, as a TracelessObservable sharing C's eigenbasis
     with spectrum in [-1, 1] and zero sum, and the attained value.  The
     see-saw's linear-max core, ``optimizer._linear_max``, on one checked matrix.
     """
-    c = symmetrized_traceless(target, basis, "target")
+    c = symmetrized_traceless(target, "target")
     x, lam, mu = _linear_max(c)
-    observable = observable_from_coefficients(expand_observable(x, basis), basis)
-    return observable, float(_row_dots(lam, mu))
+    return TracelessObservable(expand_observable(x)), float(_row_dots(lam, mu))
 
 
 def serial_linear_max(c):
@@ -345,7 +337,7 @@ def serial_linear_max(c):
     return (vectors * mu) @ vectors.conj().T
 
 
-def serial_restarts(correlations, basis, config):
+def serial_restarts(correlations, config):
     """Reference for optimizer._run_restarts: each restart alone, one vector at a time.
 
     Each restart runs to its own stop and records every sweep.  The batch's
@@ -355,6 +347,7 @@ def serial_restarts(correlations, basis, config):
     sweep.  A vanishing direction gives the zero vector in either mode.
     Returns one (iterations, stop reason, [a1, a2, b1, b2]) per restart.
     """
+    basis = build_gellmann_basis(correlations.dim)
     t = correlations.matrix
     half = 0.5 * basis.dim
 

@@ -11,6 +11,7 @@ import numpy as np
 from qchsh import (
     SeesawConfig,
     TSIRELSON,
+    TracelessObservable,
     build_gellmann_basis,
     chsh_bounds,
     chsh_expectation_direct,
@@ -21,7 +22,6 @@ from qchsh import (
     ghz_optimal_settings,
     ghz_state,
     horodecki_two_qubit,
-    observable_from_coefficients,
     random_two_qudit_state,
     seesaw_maximize,
 )
@@ -30,7 +30,6 @@ from qchsh.correlation import ChshSettings
 from conftest import boundary, polytope_vertex_max, random_hermitian, traceless_linear_max
 
 ROOT2 = np.sqrt(2.0)
-_BASES = {d: build_gellmann_basis(d) for d in range(2, 11)}
 
 
 def _report(number, name, started, detail=""):
@@ -43,7 +42,7 @@ def test_criterion_01_gellmann_orthogonality():
     started = time.time()
     worst = 0.0
     for d in range(2, 11):
-        basis = _BASES[d]
+        basis = build_gellmann_basis(d)
         gram = np.einsum("aij,bji->ab", basis.stack, basis.stack)
         worst = max(worst, float(np.max(np.abs(gram - 2.0 * np.eye(basis.size)))))
     assert worst < 1e-12
@@ -55,7 +54,7 @@ def test_criterion_02_norm_sandwich():
     started = time.time()
     rng = np.random.default_rng(101)
     for d in range(2, 7):
-        basis = _BASES[d]
+        basis = build_gellmann_basis(d)
         g = rng.standard_normal((10_000, basis.size))
         norms = np.linalg.norm(g, axis=1)
         assert np.all(norms > 0)
@@ -74,8 +73,8 @@ def test_criterion_03_ghz_correlation_closed_form():
     started = time.time()
     worst_entry = worst_square = 0.0
     for d in range(2, 9):
-        basis = _BASES[d]
-        computed = correlation_matrix(ghz_state(d), basis).matrix
+        basis = build_gellmann_basis(d)
+        computed = correlation_matrix(ghz_state(d)).matrix
         closed = ghz_correlation_matrix(d).matrix
         worst_entry = max(worst_entry, float(np.max(np.abs(computed - closed))))
         square = computed @ computed - (4.0 / d**2) * np.eye(basis.size)
@@ -94,9 +93,8 @@ def test_criterion_04_certificate_values():
     worst = 0.0
     values = []
     for d in range(2, 9):
-        basis = _BASES[d]
         expected = 2.0 * ROOT2 if d % 2 == 0 else 2.0 * (d - 1) / d * ROOT2
-        value = chsh_expectation_direct(ghz_state(d), ghz_optimal_settings(basis))
+        value = chsh_expectation_direct(ghz_state(d), ghz_optimal_settings(d))
         values.append(value)
         worst = max(worst, abs(value - expected))
         assert abs(value - ghz_chsh_maximum(d)) < 1e-12
@@ -112,9 +110,8 @@ def test_criterion_05_seesaw_reaches_ghz_maximum():
     started = time.time()
     worst = 0.0
     for d in range(2, 7):
-        basis = _BASES[d]
         config = SeesawConfig(mode="exact", restarts=32, seed=1)
-        result = seesaw_maximize(correlation_matrix(ghz_state(d), basis), basis, config)
+        result = seesaw_maximize(correlation_matrix(ghz_state(d)), config)
         worst = max(worst, abs(result.value - ghz_chsh_maximum(d)))
     assert worst < 1e-6
     elapsed = _report(5, "see-saw on GHZ", started, f"32 restarts, worst gap {worst:.2e}")
@@ -123,18 +120,17 @@ def test_criterion_05_seesaw_reaches_ghz_maximum():
 
 def test_criterion_06_two_qubit_exact_value():
     started = time.time()
-    basis = _BASES[2]
     worst_bounds = worst_seesaw = 0.0
     for seed in range(200):
         state = random_two_qudit_state(2, seed)
-        t = correlation_matrix(state, basis)
+        t = correlation_matrix(state)
         exact = horodecki_two_qubit(t)
         report = chsh_bounds(t)
         worst_bounds = max(
             worst_bounds, abs(report.lower - exact), abs(report.upper - exact)
         )
         config = SeesawConfig(mode="exact", restarts=8, seed=seed, tolerance=1e-12)
-        result = seesaw_maximize(t, basis, config)
+        result = seesaw_maximize(t, config)
         worst_seesaw = max(worst_seesaw, abs(result.value - exact))
     assert worst_bounds < 1e-12
     assert worst_seesaw < 1e-6
@@ -149,13 +145,12 @@ def test_criterion_07_bound_sandwich():
     started = time.time()
     worst_excess = -np.inf
     for d in (3, 4, 5):
-        basis = _BASES[d]
         for seed in range(100):
             state = random_two_qudit_state(d, seed)
-            report = chsh_bounds(correlation_matrix(state, basis))
+            report = chsh_bounds(correlation_matrix(state))
             assert report.lower <= report.upper + 1e-12
             config = SeesawConfig(mode="exact", restarts=6, seed=seed)
-            result = seesaw_maximize(correlation_matrix(state, basis), basis, config)
+            result = seesaw_maximize(correlation_matrix(state), config)
             worst_excess = max(worst_excess, result.value - report.upper)
             assert result.value <= report.upper + 1e-8
             assert result.value <= TSIRELSON + 1e-9
@@ -171,17 +166,17 @@ def test_criterion_08_form_equivalence():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for d in (2, 3, 4):
-        basis = _BASES[d]
+        basis = build_gellmann_basis(d)
         for trial in range(200):
             state = random_two_qudit_state(d, seed=trial)
-            t = correlation_matrix(state, basis)
+            t = correlation_matrix(state)
             vectors = [
                 rng.uniform(0.0, 1.0)
                 * boundary(rng.standard_normal(basis.size), basis)
                 for _ in range(4)
             ]
             settings = ChshSettings(
-                *[observable_from_coefficients(v, basis) for v in vectors]
+                *[TracelessObservable(v) for v in vectors]
             )
             direct = chsh_expectation_direct(state, settings)
             via = chsh_expectation_from_correlations(t, *vectors)
@@ -196,10 +191,9 @@ def test_criterion_09_linear_program_oracle():
     rng = np.random.default_rng(7)
     worst = 0.0
     for d in (2, 3, 4):
-        basis = _BASES[d]
         for _ in range(1000):
             c = random_hermitian(rng, d, traceless=True)
-            _, value = traceless_linear_max(c, basis)
+            _, value = traceless_linear_max(c)
             oracle = polytope_vertex_max(np.linalg.eigvalsh(c))
             worst = max(worst, abs(value - oracle))
     assert worst < 1e-12

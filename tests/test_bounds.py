@@ -7,7 +7,6 @@ from qchsh import (
     TSIRELSON,
     CorrelationMatrix,
     SeesawConfig,
-    build_gellmann_basis,
     chsh_bounds,
     correlation_matrix,
     ghz_chsh_maximum,
@@ -60,17 +59,16 @@ def test_chsh_bounds_zero_matrix():
     assert report.upper == 0.0
 
 
-def test_bounds_ordering_random_states(basis):
+def test_bounds_ordering_random_states():
     for d in (2, 3, 4):
-        b = basis(d)
         for seed in range(25):
-            report = chsh_bounds(correlation_matrix(random_two_qudit_state(d, seed), b))
+            report = chsh_bounds(correlation_matrix(random_two_qudit_state(d, seed)))
             assert report.lower <= report.upper + 1e-12
             if d == 2:
                 assert report.lower == pytest.approx(report.upper, abs=1e-12)
 
 
-def test_horodecki_examples(basis):
+def test_horodecki_examples():
     assert horodecki_two_qubit(CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))) == pytest.approx(
         2.0 * ROOT2, abs=1e-14
     )
@@ -78,21 +76,21 @@ def test_horodecki_examples(basis):
     with pytest.raises(WrongDimension):
         horodecki_two_qubit(ghz_correlation_matrix(3))
     # coincides with both spectral bounds at d = 2
-    t = correlation_matrix(random_two_qudit_state(2, seed=11), basis(2))
+    t = correlation_matrix(random_two_qudit_state(2, seed=11))
     report = chsh_bounds(t)
     exact = horodecki_two_qubit(t)
     assert report.lower == pytest.approx(exact, abs=1e-12)
     assert report.upper == pytest.approx(exact, abs=1e-12)
 
 
-def test_ghz_correlation_closed_form_matches_computed(basis):
+def test_ghz_correlation_closed_form_matches_computed():
     np.testing.assert_allclose(
         ghz_correlation_matrix(2).matrix, np.diag([1.0, -1.0, 1.0]), atol=0
     )
     expected3 = np.diag([2 / 3] * 3 + [-2 / 3] * 3 + [2 / 3] * 2)
     np.testing.assert_allclose(ghz_correlation_matrix(3).matrix, expected3, atol=1e-15)
     for d in range(2, 9):
-        computed = correlation_matrix(ghz_state(d), basis(d)).matrix
+        computed = correlation_matrix(ghz_state(d)).matrix
         assert np.max(np.abs(computed - ghz_correlation_matrix(d).matrix)) < 1e-12
 
 
@@ -123,21 +121,21 @@ def test_ghz_maximum_equals_upper_bound():
         (8, 14.0, False),
     ],
 )
-def test_product_state_upper_bound_need_not_improve_tsirelson(basis, d, upper, improves):
+def test_product_state_upper_bound_need_not_improve_tsirelson(d, upper, improves):
     # |00>: T = r r^T with |r|^2 = 2(1 - 1/d), so lower = 2 and upper = 2(d - 1) m_d^2,
     # which passes 2*sqrt(2) from d = 4 on; the paper's upper bound does not
     # improve on Tsirelson for every state
     rho = np.zeros((d * d, d * d), dtype=complex)
     rho[0, 0] = 1.0
-    t = correlation_matrix(validate_state(rho, d), basis(d))
+    t = correlation_matrix(validate_state(rho, d))
     report = chsh_bounds(t)
     assert report.lower == pytest.approx(2.0, abs=1e-12)
     assert report.upper == pytest.approx(upper, abs=1e-12)
     assert report.upper_improves_tsirelson == improves
-    assert seesaw_maximize(t, basis(d)).value == pytest.approx(2.0, abs=1e-9)
+    assert seesaw_maximize(t).value == pytest.approx(2.0, abs=1e-9)
     # T has rank one, so closed-form updates meet vanishing directions; their
     # zero vectors still reach the maximum
-    closed = seesaw_maximize(t, basis(d), SeesawConfig(mode="closed-form"))
+    closed = seesaw_maximize(t, SeesawConfig(mode="closed-form"))
     assert closed.value == pytest.approx(2.0, abs=1e-9)
     assert max(closed.iterations_per_restart) <= 2
 
@@ -148,14 +146,13 @@ def test_product_basis_states_are_an_exact_family(data, d):
     # every |jk> has lower = max = 2 and upper = 2(d - 1) m_d^2
     j = data.draw(st.integers(0, d - 1), label="j")
     k = data.draw(st.integers(0, d - 1), label="k")
-    b = build_gellmann_basis(d)
     rho = np.zeros((d * d, d * d), dtype=complex)
     rho[j * d + k, j * d + k] = 1.0
-    t = correlation_matrix(validate_state(rho, d), b)
+    t = correlation_matrix(validate_state(rho, d))
     report = chsh_bounds(t)
     assert abs(report.lower - 2.0) <= 1e-9
     assert abs(report.upper - 2.0 * (d - 1) * max_admissible_norm(d) ** 2) <= 1e-9
-    assert abs(seesaw_maximize(t, b).value - 2.0) <= 1e-9
+    assert abs(seesaw_maximize(t).value - 2.0) <= 1e-9
 
 
 # The paper leaves open whether its upper bound improves on Tsirelson's 2*sqrt(2)
@@ -166,30 +163,29 @@ def test_product_basis_states_are_an_exact_family(data, d):
 # embedded Bell pair.
 
 
-def test_embedded_bell_pair_meets_tsirelson_at_d3(basis):
+def test_embedded_bell_pair_meets_tsirelson_at_d3():
     d = 3
     psi = np.zeros(d * d, dtype=complex)
     psi[0] = psi[d + 1] = 1.0 / ROOT2
-    t = correlation_matrix(validate_state(np.outer(psi, psi.conj()), d), basis(d))
+    t = correlation_matrix(validate_state(np.outer(psi, psi.conj()), d))
     report = chsh_bounds(t)
     assert abs(report.lambda1 + report.lambda2 - 2.0) <= 1e-12
     assert abs(report.upper - TSIRELSON) <= 1e-12
     assert not report.upper_improves_tsirelson
-    result = seesaw_maximize(t, basis(d))
+    result = seesaw_maximize(t)
     assert "certified" in result.stop_reasons
     assert abs(result.value - TSIRELSON) <= 1e-9
 
 
-def test_pure_two_qutrit_states_keep_lambda_sum_at_most_two(basis):
+def test_pure_two_qutrit_states_keep_lambda_sum_at_most_two():
     # mixtures are covered by convexity: lambda1 + lambda2 is a convex
     # function of T, and T is linear in rho
     rng = np.random.default_rng(11)
-    b = basis(3)
     worst = 0.0
     for _ in range(300):
         psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         psi /= np.linalg.norm(psi)
-        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3), b))
+        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3)))
         worst = max(worst, report.lambda1 + report.lambda2)
     assert worst <= 2.0 + 1e-12
 
@@ -228,7 +224,7 @@ def test_gradient_ascent_keeps_two_qutrit_lambda_sum_at_most_two(basis):
                 step /= 2.0
                 continue
             psi, value, gradient = trial, trial_value, trial_gradient
-        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3), b))
+        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3)))
         assert abs(report.lambda1 + report.lambda2 - value) <= 1e-12
         finals.append(value)
     assert max(finals) <= 2.0 + 1e-12
@@ -239,12 +235,11 @@ def test_gradient_ascent_keeps_two_qutrit_lambda_sum_at_most_two(basis):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 8), seed=st.integers(0, 2**16))
 def test_bounds_are_local_unitary_invariant(d, seed):
-    b = build_gellmann_basis(d)
     rng = np.random.default_rng(seed)
     state = random_two_qudit_state(d, seed)
     local = np.kron(random_unitary(rng, d), random_unitary(rng, d))
     rotated = validate_state(local @ state.rho @ local.conj().T, d)
-    before = chsh_bounds(correlation_matrix(state, b))
-    after = chsh_bounds(correlation_matrix(rotated, b))
+    before = chsh_bounds(correlation_matrix(state))
+    after = chsh_bounds(correlation_matrix(rotated))
     for name in ("lambda1", "lambda2", "lower", "upper"):
         assert abs(getattr(before, name) - getattr(after, name)) <= 1e-12

@@ -634,6 +634,10 @@ _BACK_TO_BACK = (
     ("verify", "--suite", "lemma1", "--dims", "2:3", "--trials", "20"),
     # JSON again: the CSV request above must leave no default behind
     ("ghz-table", "--dims", "2:2", "--restarts", "1"),
+    # one shared d = 3 basis: this request builds its stack, the next reads
+    # its labels, and each prints what a fresh process prints
+    ("basis", "--dim", "3"),
+    ("correlation", "--state", "ghz", "--dim", "3", "--output", "csv"),
 )
 
 
@@ -662,7 +666,7 @@ def test_back_to_back_calls_print_what_fresh_processes_print(monkeypatch):
         for argv in _BACK_TO_BACK
     ]
     expected = [(run.returncode, run.stdout, run.stderr) for run in fresh]
-    assert [code for code, _, _ in expected] == [1, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in expected] == [1, 0, 0, 0, 0, 0, 0, 0]
     # twice over, so that the second round runs on a parser that has parsed each call
     for _ in range(2):
         assert [_in_process(argv) for argv in _BACK_TO_BACK] == expected

@@ -6,35 +6,33 @@ from hypothesis import strategies as st
 from qchsh import (
     ChshSettings,
     CorrelationMatrix,
+    TracelessObservable,
     TwoQuditState,
-    build_gellmann_basis,
+    chsh_bounds,
     chsh_expectation_direct,
     chsh_expectation_from_correlations,
     chsh_operator,
     correlation_matrix,
     expand_observable,
     ghz_state,
-    observable_from_coefficients,
     random_two_qudit_state,
     validate_state,
 )
 from qchsh.correlation import _complex_entries
-from qchsh.errors import DimensionMismatch, ImaginaryResidual, NotInLd
+from qchsh.errors import DimensionMismatch, ImaginaryResidual, NotHermitian, NotInLd
 
 from conftest import SIGMA_X, SIGMA_Z, boundary, dense_correlation, property_state
 
 ROOT2 = np.sqrt(2.0)
 
 
-def _settings_from_matrices(mats, basis):
-    observables = [observable_from_coefficients(expand_observable(m, basis), basis) for m in mats]
-    return ChshSettings(*observables)
+def _settings_from_matrices(mats):
+    return ChshSettings(*[TracelessObservable(expand_observable(m)) for m in mats])
 
 
-def bell_optimal_settings(basis):
+def bell_optimal_settings():
     return _settings_from_matrices(
-        [SIGMA_Z, SIGMA_X, (SIGMA_Z + SIGMA_X) / ROOT2, (SIGMA_Z - SIGMA_X) / ROOT2],
-        basis,
+        [SIGMA_Z, SIGMA_X, (SIGMA_Z + SIGMA_X) / ROOT2, (SIGMA_Z - SIGMA_X) / ROOT2]
     )
 
 
@@ -45,42 +43,37 @@ def random_settings(rng, basis):
         for _ in range(4)
     ]
     return (
-        ChshSettings(*[observable_from_coefficients(v, basis) for v in vectors]),
+        ChshSettings(*[TracelessObservable(v) for v in vectors]),
         vectors,
     )
 
 
-def test_maximally_mixed_has_zero_correlations(basis):
+def test_maximally_mixed_has_zero_correlations():
     state = validate_state(np.eye(9, dtype=complex) / 9.0, 3)
-    t = correlation_matrix(state, basis(3))
+    t = correlation_matrix(state)
     assert np.max(np.abs(t.matrix)) < 1e-14
 
 
-def test_ghz_qubit_correlations(basis):
-    t = correlation_matrix(ghz_state(2), basis(2))
+def test_ghz_qubit_correlations():
+    t = correlation_matrix(ghz_state(2))
     np.testing.assert_allclose(t.matrix, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
 
 
-def test_ghz_qutrit_correlations(basis):
-    t = correlation_matrix(ghz_state(3), basis(3))
+def test_ghz_qutrit_correlations():
+    t = correlation_matrix(ghz_state(3))
     expected = np.diag([2 / 3] * 3 + [-2 / 3] * 3 + [2 / 3] * 2)
     np.testing.assert_allclose(t.matrix, expected, atol=1e-13)
 
 
-def test_correlation_matrix_symmetric_for_ghz(basis):
-    t = correlation_matrix(ghz_state(4), basis(4))
+def test_correlation_matrix_symmetric_for_ghz():
+    t = correlation_matrix(ghz_state(4))
     assert np.max(np.abs(t.matrix - t.matrix.T)) < 1e-10
-
-
-def test_correlation_rejects_dimension_mismatch(basis):
-    with pytest.raises(DimensionMismatch):
-        correlation_matrix(ghz_state(3), basis(2))
 
 
 def test_correlation_matrix_reads_d_from_its_side():
     assert CorrelationMatrix(np.zeros((3, 3))).dim == 2
     assert CorrelationMatrix(np.zeros((80, 80))).dim == 9
-    assert correlation_matrix(ghz_state(4), build_gellmann_basis(4)).dim == 4
+    assert correlation_matrix(ghz_state(4)).dim == 4
 
 
 @pytest.mark.parametrize("shape", [(3, 8), (5, 5), (9, 9), (0, 0), (8,), (2, 3, 3)])
@@ -89,21 +82,40 @@ def test_correlation_matrix_side_must_be_d_squared_minus_one(shape):
         CorrelationMatrix(np.zeros(shape))
 
 
-def test_correlation_raises_on_imaginary_residual(basis):
+def test_correlation_matrix_stores_a_float64_array():
+    # a nested list becomes an array that the bounds can read
+    t = CorrelationMatrix([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1]])
+    assert type(t.matrix) is np.ndarray and t.matrix.dtype == np.float64
+    assert chsh_bounds(t).upper == pytest.approx(2.0 * ROOT2, abs=1e-14)
+    # a complex array with zero imaginary parts gives its real part
+    np.testing.assert_array_equal(CorrelationMatrix(np.eye(3, dtype=complex)).matrix, np.eye(3))
+    # the read-only T of correlation_matrix passes through as it is
+    computed = correlation_matrix(random_two_qudit_state(3, 8)).matrix
+    assert CorrelationMatrix(computed).matrix is computed
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j, 1.0 + 1e-300j, "1.0"])
+def test_correlation_matrix_refuses_non_finite_or_non_real_entries(entry):
+    t = np.diag([entry, 1.0, 1.0])
+    with pytest.raises(NotHermitian, match="correlation matrix"):
+        CorrelationMatrix(t)
+
+
+def test_correlation_raises_on_imaginary_residual():
     rho = ghz_state(2).rho.copy()
     rho[0, 3] += 0.2j
     rho[3, 0] += 0.2j  # keeps the matrix non-Hermitian on purpose
     broken = TwoQuditState(rho)
     with pytest.raises(ImaginaryResidual):
-        correlation_matrix(broken, basis(2))
+        correlation_matrix(broken)
 
 
-def _assert_same_as_dense(state, basis):
-    expected = dense_correlation(state, basis)
-    t = correlation_matrix(state, basis).matrix
+def _assert_same_as_dense(state):
+    expected = dense_correlation(state)
+    t = correlation_matrix(state).matrix
     np.testing.assert_array_equal(t, expected.real)
     np.testing.assert_array_equal(np.signbit(t), np.signbit(expected.real))
-    imag = _complex_entries(state, basis).imag
+    imag = _complex_entries(state).imag
     assert np.max(np.abs(imag)) == np.max(np.abs(expected.imag))
 
 
@@ -114,12 +126,12 @@ def _assert_same_as_dense(state, basis):
     seed=st.integers(0, 2**16),
 )
 def test_correlation_matches_dense_einsum_bit_for_bit(d, kind, seed):
-    _assert_same_as_dense(property_state(kind, d, seed), build_gellmann_basis(d))
+    _assert_same_as_dense(property_state(kind, d, seed))
 
 
 @pytest.mark.parametrize("d", range(9, 17))
-def test_correlation_matches_dense_einsum_at_larger_d(d, basis):
-    _assert_same_as_dense(random_two_qudit_state(d, 100 + d), basis(d))
+def test_correlation_matches_dense_einsum_at_larger_d(d):
+    _assert_same_as_dense(random_two_qudit_state(d, 100 + d))
 
 
 @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
@@ -140,21 +152,21 @@ def test_pair_leading_against_per_slice_trace(trailing, basis, rng):
         basis(3).pair_leading(np.zeros(3))
 
 
-def test_chsh_operator_collinear_settings(basis):
-    settings = _settings_from_matrices([SIGMA_Z, SIGMA_Z, SIGMA_Z, SIGMA_Z], basis(2))
+def test_chsh_operator_collinear_settings():
+    settings = _settings_from_matrices([SIGMA_Z, SIGMA_Z, SIGMA_Z, SIGMA_Z])
     np.testing.assert_allclose(chsh_operator(settings), 2.0 * np.kron(SIGMA_Z, SIGMA_Z), atol=1e-14)
 
 
-def test_chsh_operator_bell_settings(basis):
-    settings = bell_optimal_settings(basis(2))
+def test_chsh_operator_bell_settings():
+    settings = bell_optimal_settings()
     expected = ROOT2 * (np.kron(SIGMA_Z, SIGMA_Z) + np.kron(SIGMA_X, SIGMA_X))
     np.testing.assert_allclose(chsh_operator(settings), expected, atol=1e-14)
 
 
-def test_chsh_operator_puts_alice_on_the_left_factor(basis):
+def test_chsh_operator_puts_alice_on_the_left_factor():
     # sigma_z x sigma_x: entry (i*2 + k, j*2 + l) is A[i, j] * B[k, l]
     zero = np.zeros((2, 2), dtype=complex)
-    settings = _settings_from_matrices([SIGMA_Z, zero, SIGMA_X, zero], basis(2))
+    settings = _settings_from_matrices([SIGMA_Z, zero, SIGMA_X, zero])
     expected = np.zeros((4, 4), dtype=complex)
     expected[:2, :2] = SIGMA_X
     expected[2:, 2:] = -SIGMA_X
@@ -200,49 +212,47 @@ def test_chsh_operator_ghz_pairing(basis):
     b = basis(3)
     n = np.zeros(b.size)
     n[0] = np.sqrt(2.0 / 3.0)
-    zero = observable_from_coefficients(np.zeros(b.size), b)
-    first = observable_from_coefficients(n, b)
+    zero = TracelessObservable(np.zeros(b.size))
+    first = TracelessObservable(n)
     np.testing.assert_allclose(first.matrix, b.stack[0], rtol=0, atol=1e-15)
     value = chsh_expectation_direct(ghz_state(3), ChshSettings(first, zero, first, zero))
     assert value == pytest.approx(2.0 / 3.0, abs=1e-14)
-    assert correlation_matrix(ghz_state(3), b).matrix[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert correlation_matrix(ghz_state(3)).matrix[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
-def test_chsh_operator_zero_settings(basis):
-    b = basis(2)
-    zero = observable_from_coefficients(np.zeros(3), b)
+def test_chsh_operator_zero_settings():
+    zero = TracelessObservable(np.zeros(3))
     settings = ChshSettings(zero, zero, zero, zero)
     np.testing.assert_allclose(chsh_operator(settings), np.zeros((4, 4)), atol=0)
     assert chsh_expectation_direct(ghz_state(2), settings) == 0.0
 
 
-def test_settings_reject_inadmissible_observable(basis):
-    b = basis(2)
-    fine = observable_from_coefficients(np.array([0.0, 0.0, 1.0]), b)
-    too_big = observable_from_coefficients(np.array([0.0, 0.0, 2.0]), b)
+def test_settings_reject_inadmissible_observable():
+    fine = TracelessObservable(np.array([0.0, 0.0, 1.0]))
+    too_big = TracelessObservable(np.array([0.0, 0.0, 2.0]))
     with pytest.raises(NotInLd):
         ChshSettings(fine, fine, fine, too_big)
 
 
-def test_settings_reject_mixed_dimensions(basis):
+def test_settings_reject_mixed_dimensions():
     # chsh_operator's np.kron relies on this check for equal factor sizes
-    qubit = observable_from_coefficients(np.array([0.0, 0.0, 1.0]), basis(2))
-    qutrit = observable_from_coefficients(np.zeros(8), basis(3))
+    qubit = TracelessObservable(np.array([0.0, 0.0, 1.0]))
+    qutrit = TracelessObservable(np.zeros(8))
     with pytest.raises(DimensionMismatch):
         ChshSettings(qubit, qubit, qubit, qutrit)
 
 
-def test_bell_state_reaches_tsirelson(basis):
-    value = chsh_expectation_direct(ghz_state(2), bell_optimal_settings(basis(2)))
+def test_bell_state_reaches_tsirelson():
+    value = chsh_expectation_direct(ghz_state(2), bell_optimal_settings())
     assert value == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
 
-def test_product_state_expectation(basis):
+def test_product_state_expectation():
     # rho = |00><00|, A1 = A2 = sigma_z, B1 = sigma_z, B2 = -sigma_z gives 2.
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     state = validate_state(rho, 2)
-    settings = _settings_from_matrices([SIGMA_Z, SIGMA_Z, SIGMA_Z, -SIGMA_Z], basis(2))
+    settings = _settings_from_matrices([SIGMA_Z, SIGMA_Z, SIGMA_Z, -SIGMA_Z])
     assert chsh_expectation_direct(state, settings) == pytest.approx(2.0, abs=1e-13)
 
 
@@ -271,7 +281,7 @@ def test_form_equivalence_random(basis, rng):
         b = basis(d)
         for seed in range(30):
             state = random_two_qudit_state(d, seed)
-            t = correlation_matrix(state, b)
+            t = correlation_matrix(state)
             settings, vectors = random_settings(rng, b)
             direct = chsh_expectation_direct(state, settings)
             via = chsh_expectation_from_correlations(t, *vectors)
@@ -283,7 +293,7 @@ def test_correlation_pairing_bound(basis, rng):
     for d in (2, 3, 4):
         b = basis(d)
         state = random_two_qudit_state(d, seed=d)
-        t = correlation_matrix(state, b)
+        t = correlation_matrix(state)
         for _ in range(200):
             a = boundary(rng.standard_normal(b.size), b)
             v = boundary(rng.standard_normal(b.size), b)

@@ -2,8 +2,8 @@
 modules or the tests, every name that ``qchsh.__all__`` exports exists, each
 export and each public method of an exported class is used by some package
 module other than ``__init__.py``, the optimizer reads states only through
-the correlation matrix it is given, no package module reaches into numpy's
-private modules, the CLI builds its parser on the first ``main`` call, once,
+the correlation matrix it is given, no exported callable takes a ``basis``
+parameter, no package module reaches into numpy's private modules, the CLI builds its parser on the first ``main`` call, once,
 and not at import, and the public surface keeps the size ROADMAP.md records."""
 
 from __future__ import annotations
@@ -207,16 +207,53 @@ def test_cli_parser_is_built_on_first_main_call_only():
     assert after_calls == [after_calls[0]] * 3
 
 
-def _parameter_count(obj) -> int:
-    """Parameters of an exported function, or of a class's constructor plus
-    those of its public methods (``self`` not counted); 0 for a constant."""
+def _signatures(name: str, obj) -> list[tuple[str, list[str]]]:
+    """(label, parameter names) of an exported function, or of a class's
+    constructor and each of its public methods (``self`` left out); none for
+    a constant."""
     if inspect.isclass(obj):
-        methods = [m for name, m in inspect.getmembers(obj, inspect.isfunction)
-                   if not name.startswith("_")]
-        return len(inspect.signature(obj).parameters) + sum(
-            len(inspect.signature(m).parameters) - 1 for m in methods
-        )
-    return len(inspect.signature(obj).parameters) if callable(obj) else 0
+        methods = [
+            (f"{name}.{method}", list(inspect.signature(fn).parameters)[1:])
+            for method, fn in inspect.getmembers(obj, inspect.isfunction)
+            if not method.startswith("_")
+        ]
+        return [(name, list(inspect.signature(obj).parameters))] + methods
+    return [(name, list(inspect.signature(obj).parameters))] if callable(obj) else []
+
+
+def _parameter_count(obj) -> int:
+    return sum(len(parameters) for _, parameters in _signatures("", obj))
+
+
+def _taking(parameter: str, exports: dict) -> list[str]:
+    """The exported callables, constructors and public methods with this parameter."""
+    return [
+        label
+        for name, obj in exports.items()
+        for label, parameters in _signatures(name, obj)
+        if parameter in parameters
+    ]
+
+
+def test_no_public_callable_takes_a_basis():
+    # d fixes the Gell-Mann basis, and every input carries its d
+    assert _taking("basis", {name: getattr(qchsh, name) for name in qchsh.__all__}) == []
+
+
+def test_basis_parameter_is_reported():
+    class Planted:
+        def __init__(self, basis): ...
+
+        def method(self, x, basis=None): ...
+
+        def _private(self, basis): ...
+
+    def free(basis): ...
+
+    def other(d): ...
+
+    exports = {"Planted": Planted, "free": free, "other": other, "CONSTANT": 1.0}
+    assert _taking("basis", exports) == ["Planted", "Planted.method", "free"]
 
 
 def _cli_option_count() -> int:
@@ -233,8 +270,8 @@ def _cli_option_count() -> int:
 
 
 def test_public_surface_size():
-    # 63 + 27 = 90 settable values.  A change to the surface changes these
+    # 57 + 27 = 84 settable values.  A change to the surface changes these
     # counts; ROADMAP.md records them.
-    assert len(qchsh.__all__) == 29
+    assert len(qchsh.__all__) == 28
     api = sum(_parameter_count(getattr(qchsh, name)) for name in qchsh.__all__)
-    assert (api, _cli_option_count()) == (63, 27)
+    assert (api, _cli_option_count()) == (57, 27)

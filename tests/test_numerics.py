@@ -50,9 +50,9 @@ def test_eigendecomposition_second_diagonal_generator():
     assert value == pytest.approx(np.sqrt(3.0), abs=1e-14)
 
 
-def test_eigendecomposition_rejects_non_hermitian(basis):
+def test_eigendecomposition_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        traceless_linear_max(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), basis(2))
+        traceless_linear_max(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_eigendecomposition_reconstruction_and_orthonormality(rng):

@@ -12,7 +12,6 @@ from qchsh import (
     chsh_expectation_direct,
     correlation_matrix,
     ghz_chsh_maximum,
-    ghz_correlation_matrix,
     ghz_optimal_settings,
     ghz_state,
     horodecki_two_qubit,
@@ -23,12 +22,10 @@ from qchsh import (
 )
 from qchsh.errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     InvalidConfig,
     NotTraceless,
     NumericalError,
 )
-import qchsh.cli
 import qchsh.optimizer
 from qchsh.optimizer import (
     LP_TIE_ATOL,
@@ -57,49 +54,48 @@ from conftest import (
 ROOT2 = np.sqrt(2.0)
 
 
-def test_linear_max_antisymmetric_spectrum(basis):
+def test_linear_max_antisymmetric_spectrum():
     c = np.diag([0.7, -0.7]).astype(complex)
-    obs, value = traceless_linear_max(c, basis(2))
+    obs, value = traceless_linear_max(c)
     assert value == pytest.approx(1.4, abs=1e-14)
     np.testing.assert_allclose(np.linalg.eigvalsh(obs.matrix), [-1.0, 1.0], atol=1e-12)
 
 
-def test_linear_max_qutrit_example(basis):
+def test_linear_max_qutrit_example():
     # median 0.3: mu = (1, 0, -1) and value 0.2 + 1.1 = 1.3
-    obs, value = traceless_linear_max(np.diag([0.5, 0.3, -0.8]).astype(complex), basis(3))
+    obs, value = traceless_linear_max(np.diag([0.5, 0.3, -0.8]).astype(complex))
     assert value == pytest.approx(1.3, abs=1e-14)
     np.testing.assert_allclose(sorted(np.linalg.eigvalsh(obs.matrix)), [-1.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_linear_max_even_dimension_example(basis):
-    obs, value = traceless_linear_max(np.diag([3.0, 1.0, -1.0, -3.0]).astype(complex), basis(4))
+def test_linear_max_even_dimension_example():
+    obs, value = traceless_linear_max(np.diag([3.0, 1.0, -1.0, -3.0]).astype(complex))
     assert value == pytest.approx(8.0, abs=1e-13)
     assert obs.is_admissible()
 
 
-def test_linear_max_rejects_traceful_input(basis):
+def test_linear_max_rejects_traceful_input():
     with pytest.raises(NotTraceless):
-        traceless_linear_max(np.eye(2, dtype=complex), basis(2))
+        traceless_linear_max(np.eye(2, dtype=complex))
 
 
-def test_linear_max_eigensolver_failure_is_convergence_failure(basis, monkeypatch):
+def test_linear_max_eigensolver_failure_is_convergence_failure(monkeypatch):
     def failing_eigh(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(ConvergenceFailure):
-        traceless_linear_max(np.diag([1.0, -1.0]).astype(complex), basis(2))
-    t = correlation_matrix(ghz_state(2), basis(2))
+        traceless_linear_max(np.diag([1.0, -1.0]).astype(complex))
+    t = correlation_matrix(ghz_state(2))
     with pytest.raises(ConvergenceFailure):
-        seesaw_maximize(t, basis(2), SeesawConfig(restarts=1))
+        seesaw_maximize(t, SeesawConfig(restarts=1))
 
 
-def test_linear_max_matches_vertex_enumeration(basis, rng):
+def test_linear_max_matches_vertex_enumeration(rng):
     for d in (2, 3, 4):
-        b = basis(d)
         for _ in range(100):
             c = random_hermitian(rng, d, traceless=True)
-            obs, value = traceless_linear_max(c, b)
+            obs, value = traceless_linear_max(c)
             lam = np.linalg.eigvalsh(c)
             assert abs(value - polytope_vertex_max(lam)) < 1e-12
             # the certificate reproduces the value and stays admissible
@@ -157,13 +153,12 @@ def test_lp_spectrum_matches_full_row_oracle(lam):
     np.testing.assert_array_equal(_lp_spectrum(ascending[:, ::-1]).view(np.int64), expected)
 
 
-def test_linear_max_invariant_under_rotation(basis, rng):
-    b = basis(3)
+def test_linear_max_invariant_under_rotation(rng):
     lam = np.array([0.5, 0.3, -0.8])
     for _ in range(10):
         u = random_unitary(rng, 3)
         c = u @ np.diag(lam).astype(complex) @ u.conj().T
-        _, value = traceless_linear_max(c, b)
+        _, value = traceless_linear_max(c)
         assert value == pytest.approx(1.3, abs=1e-12)
 
 
@@ -171,7 +166,7 @@ def test_closed_form_update_bell_example(basis):
     from qchsh import chsh_expectation_from_correlations
 
     b = basis(2)
-    t = correlation_matrix(ghz_state(2), b)
+    t = correlation_matrix(ghz_state(2))
     b1 = np.array([1.0, 0.0, 0.0])
     b2 = np.array([0.0, 0.0, 1.0])
     directions = _pair_products(t.matrix, np.array([[b1, b2]]))
@@ -197,7 +192,7 @@ def test_closed_form_update_degenerate_paths(basis):
     np.testing.assert_array_equal(out, np.zeros((2, 2, 3)))
 
     # Bob's update uses T^T; u - u vanishes in the minus slot only
-    t = correlation_matrix(ghz_state(2), b)
+    t = correlation_matrix(ghz_state(2))
     directions = _pair_products(t.matrix.T, np.array([[u, u]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -206,9 +201,9 @@ def test_closed_form_update_degenerate_paths(basis):
     np.testing.assert_array_equal(minus, np.zeros(3))
 
 
-def test_ghz_optimal_settings_values(basis):
+def test_ghz_optimal_settings_values():
     for d, expected in ((2, 2.0 * ROOT2), (3, 4.0 * ROOT2 / 3.0), (6, 2.0 * ROOT2)):
-        settings = ghz_optimal_settings(basis(d))
+        settings = ghz_optimal_settings(d)
         value = chsh_expectation_direct(ghz_state(d), settings)
         assert value == pytest.approx(expected, abs=1e-12)
         for obs in settings.all:
@@ -217,8 +212,8 @@ def test_ghz_optimal_settings_values(basis):
             assert np.max(np.abs(obs.matrix - obs.matrix.T)) == 0.0
 
 
-def test_ghz_optimal_settings_odd_padding(basis):
-    settings = ghz_optimal_settings(basis(5))
+def test_ghz_optimal_settings_odd_padding():
+    settings = ghz_optimal_settings(5)
     for obs in settings.all:
         assert np.max(np.abs(obs.matrix[4, :])) == 0.0
         assert np.max(np.abs(obs.matrix[:, 4])) == 0.0
@@ -230,8 +225,8 @@ def test_ghz_optimal_settings_odd_padding(basis):
 def test_deterministic_init_starts_ghz_from_the_block_strategy(d, epsilon):
     b = build_gellmann_basis(d)
     rho = (1.0 - epsilon) * ghz_state(d).rho + epsilon * np.eye(d * d) / d**2
-    b1, b2 = _deterministic_init(b, correlation_matrix(validate_state(rho, d), b))
-    settings = ghz_optimal_settings(b)
+    b1, b2 = _deterministic_init(b, correlation_matrix(validate_state(rho, d)))
+    settings = ghz_optimal_settings(d)
     np.testing.assert_array_equal(b1.view(np.int64), settings.b1.coefficients.view(np.int64))
     np.testing.assert_array_equal(b2.view(np.int64), settings.b2.coefficients.view(np.int64))
 
@@ -250,14 +245,14 @@ def test_deterministic_init_takes_singular_directions_off_ghz(d, kind, monkeypat
 
     monkeypatch.setattr(qchsh.optimizer, "_ghz_blocks", refuse)
     b = build_gellmann_basis(d)
-    b1, b2 = _deterministic_init(b, correlation_matrix(state, b))
+    b1, b2 = _deterministic_init(b, correlation_matrix(state))
     assert is_admissible(b1, b) and is_admissible(b2, b)
 
 
-def test_seesaw_reaches_ghz_maximum(basis):
+def test_seesaw_reaches_ghz_maximum():
     for d, tol in ((2, 1e-8), (3, 1e-6)):
         config = SeesawConfig(mode="exact", restarts=8, seed=1)
-        result = seesaw_maximize(correlation_matrix(ghz_state(d), basis(d)), basis(d), config)
+        result = seesaw_maximize(correlation_matrix(ghz_state(d)), config)
         assert result.value == pytest.approx(ghz_chsh_maximum(d), abs=tol)
 
 
@@ -265,8 +260,7 @@ def test_seesaw_reaches_ghz_maximum(basis):
 def test_seesaw_certifies_ghz_within_two_sweeps(d):
     # restart 0 starts on the block strategy, which attains the upper bound,
     # so the whole batch stops at once
-    b = build_gellmann_basis(d)
-    result = seesaw_maximize(correlation_matrix(ghz_state(d), b), b, SeesawConfig())
+    result = seesaw_maximize(correlation_matrix(ghz_state(d)), SeesawConfig())
     assert max(result.iterations_per_restart) <= 2
     assert result.stop_reasons == ["certified"] * SeesawConfig().restarts
     assert result.converged_count == 0
@@ -277,10 +271,9 @@ def test_seesaw_certifies_ghz_within_two_sweeps(d):
 @pytest.mark.parametrize("p", [0.5, 0.9])
 def test_seesaw_certifies_isotropic_states(d, p):
     # p GHZ + (1 - p) I/d**2 has T = p T_GHZ, and its upper bound p * GHZ maximum is attained
-    b = build_gellmann_basis(d)
     rho = p * ghz_state(d).rho + (1.0 - p) * np.eye(d * d) / d**2
     config = SeesawConfig()
-    result = seesaw_maximize(correlation_matrix(validate_state(rho, d), b), b, config)
+    result = seesaw_maximize(correlation_matrix(validate_state(rho, d)), config)
     assert "certified" in result.stop_reasons
     assert 0.0 <= result.bounds.upper - result.value <= config.tolerance
     assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
@@ -291,10 +284,9 @@ def test_seesaw_certifies_isotropic_states(d, p):
 def test_seesaw_certifies_the_isotropic_family(d, p):
     # the whole family attains its upper bound; the value may pass it by a
     # rounding error (up to 1.3e-15 at even d), never by UPPER_BOUND_ATOL
-    b = build_gellmann_basis(d)
     rho = p * ghz_state(d).rho + (1.0 - p) * np.eye(d * d) / d**2
     config = SeesawConfig()
-    result = seesaw_maximize(correlation_matrix(validate_state(rho, d), b), b, config)
+    result = seesaw_maximize(correlation_matrix(validate_state(rho, d)), config)
     assert "certified" in result.stop_reasons
     assert -UPPER_BOUND_ATOL <= result.bounds.upper - result.value <= config.tolerance
     assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
@@ -303,52 +295,30 @@ def test_seesaw_certifies_the_isotropic_family(d, p):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_seesaw_certifies_two_qubit_states(seed):
     # at d = 2 lower = upper = the exact Horodecki value
-    b = build_gellmann_basis(2)
-    t = correlation_matrix(random_two_qudit_state(2, seed), b)
-    result = seesaw_maximize(t, b, SeesawConfig(seed=seed))
+    t = correlation_matrix(random_two_qudit_state(2, seed))
+    result = seesaw_maximize(t, SeesawConfig(seed=seed))
     assert "certified" in result.stop_reasons
     assert abs(result.value - horodecki_two_qubit(t)) <= 1e-9
 
 
-def test_seesaw_returns_the_bounds_of_t(basis):
-    b = basis(3)
-    t = correlation_matrix(random_two_qudit_state(3, seed=4), b)
-    result = seesaw_maximize(t, b, SeesawConfig(restarts=2))
+def test_seesaw_returns_the_bounds_of_t():
+    t = correlation_matrix(random_two_qudit_state(3, seed=4))
+    result = seesaw_maximize(t, SeesawConfig(restarts=2))
     assert result.bounds == chsh_bounds(t)
     assert result.bounds.lower <= result.value <= result.bounds.upper
 
 
-@pytest.mark.parametrize("t_dim, basis_dim", [(2, 3), (2, 4), (3, 2)])
-def test_seesaw_refuses_a_basis_of_another_dimension(basis, capsys, monkeypatch, t_dim, basis_dim):
-    message = f"correlation matrix has d={t_dim} but basis has d={basis_dim}"
-    t = ghz_correlation_matrix(t_dim)
-
-    def not_reached(*args):
-        raise AssertionError("the see-saw started work before checking dimensions")
-
-    # the check comes before the bounds and the restarts
-    monkeypatch.setattr(qchsh.optimizer, "chsh_bounds", not_reached)
-    with pytest.raises(DimensionMismatch, match=message):
-        seesaw_maximize(t, basis(basis_dim))
-    # in CLI terms: exit code 1 with the message on stderr
-    monkeypatch.setattr(qchsh.cli, "_correlations", lambda args: (basis(basis_dim), t))
-    assert qchsh.cli.main(["optimize", "--state", "ghz", "--dim", str(t_dim)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: DimensionMismatch: {message}\n"
-
-
-def test_seesaw_on_maximally_mixed_state(basis):
-    t = correlation_matrix(validate_state(np.eye(16, dtype=complex) / 16.0, 4), basis(4))
-    result = seesaw_maximize(t, basis(4), SeesawConfig(restarts=4, seed=0))
+def test_seesaw_on_maximally_mixed_state():
+    t = correlation_matrix(validate_state(np.eye(16, dtype=complex) / 16.0, 4))
+    result = seesaw_maximize(t, SeesawConfig(restarts=4, seed=0))
     assert abs(result.value) < 1e-9
 
 
 def test_seesaw_certificate_consistency(basis):
     b = basis(3)
     state = random_two_qudit_state(3, seed=42)
-    t = correlation_matrix(state, b)
-    result = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=6, seed=3))
+    t = correlation_matrix(state)
+    result = seesaw_maximize(t, SeesawConfig(mode="exact", restarts=6, seed=3))
     recomputed = chsh_expectation_direct(state, result.settings)
     assert abs(abs(recomputed) - result.value) < 1e-9
     for obs in result.settings.all:
@@ -360,9 +330,8 @@ def test_closed_form_runs_may_fall(monkeypatch):
     # a falling sweep is a fault only in exact mode (see test_cli); closed-form
     # updates can lower the value, so the run returns
     halve_bob_in_sweep_two(monkeypatch)
-    b = build_gellmann_basis(3)
-    t = correlation_matrix(random_two_qudit_state(3, 7), b)
-    result = seesaw_maximize(t, b, SeesawConfig(mode="closed-form", restarts=2))
+    t = correlation_matrix(random_two_qudit_state(3, 7))
+    result = seesaw_maximize(t, SeesawConfig(mode="closed-form", restarts=2))
     assert result.bounds.lower <= result.value <= result.bounds.upper
 
 
@@ -377,42 +346,40 @@ def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch):
         return pair_products(t, pairs)
 
     monkeypatch.setattr(qchsh.optimizer, "_pair_products", counted)
-    b = build_gellmann_basis(3)
-    t = correlation_matrix(random_two_qudit_state(3, 7), b)
+    t = correlation_matrix(random_two_qudit_state(3, 7))
     with pytest.raises(NumericalError, match="restart 0 is not monotone.*allowed 1e-12"):
-        seesaw_maximize(t, b, SeesawConfig(restarts=2))
+        seesaw_maximize(t, SeesawConfig(restarts=2))
     # the starts, then two products per sweep for two sweeps
     assert len(calls) == 1 + 2 * 2
 
 
-def test_seesaw_closed_form_mode(basis):
+def test_seesaw_closed_form_mode():
     result = seesaw_maximize(
-        correlation_matrix(ghz_state(2), basis(2)), basis(2),
+        correlation_matrix(ghz_state(2)),
         SeesawConfig(mode="closed-form", restarts=8, seed=3),
     )
     assert result.value == pytest.approx(2.0 * ROOT2, abs=1e-8)
 
 
-def test_seesaw_deterministic_and_restart_count_invariant(basis):
-    b = basis(3)
-    t = correlation_matrix(random_two_qudit_state(3, seed=9), b)
-    first = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=5, seed=7))
-    second = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=5, seed=7))
+def test_seesaw_deterministic_and_restart_count_invariant():
+    t = correlation_matrix(random_two_qudit_state(3, seed=9))
+    first = seesaw_maximize(t, SeesawConfig(mode="exact", restarts=5, seed=7))
+    second = seesaw_maximize(t, SeesawConfig(mode="exact", restarts=5, seed=7))
     assert first.value == second.value
     np.testing.assert_array_equal(first.settings.a1.coefficients, second.settings.a1.coefficients)
     np.testing.assert_array_equal(first.settings.b2.coefficients, second.settings.b2.coefficients)
     # restart i draws from its own (seed, i) substream, so the first three
     # restarts run the same whether three or five are requested
-    fewer = seesaw_maximize(t, b, SeesawConfig(mode="exact", restarts=3, seed=7))
+    fewer = seesaw_maximize(t, SeesawConfig(mode="exact", restarts=3, seed=7))
     assert fewer.iterations_per_restart == first.iterations_per_restart[:3]
     assert fewer.converged == first.converged[:3]
     assert fewer.value <= first.value
     # the same holds in closed-form mode on the maximally mixed state, where
     # every direction vanishes and every vector is zero; T = 0 gives
     # upper = 0, so both batches certify at sweep 1
-    mixed = correlation_matrix(validate_state(np.eye(9, dtype=complex) / 9.0, 3), b)
-    many = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=5, seed=7))
-    few = seesaw_maximize(mixed, b, SeesawConfig(mode="closed-form", restarts=3, seed=7))
+    mixed = correlation_matrix(validate_state(np.eye(9, dtype=complex) / 9.0, 3))
+    many = seesaw_maximize(mixed, SeesawConfig(mode="closed-form", restarts=5, seed=7))
+    few = seesaw_maximize(mixed, SeesawConfig(mode="closed-form", restarts=3, seed=7))
     assert few.iterations_per_restart == many.iterations_per_restart[:3]
     assert few.converged == many.converged[:3]
     # every value is 0, so restart 0 wins both runs with the same vectors
@@ -470,31 +437,29 @@ def test_lockstep_restarts_match_serial_oracle(
         mode=mode, restarts=restarts, seed=seed, max_iterations=max_iterations,
         tolerance=tolerance,
     )
-    correlations = correlation_matrix(state, b)
+    correlations = correlation_matrix(state)
     runs = _run_restarts(b, config, correlations, chsh_bounds(correlations).upper)
-    for i, (iterations, reason, vectors) in enumerate(serial_restarts(correlations, b, config)):
+    for i, (iterations, reason, vectors) in enumerate(serial_restarts(correlations, config)):
         assert runs["iterations"][i] == iterations
         assert STOP_REASONS[runs["stop_reason"][i]] == reason
         np.testing.assert_array_equal(runs["vectors"][i], vectors)
 
 
-def test_random_search_bell_state(basis):
-    b = basis(2)
-    value = random_search_max(ghz_state(2), b, samples=100_000, seed=0)
+def test_random_search_bell_state():
+    value = random_search_max(ghz_state(2), samples=100_000, seed=0)
     assert 2.7 <= value <= 2.0 * ROOT2 + 1e-12
 
 
-def test_random_search_maximally_mixed(basis):
+def test_random_search_maximally_mixed():
     state = validate_state(np.eye(4, dtype=complex) / 4.0, 2)
-    assert random_search_max(state, basis(2), samples=1000, seed=1) < 1e-12
+    assert random_search_max(state, samples=1000, seed=1) < 1e-12
 
 
-def test_random_search_never_beats_exact_seesaw(basis):
-    b = basis(3)
+def test_random_search_never_beats_exact_seesaw():
     for seed in (0, 1):
         state = random_two_qudit_state(3, seed)
-        sampled = random_search_max(state, b, samples=2000, seed=seed)
+        sampled = random_search_max(state, samples=2000, seed=seed)
         optimized = seesaw_maximize(
-            correlation_matrix(state, b), b, SeesawConfig(mode="exact", restarts=6, seed=seed)
+            correlation_matrix(state), SeesawConfig(mode="exact", restarts=6, seed=seed)
         )
         assert sampled <= optimized.value + 1e-9

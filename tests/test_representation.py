@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,19 +8,21 @@ from hypothesis import strategies as st
 from qchsh import (
     GellMannBasis,
     SeesawConfig,
+    TracelessObservable,
     build_gellmann_basis,
     chsh_bounds,
     correlation_matrix,
     expand_observable,
     ghz_chsh_maximum,
     ghz_correlation_matrix,
+    ghz_optimal_settings,
     ghz_state,
     max_admissible_norm,
-    observable_from_coefficients,
     random_two_qudit_state,
     seesaw_maximize,
     validate_state,
 )
+from qchsh.representation import _shared_basis
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -43,12 +47,14 @@ from conftest import (
 # Every entry point that takes a qudit dimension, as a function of d alone.
 DIMENSION_SITES = {
     "GellMannBasis": GellMannBasis,
+    "build_gellmann_basis": build_gellmann_basis,
     "max_admissible_norm": max_admissible_norm,
     "ghz_state": ghz_state,
     "random_two_qudit_state": lambda d: random_two_qudit_state(d, seed=0),
     "validate_state": lambda d: validate_state(np.eye(9, dtype=complex) / 9.0, d),
     "ghz_correlation_matrix": ghz_correlation_matrix,
     "ghz_chsh_maximum": ghz_chsh_maximum,
+    "ghz_optimal_settings": ghz_optimal_settings,
 }
 
 
@@ -92,12 +98,28 @@ def test_operators_hermitian_traceless_orthogonal(basis):
 
 
 def test_invalid_dimension():
+    # with the d = 2 basis looked up as an int and as a numpy int, no bad d
+    # may find it: 2.0 == True == 2
+    build_gellmann_basis(2)
+    build_gellmann_basis(np.int64(2))
     for site, call in DIMENSION_SITES.items():
-        for bad in (0, 1, 2.0, "3", np.int64(1)):
+        for bad in (0, 1, 2.0, True, "3", np.int64(1)):
             with pytest.raises(InvalidDimension) as info:
                 call(bad)
             assert str(info.value) == f"qudit dimension must be an integer >= 2, got {bad!r}", site
         call(np.int64(3))
+
+
+def test_one_shared_basis_per_dimension():
+    assert build_gellmann_basis(3) is build_gellmann_basis(np.int64(3))
+    assert build_gellmann_basis(3) is not GellMannBasis(3)
+
+
+def test_shared_basis_tables_are_read_only():
+    b = build_gellmann_basis(4)
+    for table in (*b._pairs, b._diagonal, b._matrix_index, b._vector_index, b.stack):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +196,8 @@ def test_map_tables_reproduce_the_stack(d):
 
 @pytest.mark.parametrize("d", range(2, 25))
 def test_basis_matches_retired_loop_construction(d):
-    b = build_gellmann_basis(d)
+    # a fresh basis: the shared one's stack may have been read already
+    b = GellMannBasis(d)
     assert "stack" not in vars(b)
     stack, labels = dense_gellmann_stack(d)
     assert b.labels == labels
@@ -184,12 +207,13 @@ def test_basis_matches_retired_loop_construction(d):
 
 
 def test_computations_leave_the_stack_unbuilt():
-    b = GellMannBasis(3)
+    # start from an empty cache: an earlier test may have read the shared stack
+    _shared_basis.cache_clear()
     state = random_two_qudit_state(3, seed=5)
-    t = correlation_matrix(state, b)
+    t = correlation_matrix(state)
     chsh_bounds(t)
-    seesaw_maximize(t, b, SeesawConfig(restarts=2, max_iterations=20))
-    assert "stack" not in vars(b)
+    seesaw_maximize(t, SeesawConfig(restarts=2, max_iterations=20))
+    assert "stack" not in vars(build_gellmann_basis(3))
 
 
 def test_batched_maps_reject_wrong_shapes(basis):
@@ -233,14 +257,14 @@ def test_boundary_matches_row_oracle(d, batch, seed):
     np.testing.assert_allclose(b.vector_operator_norm(out), np.sqrt(2.0 / d), rtol=0, atol=1e-12)
 
 
-def test_expand_sigma_z(basis):
-    np.testing.assert_allclose(expand_observable(SIGMA_Z, basis(2)), [0.0, 0.0, 1.0], atol=1e-15)
+def test_expand_sigma_z():
+    np.testing.assert_allclose(expand_observable(SIGMA_Z), [0.0, 0.0, 1.0], atol=1e-15)
 
 
-def test_expand_qutrit_example(basis):
+def test_expand_qutrit_example():
     # tr[X L_7] = 1 and tr[X L_8] = sqrt(3) for X = diag(1, 0, -1), so the
     # scaled components are 1/sqrt(6) and 1/sqrt(2); the squared norm is 2/3.
-    n = expand_observable(np.diag([1.0, 0.0, -1.0]).astype(complex), basis(3))
+    n = expand_observable(np.diag([1.0, 0.0, -1.0]).astype(complex))
     expected = np.zeros(8)
     expected[6] = 1.0 / np.sqrt(6.0)
     expected[7] = 1.0 / np.sqrt(2.0)
@@ -248,34 +272,35 @@ def test_expand_qutrit_example(basis):
     assert np.dot(n, n) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
-def test_expand_zero(basis):
+def test_expand_zero():
     np.testing.assert_allclose(
-        expand_observable(np.zeros((4, 4), dtype=complex), basis(4)), np.zeros(15), atol=0
+        expand_observable(np.zeros((4, 4), dtype=complex)), np.zeros(15), atol=0
     )
 
 
-def test_expand_rejects_traceful(basis):
+def test_expand_rejects_traceful():
     with pytest.raises(NotTraceless):
-        expand_observable(np.eye(2, dtype=complex), basis(2))
+        expand_observable(np.eye(2, dtype=complex))
 
 
-def test_expand_rejects_wrong_dimension(basis):
-    with pytest.raises(DimensionMismatch):
-        expand_observable(SIGMA_Z, basis(3))
+def test_expand_rejects_one_by_one():
+    # [[0]] is traceless and Hermitian, but no basis has d = 1
+    with pytest.raises(InvalidDimension):
+        expand_observable(np.zeros((1, 1)))
 
 
-def test_observable_from_coefficients_examples(basis):
-    obs = observable_from_coefficients(np.array([0.0, 0.0, 1.0]), basis(2))
+def test_traceless_observable_examples():
+    obs = TracelessObservable(np.array([0.0, 0.0, 1.0]))
     np.testing.assert_allclose(obs.matrix, SIGMA_Z, atol=1e-15)
     assert obs.is_admissible()
 
     n = np.zeros(8)
     n[6] = 1.0 / np.sqrt(6.0)
     n[7] = 1.0 / np.sqrt(2.0)
-    obs3 = observable_from_coefficients(n, basis(3))
+    obs3 = TracelessObservable(n)
     np.testing.assert_allclose(obs3.matrix, np.diag([1.0, 0.0, -1.0]), atol=1e-14)
 
-    doubled = observable_from_coefficients(np.array([0.0, 0.0, 2.0]), basis(2))
+    doubled = TracelessObservable(np.array([0.0, 0.0, 2.0]))
     np.testing.assert_allclose(doubled.matrix, 2.0 * SIGMA_Z, atol=1e-15)
     assert not doubled.is_admissible()
 
@@ -285,15 +310,15 @@ def test_roundtrip_both_directions(basis, rng):
         b = basis(d)
         for _ in range(50):
             x = random_hermitian(rng, d, traceless=True)
-            n = expand_observable(x, b)
-            back = observable_from_coefficients(n, b).matrix
+            n = expand_observable(x)
+            back = TracelessObservable(n).matrix
             assert np.max(np.abs(back - x)) < 1e-10
             # norm identity tr[X^2] = d ||n||^2
             assert abs(np.trace(x @ x).real - d * float(n @ n)) < 1e-10
 
             v = rng.standard_normal(b.size)
-            obs = observable_from_coefficients(v, b)
-            np.testing.assert_allclose(expand_observable(obs.matrix, b), v, atol=1e-10)
+            obs = TracelessObservable(v)
+            np.testing.assert_allclose(expand_observable(obs.matrix), v, atol=1e-10)
 
 
 def test_boundary_examples(basis):
@@ -312,14 +337,40 @@ def test_boundary_examples(basis):
     )
 
 
-def test_non_finite_vector_rejected(basis):
+def test_non_finite_vector_rejected():
     for bad in (np.array([np.nan, 0.0, 1.0]), np.array([0.0, np.inf, 1.0])):
         with pytest.raises(NotHermitian):
-            observable_from_coefficients(bad, basis(2))
+            TracelessObservable(bad)
     # the shape is checked before the entries: two vectors, one of them not
     # finite, are refused as two vectors
-    with pytest.raises(DimensionMismatch, match="length 3"):
-        observable_from_coefficients(np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]), basis(2))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 3\)"):
+        TracelessObservable(np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (2,), (4,), (9,), (1, 3)])
+def test_observable_length_must_be_d_squared_minus_one(shape):
+    with pytest.raises(DimensionMismatch, match=r"length d\*\*2 - 1 for some d >= 2"):
+        TracelessObservable(np.zeros(shape))
+
+
+def test_observable_holds_one_read_only_vector(rng):
+    assert [field.name for field in dataclasses.fields(TracelessObservable)] == ["coefficients"]
+    for d in (2, 3, 5):
+        source = rng.standard_normal(d * d - 1)
+        obs = TracelessObservable(source)
+        assert obs.dim == d
+        assert np.array_equal(obs.coefficients, source)
+        source[0] += 1.0  # a copy is kept
+        assert not np.array_equal(obs.coefficients, source)
+        assert "matrix" not in vars(obs)
+        # the matrix is built on first read, once, by the formula of the maps
+        expected = np.sqrt(d / 2.0) * build_gellmann_basis(d).to_matrix(obs.coefficients)
+        assert obs.matrix is obs.matrix
+        assert np.array_equal(obs.matrix.view(np.float64), expected.view(np.float64))
+        for array in (obs.coefficients, obs.matrix):
+            assert not array.flags.writeable
+    # an int list becomes float64
+    assert TracelessObservable([0, 0, 1]).coefficients.dtype == np.float64
 
 
 def test_boundary_lands_on_boundary(basis, rng):
