@@ -11,8 +11,11 @@ JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
 2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
 keys.  The correlation CSV and each JSON float array of ``_plain`` values
-fill one template of ``%.15g`` cells in one ``%`` call; any other float
-array fills a ``%s`` template with the text of each distinct value.
+fill one template of ``%.15g`` cells through ``_fill_g15``: from
+``_G15_MIN_CELLS`` cells up it prints each cell from its exact 15-digit
+integer mantissa with ``%d``, byte for byte the ``%.15g`` text, in chunks
+that bound its memory.  Any other float array fills a ``%s`` template with
+the text of each distinct value.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -71,16 +75,191 @@ def _plain(values: np.ndarray) -> np.ndarray:
         return (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
 
 
+# Below this many cells ``_fill_g15`` fills its template with one ``%`` call of
+# floats: the integer path's fixed cost, about 70 us of numpy calls, is repaid
+# only above it (the two cross at 290-350 cells, one BLAS thread, 2-vCPU VM).
+_G15_MIN_CELLS = 320
+# Template characters per chunk of ``_fill_g15``, which bounds its working memory.
+_G15_CHUNK = 1 << 15
+# Exponents of the tables: floor(log10|x|) is -31..13 for 1e-31 <= |x| < 1e14,
+# np.log10's guess of it may be one off, and the exact check reads one above.
+_G15_EXPONENTS = range(-32, 16)
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+def _veltkamp_split(x):
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _g15_tables() -> tuple[np.ndarray, ...]:
+    """Per exponent e of ``_G15_EXPONENTS``, the constants of ``_g15_cells``.
+
+    From exact ratios of ints: 10**e rounded up to a double (so |x| >= 10**e
+    exactly when |x| is at least it), and 10**(14 - e) = hi + lo with hi its
+    nearest double, split into two 26-bit halves, and lo the double nearest
+    the rest.  The digit group after the integer part has ``width`` digits
+    (15 for 0.0001 <= |x| < 1, whose integer part is the literal ``0.``).
+    The snippet of a cell is indexed by (sign, e, leading zeros of that
+    group, whether the group is printed); two more snippets print zeros.
+    """
+    def power(k):  # 10**k as num / den, and its nearest double as p / q
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        return (num, den, *(num / den).as_integer_ratio())  # int / int rounds to nearest
+
+    exponents = list(_G15_EXPONENTS)
+    floors, hi, lo = [], [], []
+    for e in exponents:
+        num, den, p, q = power(e)
+        floors.append(p / q if p * den >= num * q else math.nextafter(p / q, math.inf))
+        num, den, p, q = power(14 - e)
+        hi.append(p / q)
+        lo.append((num * q - p * den) / (den * q))
+    widths = [14 if e < -4 else 15 if e < 0 else max(14 - e, 0) for e in exponents]
+    snippets = []
+    for sign in ("", "-"):
+        for e in exponents:
+            for zeros in range(16):
+                group = "." + "0" * zeros + "%d"
+                if e < -4:
+                    snippets += [f"{sign}%de-{-e:02d}", f"{sign}%d{group}e-{-e:02d}"]
+                elif e < 0:
+                    snippets += [f"{sign}0.{'0' * (-e - 1)}%d"] * 2
+                else:
+                    snippets += [f"{sign}%d", f"{sign}%d{group}"]
+    snippets += ["0", "-0"]
+    halves = np.array([_veltkamp_split(h) for h in hi])
+    tables = (
+        np.array(floors), halves[:, 0].copy(), halves[:, 1].copy(), np.array(lo),
+        np.array(widths), 10.0 ** np.array(widths), np.array(snippets, dtype=object),
+    )
+    for table in tables:  # shared by every call in the process
+        table.setflags(write=False)
+    return tables
+
+
+_POWERS_OF_TEN = 10.0 ** np.arange(15)
+
+
+def _g15_cells(x: np.ndarray) -> tuple[list[str], list[int]]:
+    """Snippets of ``%d`` directives, and the ints they take, that print each cell as ``%.15g``.
+
+    e = floor(log10|x|) is guessed by ``np.log10`` and then set exactly
+    against the table's powers of ten.  y = |x| * 10**(14 - e) is formed as
+    a double-double (a Dekker two-product against the table's hi, plus
+    |x| * lo) within about 1e-16 of its exact value, so N = round(y), the
+    15-digit mantissa with 10**14 <= N <= 10**15, is exact unless the
+    fraction of y is within 1e-9 of a half.  N = 10**15 carries into the next
+    power of ten.  The integer part and the digit group (its trailing zeros
+    stripped) come from N.  A cell that this does not cover gets
+    ``'%.15g' % x`` as its snippet and no ints: the near-halves, and the
+    non-zero cells outside 1e-31 <= |x| < 1e14 (subnormal and non-finite ones
+    among them).  Zeros get the snippets ``0`` and ``-0``.
+    """
+    floors, split_hi, split_lo, low, widths, scales, snippets = _g15_tables()
+    a = np.abs(x)
+    ok = (a >= 1e-31) & (a < 1e14)
+    a[~ok] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    e -= _G15_EXPONENTS.start
+    e += a >= floors.take(e + 1)  # log10 rounds either way near a power of ten
+    e -= a < floors.take(e)
+    bh = split_hi.take(e)
+    bl = split_lo.take(e)
+    p = a * (bh + bl)
+    ah, al = _veltkamp_split(a)
+    err = ah * bh - p  # a * hi - p, exactly
+    err += ah * bl
+    err += al * bh
+    err += al * bl
+    err += a * low.take(e)
+    n = np.floor(p)
+    err += p - n  # y - floor(p), in (-0.25, 1.25)
+    ok &= np.abs(err - 0.5) > 1e-9
+    n += err > 0.5
+    carry = n == 1e15
+    n[carry] = 1e14
+    e += carry
+    scale = scales.take(e)
+    whole = np.floor(n / scale)
+    n -= whole * scale  # the digit group, exactly
+    shown = ok & (n > 0)
+    code = e * 32
+    code += shown
+    has_int = ok & (scale < 1e15)  # all but 0.0001 <= |x| < 1
+    grouped = np.flatnonzero(shown & has_int)
+    digits = np.searchsorted(_POWERS_OF_TEN, n[grouped], "right")
+    code[grouped] += 2 * (widths.take(e[grouped]) - digits)  # the group's leading zeros
+    tenth = n / 10.0
+    cut = np.flatnonzero(shown & (tenth == np.floor(tenth)))
+    tenth = tenth[cut]
+    while cut.size:  # strip trailing zeros, a few cells per pass
+        n[cut] = tenth
+        tenth /= 10.0
+        keep = tenth == np.floor(tenth)
+        cut, tenth = cut[keep], tenth[keep]
+    sign = np.signbit(x)
+    code += sign * (32 * len(_G15_EXPONENTS))
+    zero = x == 0
+    code[zero] = len(snippets) - 2 + sign[zero]
+    texts = snippets.take(code).tolist()
+    for i in np.flatnonzero(~ok & ~zero).tolist():
+        texts[i] = "%.15g" % x[i]
+    ints = np.empty((x.size, 2), dtype=np.int64)
+    ints[:, 0] = whole
+    ints[:, 1] = n
+    used = np.empty((x.size, 2), dtype=bool)
+    used[:, 0] = has_int
+    used[:, 1] = shown
+    return texts, ints[used].tolist()
+
+
+def _fill_g15(template: str, values) -> str:
+    """``template % tuple(values)``, for a template of one ``%.15g`` directive per value.
+
+    From ``_G15_MIN_CELLS`` values up, the template is filled in chunks of
+    about ``_G15_CHUNK`` characters: each ``%.15g`` becomes its cell's
+    ``_g15_cells`` snippet, and one ``%`` call over Python ints fills the
+    chunk.  ``%d`` of an int costs a fraction of ``%.15g`` of a float.  The
+    ints are the exact 15-digit mantissas, from a product whose error is
+    about 1e-16; a cell within 1e-9 of a rounding tie, and a non-zero cell
+    outside 1e-31 <= |x| < 1e14, prints through ``%.15g`` itself.
+    """
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    if flat.size < _G15_MIN_CELLS:
+        return template % tuple(flat.tolist())
+    parts = []
+    start = done = 0
+    while start < len(template):
+        stop = min(start + _G15_CHUNK, len(template))
+        cut = template.rfind("%", stop - 4, stop)  # a directive across the end starts here
+        if cut > start:
+            stop = cut
+        pieces = template[start:stop].split("%.15g")
+        texts, ints = _g15_cells(flat[done : done + len(pieces) - 1])
+        cells = [""] * (2 * len(pieces) - 1)
+        cells[::2] = pieces
+        cells[1::2] = texts
+        parts.append("".join(cells) % tuple(ints))
+        done += len(pieces) - 1
+        start = stop
+    return "".join(parts)
+
+
 def _distinct_floats(flat: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Distinct values of a flat float64 array, their ``%.15g`` texts and the inverse index.
 
     Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
-    All texts come from one C-level ``%`` call; ``%.15g`` never prints a
+    All texts come from one ``_fill_g15`` call; ``%.15g`` never prints a
     space, so splitting on spaces recovers them.
     """
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
-    texts = ("%.15g " * values.size % tuple(values.tolist())).split()
+    texts = _fill_g15("%.15g " * values.size, values).split()
     return values, texts, inverse
 
 
@@ -93,7 +272,7 @@ def _float_array_text(a: np.ndarray, nl: str) -> str:
     """
     flat = np.asarray(a, dtype=np.float64).ravel()
     if flat.all() and _plain(flat).all():  # a zero, the usual odd cell, ends it early
-        return _array_template(a.shape, nl, "%.15g") % tuple(flat.tolist())
+        return _fill_g15(_array_template(a.shape, nl, "%.15g"), flat)
     values, texts, inverse = _distinct_floats(flat)
     for i in np.flatnonzero(~_plain(values)).tolist():
         texts[i] = _scalar_text(values[i])
@@ -143,7 +322,7 @@ def _correlation_csv(labels, matrix: np.ndarray) -> str:
     """
     row = ",%.15g" * len(labels) + "\n"
     template = "," + ",".join(labels) + "\n" + "".join([label + row for label in labels])
-    return template % tuple(matrix.ravel().tolist())
+    return _fill_g15(template, matrix)
 
 
 def _csv_cell(value) -> str:

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositive, TraceNotOne, ValidationError
+from .errors import DimensionMismatch, NotHermitian, NotPositive, TraceNotOne, ValidationError
 from .numerics import symmetrized_hermitian
 from .representation import check_count, check_dim, dim_from_side
 
@@ -27,12 +27,21 @@ POSITIVITY_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class TwoQuditState:
-    """A validated d**2 x d**2 density matrix for a pair of qudits; d is read from its side."""
+    """A d**2 x d**2 density matrix for a pair of qudits; d is read from its side.
+
+    Stored as a complex128 ndarray (a complex128 ndarray as it is, not
+    copied); NaN, infinite and non-numeric entries are refused.
+    ``validate_state`` checks the density-matrix invariants.
+    """
 
     rho: np.ndarray
 
     def __post_init__(self):
-        dim_from_side(self.rho, 0, "state")
+        rho = np.asarray(self.rho)
+        dim_from_side(rho, 0, "state")
+        if rho.dtype.kind not in "biufc" or not np.isfinite(rho).all():
+            raise NotHermitian("state entries must be finite numbers")
+        object.__setattr__(self, "rho", np.asarray(rho, dtype=np.complex128))
 
     @property
     def dim(self) -> int:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -24,8 +25,15 @@ from conftest import (
     state_to_json_dict,
     stdlib_json_text,
 )
-from qchsh import chsh_bounds, ghz_state, load_state_file, random_two_qudit_state
-from qchsh.cli import _correlation_csv, _json_text, _plain, main
+from qchsh import (
+    build_gellmann_basis,
+    chsh_bounds,
+    correlation_matrix,
+    ghz_state,
+    load_state_file,
+    random_two_qudit_state,
+)
+from qchsh.cli import _correlation_csv, _fill_g15, _float_array_text, _json_text, _plain, main
 from qchsh.errors import InvalidConfig, ValidationError
 from qchsh.representation import GellMannBasis
 
@@ -476,6 +484,77 @@ def test_correlation_csv_matches_per_cell_writer_at_large_sides(n, seed, edits):
         matrix.flat[int(where * n * n)] = value
     labels = [f"l{i}" for i in range(n)]
     assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
+
+
+def _hard_cells():
+    """Cells where a 15-digit mantissa is easy to get wrong, both signs of each.
+
+    Exact dyadic ties at the 16th digit, each power of ten from 1e-31 to 1e15
+    and its neighbours one ulp either side, values that round up to the next
+    power, the notation switches at 1e-5/1e-4 and 1e14/1e15, near-integers,
+    zeros, subnormals and non-finite values.
+    """
+    rng = np.random.default_rng(19)
+    cells = [123456789012.3125, 0.0099999999999999996, 1250.0, 2.9999999999999996,
+             3.0000000000000004, 1e10 + 1e-6, 0.5, 1.5e-7, 5e-324, 2.5e-310,
+             float("inf"), float("nan"), 0.0]
+    for q in range(1, 21):  # K / 2**q = 5**q K / 10**q: 16 digits ending in 5
+        for k in rng.integers(10**15 // 5**q + 1, 10**16 // 5**q, 4).tolist():
+            cells.append((k | 1) / 2.0**q)
+    for k in range(-31, 16):
+        power = float(f"1e{k}")
+        cells += [power, float(np.nextafter(power, 0.0)), float(np.nextafter(power, np.inf)),
+                  power * (1 - 4e-16), power * (1 - 6e-16)]
+    for k in (-5, -4, 14, 15):
+        for mantissa in (9.99999999999999, 9.999999999999995, 9.999999999999996):
+            cells.append(mantissa * 10.0 ** (k - 1))
+    cells = np.array(cells)
+    return np.concatenate([cells, -cells])
+
+
+_HARD = _hard_cells()
+
+
+@pytest.mark.parametrize("size", [qchsh.cli._G15_MIN_CELLS - 1, qchsh.cli._G15_MIN_CELLS, 9000])
+def test_writers_print_hard_cells_as_the_oracles_do(size):
+    rng = np.random.default_rng(size)
+    side = int(np.ceil(np.sqrt(size)))
+    matrix = rng.permutation(np.resize(_HARD, side * side)).reshape(side, side)
+    labels = [f"l{i}" for i in range(side)]
+    assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
+    plain = rng.permutation(np.resize(_HARD[_plain(_HARD)], size))
+    assert _json_text(plain) == stdlib_json_text(plain)
+    assert _json_text({"T": plain.reshape(-1, 1)}) == stdlib_json_text({"T": plain.reshape(-1, 1)})
+    template = "|%.15g" * size
+    cells = matrix.ravel()[:size]
+    assert _fill_g15(template, cells) == template % tuple(cells.tolist())
+
+
+def test_integer_path_prints_extreme_cells_without_warnings():
+    cells = np.array([1e308, -1.7976931348623157e308, 1e200, 5e-324, -2.5e-310, 1e-320,
+                      float("inf"), float("-inf"), float("nan"), 0.3])
+    matrix = np.resize(cells, (40, 40))
+    labels = [f"l{i}" for i in range(40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
+        template = ",%.15g" * matrix.size
+        assert _fill_g15(template, matrix) == template % tuple(matrix.ravel().tolist())
+
+
+def test_writers_peak_memory_stays_within_four_times_the_text():
+    # the d = 16 T: 65 025 cells, about 1.4 MB of CSV and 1.8 MB of JSON
+    t = correlation_matrix(random_two_qudit_state(16, 3000)).matrix
+    labels = build_gellmann_basis(16).labels
+    qchsh.cli._g15_tables()  # built once per process, not part of either writer's peak
+    for write in (lambda: _correlation_csv(labels, t), lambda: _float_array_text(t, "\n")):
+        tracemalloc.start()
+        try:
+            text = write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
 
 
 # State-file payloads: a valid state's file with up to three faults.  Cells

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_state_oracle, property_state, state_to_json_dict
-from qchsh import TwoQuditState, ghz_state, load_state_file, random_two_qudit_state, validate_state
+from qchsh import (
+    TwoQuditState,
+    correlation_matrix,
+    ghz_state,
+    load_state_file,
+    random_two_qudit_state,
+    validate_state,
+)
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -108,6 +115,27 @@ def test_state_reads_d_from_rho():
 def test_state_side_must_be_d_squared(shape):
     with pytest.raises(DimensionMismatch, match=r"side d\*\*2 for"):
         TwoQuditState(np.zeros(shape))
+
+
+def test_state_stores_a_complex128_array():
+    # a nested list becomes an array that correlation_matrix can read
+    rho = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    state = TwoQuditState(rho)
+    assert type(state.rho) is np.ndarray and state.rho.dtype == np.complex128
+    expected = correlation_matrix(validate_state(np.array(rho), 2)).matrix
+    np.testing.assert_array_equal(correlation_matrix(state).matrix, expected)
+    # a complex128 array passes through as it is, the read-only ρ of a built state included
+    built = random_two_qudit_state(3, seed=8).rho
+    assert TwoQuditState(built).rho is built
+
+
+@pytest.mark.parametrize(
+    "entry", [np.nan, np.inf, -np.inf, complex(0.25, np.nan), complex(0.25, -np.inf), "0.25"]
+)
+def test_state_refuses_non_finite_or_non_numeric_entries(entry):
+    rho = np.diag([entry, 0.25, 0.25, 0.25])
+    with pytest.raises(NotHermitian, match="state entries"):
+        TwoQuditState(rho)
 
 
 def test_state_file_roundtrip(tmp_path):
