@@ -17,7 +17,6 @@ from .correlation import (
     chsh_operator,
     correlation_matrix,
 )
-from .numerics import operator_norm
 from .optimizer import (
     SeesawConfig,
     SeesawResult,
@@ -63,7 +62,6 @@ __all__ = [
     "horodecki_two_qubit",
     "load_state_file",
     "max_admissible_norm",
-    "operator_norm",
     "random_two_qudit_state",
     "seesaw_maximize",
     "top_two_gram_eigenvalues",

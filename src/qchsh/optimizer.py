@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +108,8 @@ class SeesawConfig:
         check_count("restarts", self.restarts, 1)
         check_count("max_iterations", self.max_iterations, 1)
         check_count("seed", self.seed, 0)
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise InvalidConfig(f"tolerance must be a real number, got {self.tolerance!r}")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise InvalidConfig(f"tolerance must be positive and finite, got {self.tolerance}")
 

@@ -26,8 +26,9 @@ d alone fixes the basis, so no function takes one: each looks up the one
 
 The input checks every layer shares live here too: ``check_dim`` for qudit
 dimensions, ``dim_from_side`` for the d that fixes the side of a square
-array, ``check_count`` for integer counts and seeds, and
-``symmetrized_traceless`` for traceless Hermitian operators.
+array, ``check_count`` for integer counts and seeds,
+``symmetrized_hermitian`` for Hermitian matrices, density matrices
+included, and ``symmetrized_traceless`` for traceless Hermitian operators.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from .errors import (
     NotHermitian,
     NotTraceless,
 )
-from .numerics import operator_norm, symmetrized_hermitian
 
+# Absolute entrywise tolerance for accepting a matrix as Hermitian.  Inputs
+# within tolerance are symmetrized as (M + M^dag)/2 before any spectral work.
+HERMITIAN_ATOL = 1e-10
 # Operator-norm slack for admissibility checks, one order above the
 # eigensolver's own error.
 MEMBERSHIP_ATOL = 1e-10
@@ -332,15 +335,53 @@ class TracelessObservable:
         return matrix
 
     def is_admissible(self) -> bool:
-        """True when the spectrum lies in [-1 - MEMBERSHIP_ATOL, 1 + MEMBERSHIP_ATOL]."""
-        return operator_norm(self.matrix) <= 1.0 + MEMBERSHIP_ATOL
+        """True when the spectrum lies in [-1 - MEMBERSHIP_ATOL, 1 + MEMBERSHIP_ATOL].
+
+        The spectrum's largest magnitude is ``sqrt(d/2) * ||n . L||_op``, the
+        basis's one operator norm taken on the coefficients.
+        """
+        basis = build_gellmann_basis(self.dim)
+        norm = np.sqrt(basis.dim / 2.0) * basis._operator_norms(self.coefficients)
+        return bool(norm <= 1.0 + MEMBERSHIP_ATOL)
+
+
+def symmetrized_hermitian(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Check that matrix is square and Hermitian within ``HERMITIAN_ATOL``; return (M + M†)/2.
+
+    Raises DimensionMismatch for a non-square matrix and NotHermitian
+    otherwise.  A NaN or an infinity leaves a non-finite residual, so the
+    entries are scanned for one only when the check fails, to name it.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    # inf - inf is NaN, refused below; it needs no warning on the way
+    with np.errstate(invalid="ignore"):
+        out = m - m.conj().T
+    residual = float(np.max(np.abs(out))) if m.size else 0.0
+    if not residual <= HERMITIAN_ATOL:
+        if not np.isfinite(m).all():
+            raise NotHermitian(f"{name} contains non-finite entries")
+        raise NotHermitian(
+            f"{name} is not Hermitian: max |M - M^dag| = {residual:.3e} "
+            f"exceeds {HERMITIAN_ATOL:.0e}"
+        )
+    # The difference's buffer takes M^dag, then M + M^dag, then the halving:
+    # the operations of 0.5 * (M + M^dag) in their order, bit for bit.  The
+    # one temporary copy of M^dag is freed before the abs above is taken.
+    np.conjugate(m.T, out=out)
+    np.add(m, out, out=out)
+    # 0.5 goes first, as in 0.5 * (M + M^dag): with the array first numpy
+    # takes another complex loop, which can give +0 where that form gives -0.
+    np.multiply(0.5, out, out=out)
+    return out
 
 
 def symmetrized_traceless(matrix: np.ndarray, name: str) -> np.ndarray:
     """Check that matrix is a traceless Hermitian square operator and return (M + M†)/2.
 
-    Hermiticity is checked by ``numerics.symmetrized_hermitian``; the trace of
-    the symmetrized matrix must stay within ``TRACELESS_ATOL``.
+    Hermiticity is checked by ``symmetrized_hermitian``; the trace of the
+    symmetrized matrix must stay within ``TRACELESS_ATOL``.
     """
     x = symmetrized_hermitian(matrix, name)
     trace_residual = abs(complex(np.trace(x)))

@@ -6,6 +6,11 @@ The state file format is JSON::
 
 with ``rho`` the row-major d**2 x d**2 matrix and index ``j*d + k`` naming
 the product basis vector |j> x |k| (0-based).
+
+Every state reads d from the side of its matrix.  ``validate_state`` checks
+Hermiticity with ``representation.symmetrized_hermitian``, then trace and
+positivity; the ``TwoQuditState`` constructor is its one scan for NaN and
+infinite entries.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPositive, TraceNotOne, ValidationError
-from .numerics import symmetrized_hermitian
-from .representation import check_count, check_dim, dim_from_side
+from .representation import check_count, check_dim, dim_from_side, symmetrized_hermitian
 
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
@@ -73,14 +77,15 @@ def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     rho = g @ g.conj().T
     del g  # validation holds several d**2 x d**2 matrices; g need not be one of them
     rho /= np.trace(rho).real
-    return validate_state(rho, d)
+    return validate_state(rho)
 
 
-def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
+def validate_state(rho: np.ndarray) -> TwoQuditState:
     """Check all density-matrix invariants and return the typed state.
 
-    Raises DimensionMismatch / NotHermitian / TraceNotOne / NotPositive with
-    the measured residual in the message.  The stored matrix is the
+    d is read from rho, whose side must be d**2 for some d >= 2.  Raises
+    DimensionMismatch / NotHermitian / TraceNotOne / NotPositive with the
+    measured residual in the message.  The stored matrix is the
     symmetrized (rho + rho^dag)/2, which leaves valid inputs unchanged up to
     the Hermiticity tolerance.
 
@@ -90,12 +95,8 @@ def validate_state(rho: np.ndarray, d: int) -> TwoQuditState:
     verdict and the minimum eigenvalue for the message.  The two agree except
     within rounding (about n * eps * ||rho||, n = d**2) of the threshold.
     """
-    d = check_dim(d)
     m = np.asarray(rho, dtype=np.complex128)
-    if m.shape != (d * d, d * d):
-        raise DimensionMismatch(
-            f"state for d={d} must be {d * d}x{d * d}, got shape {m.shape}"
-        )
+    d = dim_from_side(m, 0, "state")
     m = symmetrized_hermitian(m, "state")
     trace_residual = abs(np.trace(m).real - 1.0)
     if trace_residual > TRACE_ATOL:
@@ -137,7 +138,13 @@ def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
         )
     # each [re, im] pair read as one complex number, so a -0.0 part stays -0.0
     rho = _parse_pairs(payload["rho"], path).view(np.complex128)[..., 0]
-    return validate_state(rho, file_d)
+    # the declared d first, so a mismatch is named before any other fault of rho
+    side = file_d * file_d
+    if rho.shape != (side, side):
+        raise DimensionMismatch(
+            f"state for d={file_d} must be {side}x{side}, got shape {rho.shape}"
+        )
+    return validate_state(rho)
 
 
 def _parse_pairs(rho, path: str) -> np.ndarray:

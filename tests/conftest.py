@@ -15,8 +15,8 @@ from qchsh import (
 )
 from qchsh import optimizer
 from qchsh.errors import DimensionMismatch, NotHermitian, ValidationError
-from qchsh.numerics import HERMITIAN_ATOL, _require_square
 from qchsh.representation import (
+    HERMITIAN_ATOL,
     MEMBERSHIP_ATOL,
     TracelessObservable,
     check_dim,
@@ -178,14 +178,14 @@ def property_state(kind, d, seed):
         # T has rank one, so closed-form updates keep meeting vanishing directions
         g = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
         rho = g @ np.conj(g).swapaxes(1, 2)
-        return validate_state(np.kron(rho[0] / np.trace(rho[0]), rho[1] / np.trace(rho[1])), d)
+        return validate_state(np.kron(rho[0] / np.trace(rho[0]), rho[1] / np.trace(rho[1])))
     if kind == "diagonal":
         p = rng.random(d * d) * (rng.random(d * d) < 0.7)
         p[rng.integers(d * d)] += 1.0
         rho = np.full((d * d, d * d), -0.0, dtype=complex)
         rho[np.diag_indices(d * d)] = p / p.sum()
-        return validate_state(rho, d)
-    return validate_state(np.eye(d * d, dtype=complex) / (d * d), d)
+        return validate_state(rho)
+    return validate_state(np.eye(d * d, dtype=complex) / (d * d))
 
 
 def _jsonable(obj):
@@ -223,8 +223,13 @@ def correlation_csv_oracle(labels, matrix):
 
 
 def symmetrized_hermitian_oracle(matrix, name="matrix"):
-    """Reference for numerics.symmetrized_hermitian: the retired form, M^dag formed twice."""
-    m = _require_square(matrix, name)
+    """Reference for representation.symmetrized_hermitian: the retired form,
+    entries scanned for finiteness first and M^dag formed twice."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m.view(np.float64))):
+        raise NotHermitian(f"{name} contains non-finite entries")
     residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if residual > HERMITIAN_ATOL:
         raise NotHermitian(
@@ -240,7 +245,7 @@ def ginibre_state_oracle(d, seed):
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return validate_state(rho, d)
+    return validate_state(rho)
 
 
 def load_state_file_oracle(path, d=None):
@@ -270,7 +275,10 @@ def load_state_file_oracle(path, d=None):
             f'state file {path}: "rho" must be a matrix of [re, im] pairs, '
             f"got array shape {raw.shape}"
         )
-    return validate_state(raw.view(np.complex128)[..., 0], file_d)
+    rho = raw.view(np.complex128)[..., 0]
+    if rho.shape != (file_d * file_d,) * 2:
+        raise DimensionMismatch(f"state for d={file_d} must be square, got shape {rho.shape}")
+    return validate_state(rho)
 
 
 def polytope_vertex_max(lam):

@@ -127,7 +127,7 @@ def test_product_state_upper_bound_need_not_improve_tsirelson(d, upper, improves
     # improve on Tsirelson for every state
     rho = np.zeros((d * d, d * d), dtype=complex)
     rho[0, 0] = 1.0
-    t = correlation_matrix(validate_state(rho, d))
+    t = correlation_matrix(validate_state(rho))
     report = chsh_bounds(t)
     assert report.lower == pytest.approx(2.0, abs=1e-12)
     assert report.upper == pytest.approx(upper, abs=1e-12)
@@ -148,7 +148,7 @@ def test_product_basis_states_are_an_exact_family(data, d):
     k = data.draw(st.integers(0, d - 1), label="k")
     rho = np.zeros((d * d, d * d), dtype=complex)
     rho[j * d + k, j * d + k] = 1.0
-    t = correlation_matrix(validate_state(rho, d))
+    t = correlation_matrix(validate_state(rho))
     report = chsh_bounds(t)
     assert abs(report.lower - 2.0) <= 1e-9
     assert abs(report.upper - 2.0 * (d - 1) * max_admissible_norm(d) ** 2) <= 1e-9
@@ -167,7 +167,7 @@ def test_embedded_bell_pair_meets_tsirelson_at_d3():
     d = 3
     psi = np.zeros(d * d, dtype=complex)
     psi[0] = psi[d + 1] = 1.0 / ROOT2
-    t = correlation_matrix(validate_state(np.outer(psi, psi.conj()), d))
+    t = correlation_matrix(validate_state(np.outer(psi, psi.conj())))
     report = chsh_bounds(t)
     assert abs(report.lambda1 + report.lambda2 - 2.0) <= 1e-12
     assert abs(report.upper - TSIRELSON) <= 1e-12
@@ -185,7 +185,7 @@ def test_pure_two_qutrit_states_keep_lambda_sum_at_most_two():
     for _ in range(300):
         psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         psi /= np.linalg.norm(psi)
-        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3)))
+        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()))))
         worst = max(worst, report.lambda1 + report.lambda2)
     assert worst <= 2.0 + 1e-12
 
@@ -224,7 +224,7 @@ def test_gradient_ascent_keeps_two_qutrit_lambda_sum_at_most_two(basis):
                 step /= 2.0
                 continue
             psi, value, gradient = trial, trial_value, trial_gradient
-        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()), 3)))
+        report = chsh_bounds(correlation_matrix(validate_state(np.outer(psi, psi.conj()))))
         assert abs(report.lambda1 + report.lambda2 - value) <= 1e-12
         finals.append(value)
     assert max(finals) <= 2.0 + 1e-12
@@ -238,7 +238,7 @@ def test_bounds_are_local_unitary_invariant(d, seed):
     rng = np.random.default_rng(seed)
     state = random_two_qudit_state(d, seed)
     local = np.kron(random_unitary(rng, d), random_unitary(rng, d))
-    rotated = validate_state(local @ state.rho @ local.conj().T, d)
+    rotated = validate_state(local @ state.rho @ local.conj().T)
     before = chsh_bounds(correlation_matrix(state))
     after = chsh_bounds(correlation_matrix(rotated))
     for name in ("lambda1", "lambda2", "lower", "upper"):

@@ -371,6 +371,20 @@ def test_state_file_bad_dimension_exits_one(capsys, tmp_path, bad_d):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("declared", [3, 4])
+def test_state_file_side_mismatch_is_named_before_positivity(capsys, tmp_path, declared):
+    # a 4x4 rho, the side of d = 2, that is also not positive
+    bad = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)
+    path = tmp_path / "state.json"
+    path.write_text(
+        json.dumps({"d": declared, "rho": [[[z.real, z.imag] for z in row] for row in bad]})
+    )
+    code, _, err = run_cli(capsys, "bounds", "--state", f"file:{path}")
+    assert code == 1
+    assert err.startswith(f"error: DimensionMismatch: state for d={declared} must be ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bounds", "--no-such-flag"])

@@ -49,7 +49,7 @@ def random_settings(rng, basis):
 
 
 def test_maximally_mixed_has_zero_correlations():
-    state = validate_state(np.eye(9, dtype=complex) / 9.0, 3)
+    state = validate_state(np.eye(9, dtype=complex) / 9.0)
     t = correlation_matrix(state)
     assert np.max(np.abs(t.matrix)) < 1e-14
 
@@ -251,7 +251,7 @@ def test_product_state_expectation():
     # rho = |00><00|, A1 = A2 = sigma_z, B1 = sigma_z, B2 = -sigma_z gives 2.
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    state = validate_state(rho, 2)
+    state = validate_state(rho)
     settings = _settings_from_matrices([SIGMA_Z, SIGMA_Z, SIGMA_Z, -SIGMA_Z])
     assert chsh_expectation_direct(state, settings) == pytest.approx(2.0, abs=1e-13)
 

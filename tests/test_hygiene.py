@@ -4,7 +4,8 @@ export and each public method of an exported class is used by some package
 module other than ``__init__.py``, the optimizer reads states only through
 the correlation matrix it is given, no exported callable takes a ``basis``
 parameter, no package module reaches into numpy's private modules, the CLI builds its parser on the first ``main`` call, once,
-and not at import, and the public surface keeps the size ROADMAP.md records."""
+and not at import, the public surface keeps the size ROADMAP.md records, and
+each ``*_ATOL`` tolerance is assigned in one package module."""
 
 from __future__ import annotations
 
@@ -270,8 +271,38 @@ def _cli_option_count() -> int:
 
 
 def test_public_surface_size():
-    # 57 + 27 = 84 settable values.  A change to the surface changes these
+    # 55 + 27 = 82 settable values.  A change to the surface changes these
     # counts; ROADMAP.md records them.
-    assert len(qchsh.__all__) == 28
+    assert len(qchsh.__all__) == 27
     api = sum(_parameter_count(getattr(qchsh, name)) for name in qchsh.__all__)
-    assert (api, _cli_option_count()) == (57, 27)
+    assert (api, _cli_option_count()) == (55, 27)
+
+
+def _tolerance_homes(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each ``*_ATOL`` name assigned at module level, with the modules that assign it."""
+    homes: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_ATOL"):
+                    homes.setdefault(target.id, []).append(module)
+    return homes
+
+
+def test_each_tolerance_is_assigned_in_one_module():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    homes = _tolerance_homes(sources)
+    assert homes["HERMITIAN_ATOL"] == ["representation.py"]
+    assert {name: paths for name, paths in homes.items() if len(paths) != 1} == {}
+
+
+def test_tolerance_assigned_twice_is_reported():
+    sources = {
+        "a.py": "X_ATOL = 1e-10\nY_ATOL: float = 1e-12\nlimit = 1.0\n",
+        "b.py": "from a import Y_ATOL\nX_ATOL = 2e-10\ndef f():\n    Z_ATOL = 1.0\n",
+    }
+    assert _tolerance_homes(sources) == {"X_ATOL": ["a.py", "b.py"], "Y_ATOL": ["a.py"]}

@@ -1,17 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qchsh import operator_norm
 from qchsh.errors import NotHermitian
-from qchsh.numerics import symmetrized_hermitian
+from qchsh.representation import symmetrized_hermitian
 from qchsh.optimizer import _linear_max, _row_dots
 
 from conftest import (
     SIGMA_X,
-    SIGMA_Z,
     random_hermitian,
     symmetrized_hermitian_oracle,
     traceless_linear_max,
@@ -73,20 +73,6 @@ def test_eigendecomposition_reconstruction_and_orthonormality(rng):
         assert value == pytest.approx(np.sum(np.abs(lam - np.median(lam))), abs=1e-9 * scale * d)
 
 
-def test_operator_norm_values():
-    assert operator_norm(SIGMA_X) == pytest.approx(1.0, abs=1e-14)
-    m = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0)
-    assert operator_norm(m) == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-14)
-    assert operator_norm(5.0 * SIGMA_Z) == pytest.approx(5.0, abs=1e-14)
-
-
-@settings(max_examples=50, deadline=None)
-@given(scale=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
-def test_operator_norm_scaling(scale):
-    m = SIGMA_Z + 0.5 * SIGMA_X
-    assert operator_norm(scale * m) == pytest.approx(abs(scale) * operator_norm(m), abs=1e-10)
-
-
 def test_trace_inner_product_basis_orthogonality(basis):
     b = basis(4)
     for i, left in enumerate(b.stack):
@@ -101,27 +87,62 @@ _HERMITIAN_ENTRIES = st.one_of(
     st.floats(-2.0, 2.0),
     st.sampled_from([-0.0, 0.0, 1e-11, -1e-11, 2e-10, 5e-324, -5e-324]),
 )
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def _assert_matches_retired_form(m):
+    """symmetrized_hermitian gives the oracle's bits or its exception and
+    message, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected = symmetrized_hermitian_oracle(m, "state")
+        except NotHermitian as exc:
+            with pytest.raises(NotHermitian) as info:
+                symmetrized_hermitian(m, "state")
+            assert str(info.value) == str(exc)
+        else:
+            got = symmetrized_hermitian(m, "state")
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 4), kind=st.sampled_from(["exact", "near", "raw"]), data=st.data())
-def test_symmetrized_hermitian_matches_retired_form(n, kind, data):
+@given(
+    n=st.integers(0, 4),
+    kind=st.sampled_from(["exact", "near", "raw"]),
+    planted=st.none() | st.tuples(st.sampled_from(_NON_FINITE), st.booleans()),
+    data=st.data(),
+)
+def test_symmetrized_hermitian_matches_retired_form(n, kind, planted, data):
     parts = hnp.arrays(np.float64, (n, n), elements=_HERMITIAN_ENTRIES)
     m = np.empty((n, n), dtype=complex)
     m.real, m.imag = data.draw(parts), data.draw(parts)
+    if planted is not None and n:
+        # a NaN or an infinity in the real or the imaginary part of one entry,
+        # which the mirror below copies when it lies above the diagonal
+        value, imaginary = planted
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        (m.imag if imaginary else m.real)[i, j] = value
     if kind != "raw":
         # mirror the upper triangle; "near" then adds a drawn perturbation
         lower = np.tril_indices(n, -1)
         m[lower] = m.T.conj()[lower]
         if kind == "near":
             m.real += 1e-10 * data.draw(parts)
-    try:
-        expected = symmetrized_hermitian_oracle(m, "state")
-    except NotHermitian as exc:
-        with pytest.raises(NotHermitian) as info:
-            symmetrized_hermitian(m, "state")
-        assert str(info.value) == str(exc)
-    else:
-        got = symmetrized_hermitian(m, "state")
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    _assert_matches_retired_form(m)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("position", [(1, 1), (0, 2), (2, 0)], ids=["diagonal", "upper", "lower"])
+@pytest.mark.parametrize("imaginary", [False, True], ids=["real", "imag"])
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_symmetrized_hermitian_names_non_finite_entries(value, imaginary, position, mirrored):
+    m = np.eye(3, dtype=complex) / 3.0
+    (m.imag if imaginary else m.real)[position] = value
+    if mirrored:
+        # the conjugate entry too, so that M - M^dag forms inf - inf
+        (m.imag if imaginary else m.real)[position[::-1]] = -value if imaginary else value
+    _assert_matches_retired_form(m)
+    with pytest.raises(NotHermitian, match="contains non-finite entries"):
+        symmetrized_hermitian(m, "state")

@@ -15,7 +15,6 @@ from qchsh import (
     ghz_optimal_settings,
     ghz_state,
     horodecki_two_qubit,
-    operator_norm,
     random_two_qudit_state,
     seesaw_maximize,
     validate_state,
@@ -217,7 +216,7 @@ def test_ghz_optimal_settings_odd_padding():
     for obs in settings.all:
         assert np.max(np.abs(obs.matrix[4, :])) == 0.0
         assert np.max(np.abs(obs.matrix[:, 4])) == 0.0
-        assert operator_norm(obs.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(np.linalg.eigvalsh(obs.matrix))) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -225,7 +224,7 @@ def test_ghz_optimal_settings_odd_padding():
 def test_deterministic_init_starts_ghz_from_the_block_strategy(d, epsilon):
     b = build_gellmann_basis(d)
     rho = (1.0 - epsilon) * ghz_state(d).rho + epsilon * np.eye(d * d) / d**2
-    b1, b2 = _deterministic_init(b, correlation_matrix(validate_state(rho, d)))
+    b1, b2 = _deterministic_init(b, correlation_matrix(validate_state(rho)))
     settings = ghz_optimal_settings(d)
     np.testing.assert_array_equal(b1.view(np.int64), settings.b1.coefficients.view(np.int64))
     np.testing.assert_array_equal(b2.view(np.int64), settings.b2.coefficients.view(np.int64))
@@ -236,7 +235,7 @@ def test_deterministic_init_starts_ghz_from_the_block_strategy(d, epsilon):
 def test_deterministic_init_takes_singular_directions_off_ghz(d, kind, monkeypatch):
     if kind == "near-ghz":
         rho = (1.0 - 1e-3) * ghz_state(d).rho + 1e-3 * np.eye(d * d) / d**2
-        state = validate_state(rho, d)
+        state = validate_state(rho)
     else:
         state = property_state(kind, d, seed=3)
 
@@ -273,7 +272,7 @@ def test_seesaw_certifies_isotropic_states(d, p):
     # p GHZ + (1 - p) I/d**2 has T = p T_GHZ, and its upper bound p * GHZ maximum is attained
     rho = p * ghz_state(d).rho + (1.0 - p) * np.eye(d * d) / d**2
     config = SeesawConfig()
-    result = seesaw_maximize(correlation_matrix(validate_state(rho, d)), config)
+    result = seesaw_maximize(correlation_matrix(validate_state(rho)), config)
     assert "certified" in result.stop_reasons
     assert 0.0 <= result.bounds.upper - result.value <= config.tolerance
     assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
@@ -286,7 +285,7 @@ def test_seesaw_certifies_the_isotropic_family(d, p):
     # rounding error (up to 1.3e-15 at even d), never by UPPER_BOUND_ATOL
     rho = p * ghz_state(d).rho + (1.0 - p) * np.eye(d * d) / d**2
     config = SeesawConfig()
-    result = seesaw_maximize(correlation_matrix(validate_state(rho, d)), config)
+    result = seesaw_maximize(correlation_matrix(validate_state(rho)), config)
     assert "certified" in result.stop_reasons
     assert -UPPER_BOUND_ATOL <= result.bounds.upper - result.value <= config.tolerance
     assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
@@ -309,7 +308,7 @@ def test_seesaw_returns_the_bounds_of_t():
 
 
 def test_seesaw_on_maximally_mixed_state():
-    t = correlation_matrix(validate_state(np.eye(16, dtype=complex) / 16.0, 4))
+    t = correlation_matrix(validate_state(np.eye(16, dtype=complex) / 16.0))
     result = seesaw_maximize(t, SeesawConfig(restarts=4, seed=0))
     assert abs(result.value) < 1e-9
 
@@ -377,7 +376,7 @@ def test_seesaw_deterministic_and_restart_count_invariant():
     # the same holds in closed-form mode on the maximally mixed state, where
     # every direction vanishes and every vector is zero; T = 0 gives
     # upper = 0, so both batches certify at sweep 1
-    mixed = correlation_matrix(validate_state(np.eye(9, dtype=complex) / 9.0, 3))
+    mixed = correlation_matrix(validate_state(np.eye(9, dtype=complex) / 9.0))
     many = seesaw_maximize(mixed, SeesawConfig(mode="closed-form", restarts=5, seed=7))
     few = seesaw_maximize(mixed, SeesawConfig(mode="closed-form", restarts=3, seed=7))
     assert few.iterations_per_restart == many.iterations_per_restart[:3]
@@ -396,7 +395,8 @@ def test_seesaw_config_validation():
         SeesawConfig(tolerance=0.0)
     with pytest.raises(InvalidConfig):
         SeesawConfig(mode="gradient")
-    # non-integer counts and seeds, and a tolerance no sweep can miss
+    # non-integer counts and seeds, a tolerance no sweep can miss, and one
+    # that is no real number (True would certify the batch at upper - 1)
     for bad in (
         {"restarts": 2.5},
         {"restarts": True},
@@ -406,11 +406,18 @@ def test_seesaw_config_validation():
         {"seed": False},
         {"tolerance": float("inf")},
         {"tolerance": float("nan")},
+        {"tolerance": "1e-10"},
+        {"tolerance": None},
+        {"tolerance": 1j},
+        {"tolerance": True},
+        {"tolerance": np.bool_(True)},
     ):
         with pytest.raises(InvalidConfig):
             SeesawConfig(**bad)
     config = SeesawConfig(restarts=np.int64(2), max_iterations=np.int32(7), seed=np.uint8(3))
     assert config.restarts == 2
+    for tolerance in (1, np.float32(1e-6), np.int64(2)):
+        assert SeesawConfig(tolerance=tolerance).tolerance == tolerance
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +458,7 @@ def test_random_search_bell_state():
 
 
 def test_random_search_maximally_mixed():
-    state = validate_state(np.eye(4, dtype=complex) / 4.0, 2)
+    state = validate_state(np.eye(4, dtype=complex) / 4.0)
     assert random_search_max(state, samples=1000, seed=1) < 1e-12
 
 

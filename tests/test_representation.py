@@ -20,9 +20,8 @@ from qchsh import (
     max_admissible_norm,
     random_two_qudit_state,
     seesaw_maximize,
-    validate_state,
 )
-from qchsh.representation import _shared_basis
+from qchsh.representation import MEMBERSHIP_ATOL, _shared_basis
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -51,7 +50,6 @@ DIMENSION_SITES = {
     "max_admissible_norm": max_admissible_norm,
     "ghz_state": ghz_state,
     "random_two_qudit_state": lambda d: random_two_qudit_state(d, seed=0),
-    "validate_state": lambda d: validate_state(np.eye(9, dtype=complex) / 9.0, d),
     "ghz_correlation_matrix": ghz_correlation_matrix,
     "ghz_chsh_maximum": ghz_chsh_maximum,
     "ghz_optimal_settings": ghz_optimal_settings,
@@ -393,6 +391,38 @@ def test_is_admissible_examples(basis, rng):
         n = rng.standard_normal(8)
         n *= (1.0 / np.sqrt(2.0)) / np.linalg.norm(n)
         assert is_admissible(n, b3)
+
+
+# Observables on the admissible boundary, scaled just inside and outside the
+# membership tolerance and well beyond rounding on either side of it.
+_EDGE_SCALES = (1.0 - 5e-10, 1.0 - 5e-11, 1.0, 1.0 + 5e-11, 1.0 + 5e-10)
+
+
+def _assert_membership_reads_the_spectrum(vectors):
+    for n in vectors:
+        for scale in _EDGE_SCALES:
+            obs = TracelessObservable(scale * n)
+            spectrum = np.max(np.abs(np.linalg.eigvalsh(obs.matrix)))
+            assert obs.is_admissible() == (spectrum <= 1.0 + MEMBERSHIP_ATOL)
+            # a zero vector is admissible at any scale
+            assert obs.is_admissible() == (scale < 1.0 + 1e-10 or not n.any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_membership_at_the_tolerance_edge_matches_the_spectrum(d, seed):
+    b = build_gellmann_basis(d)
+    rows = np.random.default_rng(seed).standard_normal((3, b.size))
+    _assert_membership_reads_the_spectrum(boundary(rows, b))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_membership_of_ghz_and_seesaw_settings_at_the_tolerance_edge(d):
+    ghz = ghz_optimal_settings(d)
+    found = seesaw_maximize(
+        correlation_matrix(random_two_qudit_state(d, seed=d)), SeesawConfig(restarts=2, seed=d)
+    ).settings
+    _assert_membership_reads_the_spectrum([obs.coefficients for obs in ghz.all + found.all])
 
 
 def test_max_admissible_norm():

@@ -75,34 +75,38 @@ def test_random_state_is_valid_density_matrix():
 
 def test_validate_accepts_maximally_mixed():
     for d in (2, 3):
-        state = validate_state(np.eye(d * d, dtype=complex) / (d * d), d)
+        state = validate_state(np.eye(d * d, dtype=complex) / (d * d))
         assert state.dim == d
 
 
 def test_validate_accepts_ghz_matrix():
-    validate_state(ghz_state(3).rho, 3)
+    validate_state(ghz_state(3).rho)
 
 
 def test_validate_rejects_non_positive():
     with pytest.raises(NotPositive, match="-1"):
-        validate_state(np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex), 2)
+        validate_state(np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex))
 
 
 def test_validate_rejects_bad_trace():
     with pytest.raises(TraceNotOne):
-        validate_state(np.eye(4, dtype=complex), 2)
+        validate_state(np.eye(4, dtype=complex))
 
 
 def test_validate_rejects_non_hermitian():
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = 0.5j
     with pytest.raises(NotHermitian):
-        validate_state(rho, 2)
+        validate_state(rho)
 
 
 def test_validate_rejects_wrong_shape():
+    # d is read from rho, so a side that is no d**2 for d >= 2 is the fault
+    for side in (5, 8, 1, 0):
+        with pytest.raises(DimensionMismatch, match=r"side d\*\*2 for"):
+            validate_state(np.eye(side, dtype=complex) / max(side, 1))
     with pytest.raises(DimensionMismatch):
-        validate_state(np.eye(4, dtype=complex) / 4.0, 3)
+        validate_state(np.ones((4, 9), dtype=complex) / 4.0)
 
 
 def test_state_reads_d_from_rho():
@@ -122,7 +126,7 @@ def test_state_stores_a_complex128_array():
     rho = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     state = TwoQuditState(rho)
     assert type(state.rho) is np.ndarray and state.rho.dtype == np.complex128
-    expected = correlation_matrix(validate_state(np.array(rho), 2)).matrix
+    expected = correlation_matrix(validate_state(np.array(rho))).matrix
     np.testing.assert_array_equal(correlation_matrix(state).matrix, expected)
     # a complex128 array passes through as it is, the read-only ρ of a built state included
     built = random_two_qudit_state(3, seed=8).rho
@@ -202,7 +206,7 @@ def _planted_state(d, min_eig, seed):
 @pytest.mark.parametrize("d", range(2, 17))
 def test_validate_rejects_planted_negative_eigenvalue(d, min_eig):
     with pytest.raises(NotPositive, match="minimum eigenvalue") as info:
-        validate_state(_planted_state(d, min_eig, seed=d), d)
+        validate_state(_planted_state(d, min_eig, seed=d))
     reported = float(str(info.value).rsplit(" ", 1)[1])
     assert reported == pytest.approx(min_eig, abs=1e-12)
 
@@ -211,11 +215,11 @@ def test_validate_rejects_planted_negative_eigenvalue(d, min_eig):
 @pytest.mark.parametrize("d", range(2, 17))
 def test_validate_accepts_planted_spectrum_near_boundary(d, min_eig):
     rho = _planted_state(d, min_eig, seed=d)
-    state = validate_state(rho, d)
+    state = validate_state(rho)
     np.testing.assert_array_equal(state.rho, (rho + rho.conj().T) / 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_validate_accepts_rank_one_ghz(d):
     rho = ghz_state(d).rho
-    np.testing.assert_array_equal(validate_state(rho, d).rho, rho)
+    np.testing.assert_array_equal(validate_state(rho).rho, rho)
