@@ -68,13 +68,14 @@ def chsh_bounds(correlations: CorrelationMatrix) -> BoundsReport:
 
 
 def horodecki_two_qubit(correlations: CorrelationMatrix) -> float:
-    """Exact two-qubit maximum 2*sqrt(lam1 + lam2); requires d = 2."""
+    """Exact two-qubit maximum 2*sqrt(s1**2 + s2**2) from T's top two singular values; d = 2.
+
+    The SVD is a route apart from the Gram eigenvalues behind ``chsh_bounds``.
+    """
     if correlations.dim != 2:
-        raise WrongDimension(
-            f"the exact two-qubit value needs d=2, got d={correlations.dim}"
-        )
-    lam1, lam2 = top_two_gram_eigenvalues(correlations)
-    return float(2.0 * np.sqrt(lam1 + lam2))
+        raise WrongDimension(f"the exact two-qubit value needs d=2, got d={correlations.dim}")
+    s = np.linalg.svd(correlations.matrix, compute_uv=False)
+    return float(2.0 * np.sqrt(s[0] ** 2 + s[1] ** 2))
 
 
 def ghz_correlation_matrix(d: int) -> CorrelationMatrix:

@@ -19,26 +19,25 @@ first sweep in which a restart's value falls; closed-form updates can lower
 it, and closed-form runs track nothing.
 
 All restarts of one ``seesaw_maximize`` call advance in lockstep on
-(restarts, 2, d**2-1) arrays.  A sweep is two party updates, Alice's then
-Bob's.  Each stacks the ``+-`` directions of every live restart and makes
-one map to matrices, one batched eigensolver call, one LP, one rebuild
+(restarts, 2, d**2-1) arrays.  ``_sweep`` is one sweep and holds nothing
+else: Alice's update, then Bob's, and the value after each.  An update
+stacks the ``+-`` directions of every live restart and makes one map to
+matrices, one batched eigensolver call, one LP, one rebuild
 ``V diag(mu) V^H`` and one map back (exact mode), or one batched operator
 norm (closed-form mode).  The LP optimum of a spectrum with no tie beside
 its median is one fixed sign pattern; only the other rows go through the
 tie-share formula.  Matrix-vector products and dot products stay one BLAS
 call per row, so each restart gives bit for bit what it gives when run
-alone.  The loop carries only the live restarts; a restart's sweeps,
-value, vectors and stop reason are written once, when it leaves the batch.
-``seesaw_maximize`` takes the correlation matrix T, not the state, and
-looks up the shared basis of T's d once; the loop hands it down.
+alone.  The LP's sign pattern and the slice its tie test reads depend on d
+alone and are built once per d (``_lp_pattern``).  The party updates hand
+the arrays they build straight to the basis's check-free map cores.
 
-What every sweep reads is worked out before the first one.  A
-``_run_restarts`` call takes T's transpose, the value at which the batch
-certifies, and the random starts, each drawn from its own generator and
-all rescaled by one ``_boundary`` call.  The LP's sign pattern and the
-slice its tie test reads depend on d alone and are built once per d
-(``_lp_pattern``).  The party updates hand the arrays they build straight
-to the basis's check-free map cores.
+The driver ``_run_restarts`` holds the rest: the starts, the fall check,
+the stop rules and the live batch.  Before the first sweep it takes T's
+transpose, the value at which the batch certifies, and the random starts,
+each drawn from its own generator and all rescaled by one ``_boundary``
+call.  ``seesaw_maximize`` takes the correlation matrix T, not the state,
+and looks up the shared basis of T's d once; the driver hands it down.
 
 Certified stop: the paper proves ``max |CHSH| <= upper`` (``chsh_bounds``),
 and the bound is attained for GHZ at every d and by every state at d = 2.
@@ -263,12 +262,9 @@ def _ghz_blocks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     """
     a1 = np.zeros((d, d), dtype=np.complex128)
     a2 = np.zeros((d, d), dtype=np.complex128)
-    for block in range(d // 2):
-        i, j = 2 * block, 2 * block + 1
-        a1[i, i] = 1.0
-        a1[j, j] = -1.0
-        a2[i, j] = 1.0
-        a2[j, i] = 1.0
+    i = np.arange(0, d - 1, 2)  # the first state of each block
+    a1[i, i], a1[i + 1, i + 1] = 1.0, -1.0
+    a2[i, i + 1] = a2[i + 1, i] = 1.0
     return a1, a2, (a1 + a2) / math.sqrt(2.0), (a1 - a2) / math.sqrt(2.0)
 
 
@@ -300,29 +296,44 @@ def _deterministic_init(
     return tuple(basis._boundary(np.stack((v1 + v2, v1 - v2))))
 
 
+def _sweep(
+    t: np.ndarray, t_transposed: np.ndarray, alice_in: np.ndarray, basis: GellMannBasis, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One sweep of every live restart: Alice's update, then Bob's.
+
+    Takes each restart's T(b1 +- b2); returns the new pairs a and b, the
+    next T(b1 +- b2), and the values after Alice's update and after Bob's.
+    Writes into none of its arguments.
+    """
+    half = 0.5 * basis.dim
+    a = _party_update(alice_in, basis, mode)
+    dots = _row_dots(a, alice_in)
+    after_alice = half * (dots[:, 0] + dots[:, 1])
+    b = _party_update(_pair_products(t_transposed, a), basis, mode)
+    alice_next = _pair_products(t, b)
+    dots = _row_dots(a, alice_next)
+    return a, b, alice_next, after_alice, half * (dots[:, 0] + dots[:, 1])
+
+
 def _run_restarts(
     basis: GellMannBasis, config: SeesawConfig, correlations: CorrelationMatrix, upper: float
 ) -> dict:
-    """Run every restart in lockstep on (restarts, 2, d**2-1) arrays.
+    """Run every restart in lockstep through ``_sweep``, on (restarts, 2, d**2-1) arrays.
 
-    Each sweep updates Alice, then Bob, for the live restarts at once.  The
-    products T(b1 +- b2) are Alice's input, and after Bob's update they give
-    the sweep's value and the next sweep's input.  A restart leaves the batch
-    when it converges, and every live restart leaves it at the first sweep in
-    which any of them reaches ``|value| >= upper - config.tolerance`` or at
-    the last sweep.  Only the live batch is carried from sweep to sweep; a
-    restart's sweeps, value, vectors and stop reason are written once, when
-    it leaves.  ``stop_reason`` indexes STOP_REASONS: a restart stopped by
-    both rules in the same sweep reads converged, and one that runs out of
-    sweeps reads max_iterations.  In exact mode, from the second sweep on, a
-    live restart whose value falls by more than 1e-12 after Alice's update
-    or after Bob's raises NumericalError at that sweep, naming the first
-    such restart.  Every row is computed on its own, so a restart's result
-    does not depend on how many restarts run beside it, up to the sweep at
-    which the batch certifies.
+    A restart leaves the batch when it converges, and every live restart
+    leaves it at the first sweep in which any of them reaches
+    ``|value| >= upper - config.tolerance`` or at the last sweep.  Only the
+    live batch is carried from sweep to sweep; a restart's sweeps, value,
+    vectors and stop reason are written once, when it leaves.
+    ``stop_reason`` indexes STOP_REASONS: a restart stopped by both rules in
+    the same sweep reads converged, and one that runs out of sweeps reads
+    max_iterations.  In exact mode a live restart whose value falls by more
+    than 1e-12 after Alice's update or after Bob's raises NumericalError at
+    that sweep, naming the first such restart.  Every row is computed on
+    its own, so a restart's result does not depend on how many restarts run
+    beside it, up to the sweep at which the batch certifies.
     """
     count = config.restarts
-    exact = config.mode == "exact"
     b = np.empty((count, 2, basis.size))
     b[0] = _deterministic_init(basis, correlations)
     if count > 1:
@@ -334,7 +345,6 @@ def _run_restarts(
         b[1:] = basis._boundary(starts)
     t = correlations.matrix
     t_transposed = t.T
-    half = 0.5 * basis.dim
     certified_at = upper - config.tolerance
     vectors = np.empty((count, 4, basis.size))
     values = np.empty(count)
@@ -342,42 +352,30 @@ def _run_restarts(
     stop_reason = np.empty(count, dtype=int)
     active = np.arange(count)
     alice_in = _pair_products(t, b)
-    previous = None
+    # before sweep 1 every comparison with the previous value is False, and fmax skips it
+    previous = np.full(count, np.nan)
     for iteration in range(1, config.max_iterations + 1):
-        a = _party_update(alice_in, basis, config.mode)
-        dots = _row_dots(a, alice_in)
-        after_alice = half * (dots[:, 0] + dots[:, 1])
-        b = _party_update(_pair_products(t_transposed, a), basis, config.mode)
-        alice_in = _pair_products(t, b)
-        dots = _row_dots(a, alice_in)
-        value = half * (dots[:, 0] + dots[:, 1])
-        stop = np.abs(value) >= certified_at
+        a, b, alice_in, after_alice, value = _sweep(t, t_transposed, alice_in, basis, config.mode)
+        if config.mode == "exact":
+            fall = np.fmax(previous - after_alice, after_alice - value)
+            row = int(np.argmax(fall > 1e-12))
+            if fall[row] > 1e-12:
+                raise NumericalError(
+                    f"exact see-saw restart {active[row]} is not monotone: its value fell "
+                    f"by {fall[row]:.3e} within one sweep (allowed 1e-12)"
+                )
+        done = np.abs(value - previous) < config.tolerance
         # np.count_nonzero tests a small mask in a fraction of the time of .any()
-        certified = np.count_nonzero(stop) > 0
-        if previous is not None:
-            if exact:
-                fell = (after_alice < previous - 1e-12) | (value < after_alice - 1e-12)
-                if np.count_nonzero(fell):
-                    row = int(np.argmax(fell))
-                    fall = max(previous[row] - after_alice[row], after_alice[row] - value[row])
-                    raise NumericalError(
-                        f"exact see-saw restart {active[row]} is not monotone: its value fell "
-                        f"by {fall:.3e} within one sweep (allowed 1e-12)"
-                    )
-            done = np.abs(value - previous) < config.tolerance
-            stop |= done
+        certified = np.count_nonzero(np.abs(value) >= certified_at) > 0
+        stop = done | (certified or iteration == config.max_iterations)
         previous = value
-        if certified or iteration == config.max_iterations:
-            stop[:] = True
         if np.count_nonzero(stop):
             leaving = active[stop]
             iterations[leaving] = iteration
             values[leaving] = value[stop]
             vectors[leaving] = np.concatenate((a[stop], b[stop]), axis=1)
-            reason = np.full(leaving.size, CERTIFIED if certified else MAX_ITERATIONS)
-            if iteration > 1:
-                reason[done[stop]] = CONVERGED
-            stop_reason[leaving] = reason
+            reason = CERTIFIED if certified else MAX_ITERATIONS
+            stop_reason[leaving] = np.where(done[stop], CONVERGED, reason)
             keep = ~stop
             active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
             if active.size == 0:

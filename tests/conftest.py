@@ -409,8 +409,8 @@ def serial_restarts(correlations, config):
     return results
 
 
-def halve_bob_in_sweep_two(monkeypatch):
-    """Patch the see-saw so that Bob's update in sweep 2 returns half its vectors.
+def halve_bob_in_sweep(monkeypatch, sweep):
+    """Patch the see-saw so that Bob's update in the given sweep returns half its vectors.
 
     The value is linear in Bob's vectors, so that sweep's value falls to half
     of the value after Alice's update.
@@ -420,6 +420,6 @@ def halve_bob_in_sweep_two(monkeypatch):
 
     def halved(directions, basis, mode):
         out = update(directions, basis, mode)
-        return 0.5 * out if next(calls) == 4 else out
+        return 0.5 * out if next(calls) == 2 * sweep else out
 
     monkeypatch.setattr(optimizer, "_party_update", halved)

@@ -19,7 +19,9 @@ from qchsh import (
     top_two_gram_eigenvalues,
     validate_state,
 )
+import qchsh.bounds
 from qchsh.errors import InvalidDimension, WrongDimension
+from qchsh.verify import suite_bound_ordering
 
 from conftest import random_unitary
 
@@ -81,6 +83,24 @@ def test_horodecki_examples():
     exact = horodecki_two_qubit(t)
     assert report.lower == pytest.approx(exact, abs=1e-12)
     assert report.upper == pytest.approx(exact, abs=1e-12)
+
+
+def test_bound_ordering_catches_a_wrong_gram_spectrum(monkeypatch):
+    # the exact d = 2 value comes from T's singular values, apart from the Gram
+    # eigenvalues behind the bounds, so a fault in those fails the suite; the
+    # planted routine is right on a diagonal T, so the GHZ row still passes
+    right = qchsh.bounds.top_two_gram_eigenvalues
+
+    def planted(correlations):
+        lam1, lam2 = right(correlations)
+        t = correlations.matrix
+        return (lam1, lam2) if np.array_equal(t, np.diag(np.diag(t))) else (1.01 * lam1, lam2)
+
+    monkeypatch.setattr(qchsh.bounds, "top_two_gram_eigenvalues", planted)
+    result = suite_bound_ordering((2,), 500, 0)
+    assert not result.passed
+    assert result.checks == 1
+    assert result.detail.startswith("d=2:")
 
 
 def test_ghz_correlation_closed_form_matches_computed():

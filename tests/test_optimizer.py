@@ -28,6 +28,7 @@ from qchsh.errors import (
 import qchsh.optimizer
 from qchsh.optimizer import (
     LP_TIE_ATOL,
+    MODES,
     STOP_REASONS,
     UPPER_BOUND_ATOL,
     _deterministic_init,
@@ -35,10 +36,11 @@ from qchsh.optimizer import (
     _pair_products,
     _party_update,
     _run_restarts,
+    _sweep,
 )
 
 from conftest import (
-    halve_bob_in_sweep_two,
+    halve_bob_in_sweep,
     is_admissible,
     lp_spectrum_oracle,
     polytope_vertex_max,
@@ -328,15 +330,17 @@ def test_seesaw_certificate_consistency(basis):
 def test_closed_form_runs_may_fall(monkeypatch):
     # a falling sweep is a fault only in exact mode (see test_cli); closed-form
     # updates can lower the value, so the run returns
-    halve_bob_in_sweep_two(monkeypatch)
+    halve_bob_in_sweep(monkeypatch, 2)
     t = correlation_matrix(random_two_qudit_state(3, 7))
     result = seesaw_maximize(t, SeesawConfig(mode="closed-form", restarts=2))
     assert result.bounds.lower <= result.value <= result.bounds.upper
 
 
-def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch):
-    # Bob's halved update in sweep 2 is the fall; the run stops there
-    halve_bob_in_sweep_two(monkeypatch)
+@pytest.mark.parametrize("sweep", [1, 2])
+def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch, sweep):
+    # Bob's halved update is the fall, and the run stops at its sweep: sweep 1
+    # has no previous value, but Bob's value must still reach Alice's
+    halve_bob_in_sweep(monkeypatch, sweep)
     calls = []
     pair_products = qchsh.optimizer._pair_products
 
@@ -348,8 +352,27 @@ def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch):
     t = correlation_matrix(random_two_qudit_state(3, 7))
     with pytest.raises(NumericalError, match="restart 0 is not monotone.*allowed 1e-12"):
         seesaw_maximize(t, SeesawConfig(restarts=2))
-    # the starts, then two products per sweep for two sweeps
-    assert len(calls) == 1 + 2 * 2
+    # the starts, then two products per sweep up to the one that falls
+    assert len(calls) == 1 + 2 * sweep
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_writes_into_none_of_its_arguments(mode):
+    # read-only inputs make any write raise, and a second call on the same
+    # inputs gives the same bits; restart 0 starts from zero vectors, so its
+    # directions vanish
+    b = build_gellmann_basis(3)
+    t = correlation_matrix(random_two_qudit_state(3, 5)).matrix
+    pairs = b.random_admissible(np.random.default_rng(0), 6).reshape(3, 2, b.size)
+    pairs[0] = 0.0
+    alice_in = _pair_products(t, pairs)
+    t_transposed = t.T
+    for array in (t, t_transposed, alice_in):
+        array.setflags(write=False)
+    first = _sweep(t, t_transposed, alice_in, b, mode)
+    second = _sweep(t, t_transposed, alice_in, b, mode)
+    for x, y in zip(first, second):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_seesaw_closed_form_mode():
