@@ -141,6 +141,7 @@ def _g15_tables() -> tuple[np.ndarray, ...]:
 
 
 _POWERS_OF_TEN = 10.0 ** np.arange(15)
+_POWERS_OF_TEN.setflags(write=False)
 
 
 def _g15_cells(x: np.ndarray) -> tuple[list[str], list[int]]:

@@ -28,9 +28,14 @@ norm (closed-form mode).  The LP optimum of a spectrum with no tie beside
 its median is one fixed sign pattern; only the other rows go through the
 tie-share formula.  Matrix-vector products and dot products stay one BLAS
 call per row, so each restart gives bit for bit what it gives when run
-alone.  The LP's sign pattern and the slice its tie test reads depend on d
-alone and are built once per d (``_lp_pattern``).  The party updates hand
-the arrays they build straight to the basis's check-free map cores.
+alone.  The LP's sign pattern, one read-only array per batch shape, and
+the slice its tie test reads are built once per shape (``_lp_pattern``); a
+batch with no tie beside a median gets that array itself.  The sums
+``u +- v`` of a pair are one matmul with a +-1 stencil (``_pair_products``),
+and a direction vanishes when its squared norm is at most the largest
+double whose square root is at most ``DEGENERATE_NORM_ATOL``, with no
+square root taken.  The party updates hand the arrays they build straight
+to the basis's check-free map cores.
 
 The driver ``_run_restarts`` holds the rest: the starts, the fall check,
 the stop rules and the live batch.  Before the first sweep it takes T's
@@ -90,6 +95,25 @@ MAX_ITERATIONS, CONVERGED, CERTIFIED = range(len(STOP_REASONS))
 MODES = ("exact", "closed-form")
 
 
+def _largest_square_within(bound: float) -> float:
+    """The largest double x with ``sqrt(x) <= bound``, for a positive finite bound.
+
+    sqrt is correctly rounded, so it never falls as x rises: for x >= 0 and
+    for NaN, ``x <= _largest_square_within(bound)`` is ``sqrt(x) <= bound``.
+    """
+    x = bound * bound
+    while math.sqrt(x) > bound:
+        x = math.nextafter(x, 0.0)
+    while math.sqrt(math.nextafter(x, math.inf)) <= bound:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# A direction w vanishes when sqrt(w . w) <= DEGENERATE_NORM_ATOL, tested as
+# w . w <= _VANISHING_SQUARE with no sqrt.
+_VANISHING_SQUARE = _largest_square_within(DEGENERATE_NORM_ATOL)
+
+
 @dataclass(frozen=True)
 class SeesawConfig:
     """Alternating-maximization parameters."""
@@ -137,16 +161,20 @@ class SeesawResult:
         return sum(self.converged)
 
 
-@functools.cache
-def _lp_pattern(d: int) -> tuple[np.ndarray, slice]:
-    """The LP optimum of a d-entry spectrum with no tie beside its median, and
-    the slice of the entries beside it; built once per d, read-only.
+# bounded, so that a run whose batch passes through many sizes keeps few
+@functools.lru_cache(maxsize=64)
+def _lp_pattern(shape: tuple[int, ...]) -> tuple[np.ndarray, slice]:
+    """The LP optimum of every row of a (..., d) spectrum with no tie beside its
+    median, and the slice of the entries beside it; read-only, built once per
+    shape.
 
     The slice takes entries d//2 - 1 and d - d//2: the median's neighbours
     at odd d, the two middle entries at even d.
     """
+    d = shape[-1]
     half = d // 2
-    signs = np.array([1.0, -0.0, -1.0]).repeat((half, d % 2, half))
+    signs = np.empty(shape)
+    signs[...] = np.array([1.0, -0.0, -1.0]).repeat((half, d % 2, half))
     signs.setflags(write=False)
     return signs, slice(half - 1, d - half + 1, d - 2 * half + 1)
 
@@ -160,8 +188,11 @@ def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
     fall with i, so a row whose two entries beside t* are not tied with it
     has no tie but the odd-d median entry, and its optimum is the pattern
     (+1, ..., +1, -0.0, -1, ..., -1): the median's share of a zero sum is
-    -0.0 / 1.  Only rows with a tie beside t* go through the share formula;
-    before the correction mu holds only +-1 and 0, so their row sums are exact.
+    -0.0 / 1.  When no row has a tie beside t*, the result is the shared
+    read-only pattern of lam's shape itself, the very bits the share formula
+    gives each such row; otherwise it is a new, writable copy of the pattern
+    in which only the rows with a tie go through the share formula.  Before
+    the correction mu holds only +-1 and 0, so their row sums are exact.
     """
     lam = lam_descending
     d = lam.shape[-1]
@@ -171,19 +202,19 @@ def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
         t_star = lam[..., half : half + 1]
     else:
         t_star = 0.5 * (lam[..., half - 1 : half] + lam[..., half : half + 1])
-    signs, beside = _lp_pattern(d)
+    signs, beside = _lp_pattern(lam.shape)
     ties_beside = np.abs(lam[..., beside] - t_star) < LP_TIE_ATOL
-    mu = np.empty_like(lam)
-    mu[...] = signs
-    if np.count_nonzero(ties_beside):
-        rows = ties_beside.any(axis=-1)
-        lam, t_star = lam[rows], t_star[rows]
-        deviation = lam - t_star
-        ties = np.abs(deviation) < LP_TIE_ATOL
-        tied = np.where(deviation > 0, 1.0, -1.0)
-        tied[ties] = 0.0
-        share = -tied.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
-        mu[rows] = np.where(ties, share, tied)
+    if not np.count_nonzero(ties_beside):
+        return signs
+    mu = signs.copy()
+    rows = ties_beside.any(axis=-1)
+    lam, t_star = lam[rows], t_star[rows]
+    deviation = lam - t_star
+    ties = np.abs(deviation) < LP_TIE_ATOL
+    tied = np.where(deviation > 0, 1.0, -1.0)
+    tied[ties] = 0.0
+    share = -tied.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
+    mu[rows] = np.where(ties, share, tied)
     return mu
 
 
@@ -206,16 +237,21 @@ def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2), lam, mu
 
 
+# u + v and u - v of a pair (u, v), as one exact matmul
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_PLUS_MINUS.setflags(write=False)
+
+
 def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """``t(u + v)`` and ``t(u - v)`` for each pair (u, v) in pairs[R, 2, d**2-1].
 
+    The sums u + v and u - v are one matmul with the stencil ``_PLUS_MINUS``.
+    Each of its outputs has two terms, +-1 times u and v: the products are
+    exact and the sum is rounded once, so a finite result is the double that
+    ``u + v`` or ``u - v`` gives, except perhaps for the sign of a zero sum.
     Each row is its own matrix-vector product, so its bits do not depend on R.
     """
-    u, v = pairs[:, 0], pairs[:, 1]
-    sums = np.empty(pairs.shape)
-    np.add(u, v, out=sums[:, 0])
-    np.subtract(u, v, out=sums[:, 1])
-    return np.matmul(t, sums[..., None])[..., 0]
+    return np.matmul(t, (_PLUS_MINUS @ pairs)[..., None])[..., 0]
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -237,7 +273,7 @@ def _party_update(directions: np.ndarray, basis: GellMannBasis, mode: str) -> np
     other rows, so no 0/0 is formed.
     """
     w = directions.reshape(-1, basis.size)
-    vanishing = np.sqrt(_row_dots(w, w)) <= DEGENERATE_NORM_ATOL
+    vanishing = _row_dots(w, w) <= _VANISHING_SQUARE
     if mode == "exact":
         x, _, _ = _linear_max(basis._matrices(w))
         out = basis._vectors(x)
@@ -358,8 +394,8 @@ def _run_restarts(
         a, b, alice_in, after_alice, value = _sweep(t, t_transposed, alice_in, basis, config.mode)
         if config.mode == "exact":
             fall = np.fmax(previous - after_alice, after_alice - value)
-            row = int(np.argmax(fall > 1e-12))
-            if fall[row] > 1e-12:
+            if np.count_nonzero(fall > 1e-12):
+                row = int(np.argmax(fall > 1e-12))
                 raise NumericalError(
                     f"exact see-saw restart {active[row]} is not monotone: its value fell "
                     f"by {fall[row]:.3e} within one sweep (allowed 1e-12)"

@@ -87,6 +87,12 @@ def check_count(name: str, value, minimum: int) -> None:
         raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
 
 
+# The pair components from the four parts ``_vectors`` gathers for each pair:
+# Re X[m, k] + Re X[k, m] and Im X[k, m] - Im X[m, k], as one exact matmul.
+_PAIR_SUMS = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+_PAIR_SUMS.setflags(write=False)
+
+
 class GellMannBasis:
     """The d**2 - 1 generalized Gell-Mann operators, in label order.
 
@@ -101,14 +107,18 @@ class GellMannBasis:
     ``to_vector`` are gathers through index tables built once here, over
     the interleaved real and imaginary parts of a flat d x d matrix: a pair
     entry is one component (negated for the upper imaginary part), a pair
-    component a two-term sum; ``pair_leading`` forms the same sums from
-    slices.  The diagonal entries and ``diag_l`` components of all three
-    maps are products with one (d-1, d) table of diagonal coefficients,
-    summed in ascending index as the einsum sums them.  The einsum starts
-    its sums at +0, so a sum of -0 terms reads +0 there; each map adds +0 at
-    the end to make that so, which leaves every other value as it is.  Input
-    must be finite: a NaN or an infinity, which the einsum spreads through
-    its zero products to every entry, here stays in the entries it reaches.
+    component a two-term sum, which ``to_vector`` forms as one matmul with
+    the +-1/0 stencil ``_PAIR_SUMS`` and ``pair_leading`` from slices.  The
+    diagonal entries and ``diag_l`` components of all three maps are
+    products with one (d-1, d) table of diagonal coefficients, summed in
+    ascending index as the einsum sums them.  The einsum starts its sums at
+    +0, so a sum of -0 terms reads +0 there; each map adds +0 at the end to
+    make that so, which leaves every other value as it is.  Input must be
+    finite: a NaN or an infinity, which the einsum spreads through its zero
+    products to every entry, here stays in the entries it reaches and, in
+    ``to_vector``, in the pair component that is its stencil partner, whose
+    zero stencil entry multiplies it too (an infinity makes that product a
+    NaN, and numpy warns of the invalid value).
 
     Each public map checks its input and hands it to one check-free core
     (``_matrices``, ``_vectors``); the see-saw calls the cores directly on
@@ -206,21 +216,25 @@ class GellMannBasis:
         return self._vectors(x)
 
     def _vectors(self, x: np.ndarray) -> np.ndarray:
-        """``to_vector`` without its checks, for a C-contiguous complex128 ``x[..., d, d]``."""
+        """``to_vector`` without its checks, for a C-contiguous complex128 ``x[..., d, d]``.
+
+        The pair components are one matmul of the stencil ``_PAIR_SUMS`` with
+        the four gathered parts of each pair.  Each output has two nonzero
+        terms, +-1 times a part, and two zero terms.  The products are exact,
+        the sum of the two nonzero terms is rounded once and a +-0 term leaves
+        a nonzero sum as it is, in any order of summation.  So each finite
+        component is the double of the two-term sum ``Re X[m, k] + Re X[k, m]``
+        or ``Im X[k, m] - Im X[m, k]``, but perhaps for the sign of a zero,
+        which the final ``+= 0.0`` makes +0 either way.
+        """
         d, npairs = self.dim, self._npairs
         lead = x.shape[:-2]
         flat = x.view(np.float64).reshape(lead + (2 * d * d,))
         parts = flat.take(self._vector_index, axis=-1)
+        pairs = _PAIR_SUMS @ parts[..., : 4 * npairs].reshape(lead + (4, npairs))
         terms = parts[..., None, 4 * npairs :] * self._diagonal
         np.add.accumulate(terms, axis=-1, out=terms)
-        out = np.concatenate(
-            (
-                parts[..., :npairs] + parts[..., npairs : 2 * npairs],
-                parts[..., 2 * npairs : 3 * npairs] - parts[..., 3 * npairs : 4 * npairs],
-                terms[..., -1],
-            ),
-            axis=-1,
-        )
+        out = np.concatenate((pairs.reshape(lead + (2 * npairs,)), terms[..., -1]), axis=-1)
         out += 0.0
         return out
 

@@ -169,7 +169,7 @@ def suite_bound_ordering(dims, trials, seed) -> SuiteResult:
                 )
             if d == 2:
                 exact = horodecki_two_qubit(correlations)
-                if abs(report.lower - report.upper) > 1e-12 or abs(exact - report.upper) > 1e-12:
+                if abs(exact - report.lower) > 1e-12 or abs(exact - report.upper) > 1e-12:
                     return SuiteResult(
                         "bound-ordering", checks, False,
                         f"d=2: bounds fail to coincide with the exact value",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qchsh import (
     build_gellmann_basis,
@@ -100,6 +101,60 @@ def dense_to_matrix(n, stack):
 def dense_to_vector(x, stack):
     """Reference for GellMannBasis.to_vector: the retired dense einsum over the stack."""
     return np.real(np.einsum("...kl,jlk->...j", np.asarray(x), stack))
+
+
+# Finite doubles with no -0.0: any magnitude, subnormals included, with the
+# range 1e-300..1e300 and the extremes drawn on purpose.
+FINITE_NO_NEGATIVE_ZERO = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+).map(lambda x: x + 0.0)  # -0.0 + 0.0 is +0.0; every other value stays
+
+
+@st.composite
+def stencil_terms(draw):
+    """A pair (u, v) of finite doubles with no -0.0, v often +-u (an exact
+    cancellation in u - v or u + v) or u's neighbour, and both often near the
+    largest double (an overflow)."""
+    u = draw(FINITE_NO_NEGATIVE_ZERO)
+    partner = st.sampled_from([u, -u + 0.0, math.nextafter(u, 0.0),
+                               math.copysign(1.7976931348623157e308, u)])
+    return u, draw(st.one_of(FINITE_NO_NEGATIVE_ZERO, partner))
+
+
+@st.composite
+def stencil_operands(draw, terms):
+    """An array of shape (rows, terms, size) of ``stencil_terms`` pairs: axis 1
+    holds them in turn (terms 0 and 1 one pair, 2 and 3 the next)."""
+    rows, size = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    count = rows * size * terms // 2
+    pairs = draw(st.lists(stencil_terms(), min_size=count, max_size=count))
+    # each (row, column) takes terms // 2 pairs in turn; the terms then move to axis 1
+    return np.array(pairs).reshape(rows, size, terms).swapaxes(1, 2).copy()
+
+
+def slice_sum_vectors(x, basis):
+    """Reference for GellMannBasis._vectors: the retired form, each pair
+    component a sum or difference of two strided slices of the gathered parts."""
+    d, npairs = basis.dim, basis._npairs
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    lead = x.shape[:-2]
+    parts = x.view(np.float64).reshape(lead + (2 * d * d,)).take(basis._vector_index, axis=-1)
+    terms = parts[..., None, 4 * npairs :] * basis._diagonal
+    np.add.accumulate(terms, axis=-1, out=terms)
+    out = np.concatenate(
+        (
+            parts[..., :npairs] + parts[..., npairs : 2 * npairs],
+            parts[..., 2 * npairs : 3 * npairs] - parts[..., 3 * npairs : 4 * npairs],
+            terms[..., -1],
+        ),
+        axis=-1,
+    )
+    out += 0.0
+    return out
 
 
 def dense_pair_leading(x, stack):
@@ -348,6 +403,9 @@ def serial_linear_max(c):
 def serial_restarts(correlations, config):
     """Reference for optimizer._run_restarts: each restart alone, one vector at a time.
 
+    Its arithmetic is the retired one: ``u +- v`` by plain add and subtract,
+    the pair components by ``slice_sum_vectors``, the LP by the share formula
+    and the vanishing test on the norm itself.
     Each restart runs to its own stop and records every sweep.  The batch's
     certification sweep is the first at which a restart still running has
     ``|value| >= upper - tolerance``; each restart is then cut at the
@@ -365,7 +423,7 @@ def serial_restarts(correlations, config):
         if config.mode == "closed-form":
             return boundary(w, basis)
         x = serial_linear_max(basis.to_matrix(w))
-        return basis.to_vector(x) / math.sqrt(2.0 * basis.dim)
+        return slice_sum_vectors(x, basis) / math.sqrt(2.0 * basis.dim)
 
     def run(index):
         """One (value, converged, vectors) per sweep, to the own stop."""

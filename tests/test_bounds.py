@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from qchsh import (
     validate_state,
 )
 import qchsh.bounds
+import qchsh.verify
 from qchsh.errors import InvalidDimension, WrongDimension
 from qchsh.verify import suite_bound_ordering
 
@@ -101,6 +104,21 @@ def test_bound_ordering_catches_a_wrong_gram_spectrum(monkeypatch):
     assert not result.passed
     assert result.checks == 1
     assert result.detail.startswith("d=2:")
+
+
+def test_bound_ordering_checks_the_lower_bound_at_d2(monkeypatch):
+    # at d = 2 lower and upper are the same float by construction, so only a
+    # comparison of lower with the exact value catches a lower bound moved
+    # off it; the GHZ row reads only the upper bound and still passes
+    def planted(correlations):
+        report = chsh_bounds(correlations)
+        return dataclasses.replace(report, lower=report.lower - 1e-9)
+
+    monkeypatch.setattr(qchsh.verify, "chsh_bounds", planted)
+    result = suite_bound_ordering((2,), 500, 0)
+    assert not result.passed
+    assert result.checks == 1
+    assert result.detail == "d=2: bounds fail to coincide with the exact value"
 
 
 def test_ghz_correlation_closed_form_matches_computed():

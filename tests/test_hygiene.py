@@ -4,19 +4,23 @@ export and each public method of an exported class is used by some package
 module other than ``__init__.py``, the optimizer reads states only through
 the correlation matrix it is given, no exported callable takes a ``basis``
 parameter, no package module reaches into numpy's private modules, the CLI builds its parser on the first ``main`` call, once,
-and not at import, the public surface keeps the size ROADMAP.md records, and
-each ``*_ATOL`` tolerance is assigned in one package module."""
+and not at import, the public surface keeps the size ROADMAP.md records,
+each ``*_ATOL`` tolerance is assigned in one package module, and every
+module-level array of the package is read-only."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qchsh
@@ -306,3 +310,38 @@ def test_tolerance_assigned_twice_is_reported():
         "b.py": "from a import Y_ATOL\nX_ATOL = 2e-10\ndef f():\n    Z_ATOL = 1.0\n",
     }
     assert _tolerance_homes(sources) == {"X_ATOL": ["a.py", "b.py"], "Y_ATOL": ["a.py"]}
+
+
+def _module_arrays(modules) -> dict[str, np.ndarray]:
+    """Every ndarray bound to a name at module level, by its dotted name."""
+    return {
+        f"{module.__name__}.{name}": value
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, np.ndarray)
+    }
+
+
+def _writable(arrays: dict[str, np.ndarray]) -> list[str]:
+    return [name for name, array in arrays.items() if array.flags.writeable]
+
+
+def test_every_module_level_array_is_read_only():
+    # a table shared by every call in the process cannot be changed by one
+    arrays = _module_arrays(importlib.import_module(f"qchsh.{path.stem}") for path in MODULES)
+    assert {
+        "qchsh.cli._POWERS_OF_TEN", "qchsh.optimizer._PLUS_MINUS", "qchsh.representation._PAIR_SUMS"
+    } <= set(arrays)
+    assert _writable(arrays) == []
+
+
+def test_writable_module_array_is_reported():
+    planted = types.ModuleType("planted")
+    planted.TABLE = np.arange(3.0)
+    planted.FROZEN = np.arange(3.0)
+    planted.FROZEN.setflags(write=False)
+    planted.VIEW = planted.FROZEN[1:]
+    planted.SCALAR = np.float64(1.0)
+    arrays = _module_arrays([planted])
+    assert set(arrays) == {"planted.TABLE", "planted.FROZEN", "planted.VIEW"}
+    assert _writable(arrays) == ["planted.TABLE"]

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -27,11 +28,16 @@ from qchsh.errors import (
 )
 import qchsh.optimizer
 from qchsh.optimizer import (
+    DEGENERATE_NORM_ATOL,
     LP_TIE_ATOL,
     MODES,
     STOP_REASONS,
     UPPER_BOUND_ATOL,
+    _PLUS_MINUS,
+    _VANISHING_SQUARE,
     _deterministic_init,
+    _largest_square_within,
+    _lp_pattern,
     _lp_spectrum,
     _pair_products,
     _party_update,
@@ -49,6 +55,7 @@ from conftest import (
     random_search_max,
     random_unitary,
     serial_restarts,
+    stencil_operands,
     traceless_linear_max,
 )
 
@@ -140,18 +147,74 @@ def planted_spectra(draw):
     return np.array(rows)
 
 
+def _has_tie_beside_median(lam):
+    """Whether any row of lam has an entry beside its median tied with t*."""
+    d = lam.shape[-1]
+    half = d // 2
+    t_star = lam[:, half] if d % 2 else 0.5 * (lam[:, half - 1] + lam[:, half])
+    beside = lam[:, [half - 1, d - half]]
+    return bool(np.any(np.abs(beside - t_star[:, None]) < LP_TIE_ATOL))
+
+
 @settings(max_examples=300, deadline=None)
 @given(lam=planted_spectra())
 def test_lp_spectrum_matches_full_row_oracle(lam):
     # the sign pattern, the -0.0 at an odd-d median and every tie share equal
     # the retired form that sends each row through the share formula, bit for bit
     expected = lp_spectrum_oracle(lam).view(np.int64)
-    np.testing.assert_array_equal(_lp_spectrum(lam).view(np.int64), expected)
+    mu = _lp_spectrum(lam)
+    assert mu.shape == lam.shape
+    np.testing.assert_array_equal(mu.view(np.int64), expected)
     # one row alone, as traceless_linear_max passes it, and a reversed view, as
     # _linear_max passes eigh's ascending output
     np.testing.assert_array_equal(_lp_spectrum(lam[0]).view(np.int64), expected[0])
     ascending = np.ascontiguousarray(lam[:, ::-1])
     np.testing.assert_array_equal(_lp_spectrum(ascending[:, ::-1]).view(np.int64), expected)
+    # with no tie beside a median the result is the shared read-only pattern
+    # of lam's shape; with one it is a new writable array, and writing to it
+    # leaves the shared pattern as it was
+    pattern, _ = _lp_pattern(lam.shape)
+    assert not pattern.flags.writeable
+    if _has_tie_beside_median(lam):
+        assert mu is not pattern and mu.flags.writeable
+        mu[...] = np.nan
+    else:
+        assert mu is pattern
+    untied = np.tile(np.linspace(1.0, -1.0, lam.shape[-1]), (lam.shape[0], 1))
+    np.testing.assert_array_equal(
+        _lp_spectrum(untied).view(np.int64), lp_spectrum_oracle(untied).view(np.int64)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=stencil_operands(2))
+def test_plus_minus_stencil_equals_add_and_subtract(pairs):
+    # two +-1 terms per output: exact products, one rounding, the same double
+    # as u + v and u - v, overflow and exact cancellation included
+    u, v = pairs[:, 0], pairs[:, 1]
+    with np.errstate(over="ignore"):
+        expected = np.stack((u + v, u - v), axis=1)
+        got = _PLUS_MINUS @ pairs
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_vanishing_square_is_the_norm_test_without_its_sqrt():
+    # the largest double whose sqrt is at most DEGENERATE_NORM_ATOL, and its
+    # neighbours on either side, are judged as the norm test judges them
+    assert _VANISHING_SQUARE == 1.0000000000000001e-28
+    below = math.nextafter(_VANISHING_SQUARE, 0.0)
+    above = math.nextafter(_VANISHING_SQUARE, math.inf)
+    for x in (0.0, below, _VANISHING_SQUARE, above, math.inf, math.nan):
+        assert (x <= _VANISHING_SQUARE) == (math.sqrt(x) <= DEGENERATE_NORM_ATOL)
+    assert math.sqrt(_VANISHING_SQUARE) <= DEGENERATE_NORM_ATOL < math.sqrt(above)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound=st.floats(min_value=1e-150, max_value=1e150))
+def test_largest_square_within_is_the_largest(bound):
+    x = _largest_square_within(bound)
+    assert math.sqrt(x) <= bound < math.sqrt(math.nextafter(x, math.inf))
 
 
 def test_linear_max_invariant_under_rotation(rng):
@@ -472,7 +535,8 @@ def test_lockstep_restarts_match_serial_oracle(
     for i, (iterations, reason, vectors) in enumerate(serial_restarts(correlations, config)):
         assert runs["iterations"][i] == iterations
         assert STOP_REASONS[runs["stop_reason"][i]] == reason
-        np.testing.assert_array_equal(runs["vectors"][i], vectors)
+        # bit for bit, the sign of every zero included
+        np.testing.assert_array_equal(runs["vectors"][i].view(np.int64), vectors.view(np.int64))
 
 
 def test_random_search_bell_state():

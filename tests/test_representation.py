@@ -21,7 +21,7 @@ from qchsh import (
     random_two_qudit_state,
     seesaw_maximize,
 )
-from qchsh.representation import MEMBERSHIP_ATOL, _shared_basis
+from qchsh.representation import MEMBERSHIP_ATOL, _PAIR_SUMS, _shared_basis
 from qchsh.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -41,6 +41,8 @@ from conftest import (
     dense_to_vector,
     is_admissible,
     random_hermitian,
+    slice_sum_vectors,
+    stencil_operands,
 )
 
 # Every entry point that takes a qudit dimension, as a function of d alone.
@@ -179,6 +181,39 @@ def test_maps_equal_retired_einsums_bit_for_bit(d, layout, rows, seed):
     assert _same_bits(b.to_vector(x), dense_to_vector(x, b.stack))
     y = _signed_mix(rng, (d, d) + lead) + 1j * _signed_mix(rng, (d, d) + lead)
     assert _same_bits(b.pair_leading(y), dense_pair_leading(y, b.stack))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=stencil_operands(4))
+def test_pair_sum_stencil_equals_add_and_subtract(parts):
+    # two +-1 terms and two zero terms per output: the same double as the
+    # two-term sum, overflow and exact cancellation included
+    p = parts.swapaxes(0, 1)
+    with np.errstate(over="ignore"):
+        expected = np.stack((p[0] + p[1], p[2] - p[3]), axis=1)
+        got = _PAIR_SUMS @ parts
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=6),
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    data=st.data(),
+)
+def test_vectors_equal_retired_slice_sums_bit_for_bit(d, lead, data):
+    # any finite entries, entries whose sums overflow included, and +-0.0
+    # drawn often, so that whole pairs and diagonals of signed zeros occur
+    b = build_gellmann_basis(d)
+    count = 2 * int(np.prod(lead, dtype=int)) * d * d
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    values = data.draw(st.lists(entries, min_size=count, max_size=count))
+    x = np.array(values).view(np.complex128).reshape(lead + (d, d))
+    with np.errstate(all="ignore"):
+        assert _same_bits(b._vectors(x), slice_sum_vectors(x, b))
 
 
 @pytest.mark.parametrize("d", range(2, 17))
