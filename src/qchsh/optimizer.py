@@ -32,10 +32,9 @@ alone.  The LP's sign pattern, one read-only array per batch shape, and
 the slice its tie test reads are built once per shape (``_lp_pattern``); a
 batch with no tie beside a median gets that array itself.  The sums
 ``u +- v`` of a pair are one matmul with a +-1 stencil (``_pair_products``),
-and a direction vanishes when its squared norm is at most the largest
-double whose square root is at most ``DEGENERATE_NORM_ATOL``, with no
-square root taken.  The party updates hand the arrays they build straight
-to the basis's check-free map cores.
+and every row dot product, the values and the vanishing test's squared
+norms alike, is one ``np.vecdot``.  The party updates hand the arrays they
+build straight to the basis's check-free map cores.
 
 The driver ``_run_restarts`` holds the rest: the starts, the fall check,
 the stop rules and the live batch.  Before the first sweep it takes T's
@@ -93,25 +92,6 @@ STOP_REASONS = ("max_iterations", "converged", "certified")
 MAX_ITERATIONS, CONVERGED, CERTIFIED = range(len(STOP_REASONS))
 # The update rules ``SeesawConfig.mode`` and the CLI's ``--mode`` accept.
 MODES = ("exact", "closed-form")
-
-
-def _largest_square_within(bound: float) -> float:
-    """The largest double x with ``sqrt(x) <= bound``, for a positive finite bound.
-
-    sqrt is correctly rounded, so it never falls as x rises: for x >= 0 and
-    for NaN, ``x <= _largest_square_within(bound)`` is ``sqrt(x) <= bound``.
-    """
-    x = bound * bound
-    while math.sqrt(x) > bound:
-        x = math.nextafter(x, 0.0)
-    while math.sqrt(math.nextafter(x, math.inf)) <= bound:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-# A direction w vanishes when sqrt(w . w) <= DEGENERATE_NORM_ATOL, tested as
-# w . w <= _VANISHING_SQUARE with no sqrt.
-_VANISHING_SQUARE = _largest_square_within(DEGENERATE_NORM_ATOL)
 
 
 @dataclass(frozen=True)
@@ -223,7 +203,7 @@ def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     C is Hermitian; X shares its eigenbasis, with the LP optimum mu as
     spectrum.  Returns X, the eigenvalues lam of C in descending order and
-    mu; the attained value is ``_row_dots(lam, mu)``, which the see-saw does
+    mu; the attained value is ``np.vecdot(lam, mu)``, which the see-saw does
     not need.
     """
     try:
@@ -254,11 +234,6 @@ def _pair_products(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.matmul(t, (_PLUS_MINUS @ pairs)[..., None])[..., 0]
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product of each pair of rows along the last axis, one BLAS dot per row."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
 def _party_update(directions: np.ndarray, basis: GellMannBasis, mode: str) -> np.ndarray:
     """One party's new (plus, minus) vectors for every restart.
 
@@ -273,7 +248,7 @@ def _party_update(directions: np.ndarray, basis: GellMannBasis, mode: str) -> np
     other rows, so no 0/0 is formed.
     """
     w = directions.reshape(-1, basis.size)
-    vanishing = _row_dots(w, w) <= _VANISHING_SQUARE
+    vanishing = np.sqrt(np.vecdot(w, w)) <= DEGENERATE_NORM_ATOL
     if mode == "exact":
         x, _, _ = _linear_max(basis._matrices(w))
         out = basis._vectors(x)
@@ -343,12 +318,10 @@ def _sweep(
     """
     half = 0.5 * basis.dim
     a = _party_update(alice_in, basis, mode)
-    dots = _row_dots(a, alice_in)
-    after_alice = half * (dots[:, 0] + dots[:, 1])
+    after_alice = half * np.vecdot(a, alice_in).sum(axis=-1)
     b = _party_update(_pair_products(t_transposed, a), basis, mode)
     alice_next = _pair_products(t, b)
-    dots = _row_dots(a, alice_next)
-    return a, b, alice_next, after_alice, half * (dots[:, 0] + dots[:, 1])
+    return a, b, alice_next, after_alice, half * np.vecdot(a, alice_next).sum(axis=-1)
 
 
 def _run_restarts(

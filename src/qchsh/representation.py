@@ -113,12 +113,11 @@ class GellMannBasis:
     products with one (d-1, d) table of diagonal coefficients, summed in
     ascending index as the einsum sums them.  The einsum starts its sums at
     +0, so a sum of -0 terms reads +0 there; each map adds +0 at the end to
-    make that so, which leaves every other value as it is.  Input must be
-    finite: a NaN or an infinity, which the einsum spreads through its zero
-    products to every entry, here stays in the entries it reaches and, in
-    ``to_vector``, in the pair component that is its stencil partner, whose
-    zero stencil entry multiplies it too (an infinity makes that product a
-    NaN, and numpy warns of the invalid value).
+    make that so, which leaves every other value as it is.  The public maps
+    refuse a NaN or an infinity with NotHermitian, as ``TracelessObservable``
+    does: the einsum spreads one through its zero products to every entry,
+    the cores would keep it in the entries it reaches and, in ``_vectors``,
+    put a NaN in its stencil partner, whose zero stencil entry multiplies it.
 
     Each public map checks its input and hands it to one check-free core
     (``_matrices``, ``_vectors``); the see-saw calls the cores directly on
@@ -180,12 +179,14 @@ class GellMannBasis:
         return stack
 
     def _components(self, components: np.ndarray) -> np.ndarray:
-        """components as float64, checked to hold d**2-1 entries on its last axis."""
+        """components as float64, checked to be finite, with d**2-1 entries on its last axis."""
         n = np.asarray(components, dtype=np.float64)
         if n.ndim == 0 or n.shape[-1] != self.size:
             raise DimensionMismatch(
                 f"coefficient vector must have length {self.size}, got shape {n.shape}"
             )
+        if not np.isfinite(n).all():
+            raise NotHermitian("coefficient vector contains non-finite entries")
         return n
 
     def to_matrix(self, components: np.ndarray) -> np.ndarray:
@@ -213,6 +214,8 @@ class GellMannBasis:
             raise DimensionMismatch(
                 f"matrices must be {d}x{d}, got shape {x.shape}"
             )
+        if not np.isfinite(x).all():
+            raise NotHermitian("matrices contain non-finite entries")
         return self._vectors(x)
 
     def _vectors(self, x: np.ndarray) -> np.ndarray:

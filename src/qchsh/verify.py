@@ -89,7 +89,7 @@ def suite_roundtrip(dims, trials, seed) -> SuiteResult:
             )
         # tr[X^2] = d * ||n||^2 for the rescaled coefficients
         x_sq = np.real(np.einsum("tkl,tlk->t", x, x))
-        norm_err = float(np.max(np.abs(x_sq - d * np.einsum("tj,tj->t", n, n))))
+        norm_err = float(np.max(np.abs(x_sq - d * np.vecdot(n, n))))
         if norm_err > 1e-10:
             return SuiteResult(
                 "roundtrip", checks, False, f"d={d}: norm identity residual {norm_err:.3e}"
@@ -117,7 +117,7 @@ def suite_correlation_bound(dims, trials, seed) -> SuiteResult:
             t = correlation_matrix(state).matrix
             a = basis.random_admissible(rng, pairs)
             b = basis.random_admissible(rng, pairs)
-            values = np.abs(np.einsum("nj,nj->n", a, b @ t.T))
+            values = np.abs(np.vecdot(a, b @ t.T))
             worst = float(np.max(values))
             if worst > 2.0 / d + 1e-9:
                 return SuiteResult(

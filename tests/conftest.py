@@ -30,7 +30,6 @@ from qchsh.optimizer import (
     _deterministic_init,
     _linear_max,
     _pair_products,
-    _row_dots,
 )
 
 @pytest.fixture
@@ -204,7 +203,7 @@ def random_search_max(state, samples, seed):
         count = min(4096, remaining)
         remaining -= count
         vecs = basis.random_admissible(rng, 4 * count).reshape(count, 4, basis.size)
-        dots = _row_dots(vecs[:, :2], _pair_products(t, vecs[:, 2:]))
+        dots = np.vecdot(vecs[:, :2], _pair_products(t, vecs[:, 2:]))
         values = 0.5 * basis.dim * (dots[:, 0] + dots[:, 1])
         best = max(best, float(np.max(np.abs(values))))
     return best
@@ -381,7 +380,7 @@ def traceless_linear_max(target):
     """
     c = symmetrized_traceless(target, "target")
     x, lam, mu = _linear_max(c)
-    return TracelessObservable(expand_observable(x)), float(_row_dots(lam, mu))
+    return TracelessObservable(expand_observable(x)), float(np.vecdot(lam, mu))
 
 
 def serial_linear_max(c):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from qchsh.errors import NotHermitian
 from qchsh.representation import symmetrized_hermitian
-from qchsh.optimizer import _linear_max, _row_dots
+from qchsh.optimizer import _linear_max
 
 from conftest import (
     SIGMA_X,
@@ -26,7 +26,7 @@ from conftest import (
 def linear_max_value(c):
     """The core's maximizers and their values lam . mu, as traceless_linear_max forms them."""
     x, lam, mu = _linear_max(c)
-    return x, _row_dots(lam, mu)
+    return x, np.vecdot(lam, mu)
 
 
 def test_eigendecomposition_identity():
@@ -146,3 +146,29 @@ def test_symmetrized_hermitian_names_non_finite_entries(value, imaginary, positi
     _assert_matches_retired_form(m)
     with pytest.raises(NotHermitian, match="contains non-finite entries"):
         symmetrized_hermitian(m, "state")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(3, 575),
+    lead=st.sampled_from([(8,), (4, 2), (1,)]),
+    scales=st.tuples(st.floats(-3.0, 5.0), st.floats(-3.0, 5.0)),
+    zero=st.sampled_from([0.0, -0.0]),
+    zero_fraction=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vecdot_is_one_dot_per_row(size, lead, scales, zero, zero_fraction, seed):
+    # The see-saw's values and vanishing test and verify's pairings are
+    # np.vecdot rows, and the digests rest on each row being the dot product
+    # np.dot gives it alone: a numpy or BLAS build that sums otherwise fails here.
+    rng = np.random.default_rng(seed)
+    x, y = (10.0**scale * rng.standard_normal(lead + (size,)) for scale in scales)
+    x[rng.random(x.shape) < zero_fraction] = zero
+    y[rng.random(y.shape) < zero_fraction / 2] = zero
+    for left, right in ((x, y), (x, x)):
+        expected = np.array(
+            [float(np.dot(u, v)) for u, v in zip(left.reshape(-1, size), right.reshape(-1, size))]
+        ).reshape(lead)
+        got = np.vecdot(left, right)
+        assert got.shape == lead
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))

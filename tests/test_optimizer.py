@@ -34,9 +34,7 @@ from qchsh.optimizer import (
     STOP_REASONS,
     UPPER_BOUND_ATOL,
     _PLUS_MINUS,
-    _VANISHING_SQUARE,
     _deterministic_init,
-    _largest_square_within,
     _lp_pattern,
     _lp_spectrum,
     _pair_products,
@@ -199,22 +197,25 @@ def test_plus_minus_stencil_equals_add_and_subtract(pairs):
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-def test_vanishing_square_is_the_norm_test_without_its_sqrt():
-    # the largest double whose sqrt is at most DEGENERATE_NORM_ATOL, and its
-    # neighbours on either side, are judged as the norm test judges them
-    assert _VANISHING_SQUARE == 1.0000000000000001e-28
-    below = math.nextafter(_VANISHING_SQUARE, 0.0)
-    above = math.nextafter(_VANISHING_SQUARE, math.inf)
-    for x in (0.0, below, _VANISHING_SQUARE, above, math.inf, math.nan):
-        assert (x <= _VANISHING_SQUARE) == (math.sqrt(x) <= DEGENERATE_NORM_ATOL)
-    assert math.sqrt(_VANISHING_SQUARE) <= DEGENERATE_NORM_ATOL < math.sqrt(above)
-
-
-@settings(max_examples=300, deadline=None)
-@given(bound=st.floats(min_value=1e-150, max_value=1e150))
-def test_largest_square_within_is_the_largest(bound):
-    x = _largest_square_within(bound)
-    assert math.sqrt(x) <= bound < math.sqrt(math.nextafter(x, math.inf))
+@pytest.mark.parametrize("mode", MODES)
+def test_vanishing_threshold_is_the_norm_itself(basis, mode, monkeypatch):
+    # a direction whose norm is exactly DEGENERATE_NORM_ATOL vanishes; one
+    # whose norm is the next double above does not.  Its spectrum's spread,
+    # about 2e-14, is within LP_TIE_ATOL, which would zero it too: with no
+    # tie tolerance the vanishing test alone can zero a row.
+    monkeypatch.setattr(qchsh.optimizer, "LP_TIE_ATOL", 0.0)
+    b = basis(3)
+    above = math.nextafter(DEGENERATE_NORM_ATOL, math.inf)
+    directions = np.zeros((1, 2, b.size))
+    directions[0, 0, 2] = DEGENERATE_NORM_ATOL
+    directions[0, 1, 5] = above
+    norms = [math.sqrt(float(np.dot(w, w))) for w in directions[0]]
+    assert norms == [DEGENERATE_NORM_ATOL, above]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((at, past),) = _party_update(directions, b, mode)
+    np.testing.assert_array_equal(at, np.zeros(b.size))
+    assert is_admissible(past, b) and np.count_nonzero(past)
 
 
 def test_linear_max_invariant_under_rotation(rng):

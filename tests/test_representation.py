@@ -380,6 +380,31 @@ def test_non_finite_vector_rejected():
         TracelessObservable(np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_to_matrix_rejects_non_finite_vectors(basis, bad):
+    n = np.zeros((2, 8))
+    n[1, 4] = bad
+    with pytest.raises(NotHermitian, match="non-finite"):
+        basis(3).to_matrix(n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_operator_norm_rejects_non_finite_vectors(basis, bad):
+    n = np.ones((2, 8))
+    n[0, 7] = bad
+    with pytest.raises(NotHermitian, match="non-finite"):
+        basis(3).vector_operator_norm(n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+def test_to_vector_rejects_non_finite_matrices(basis, bad):
+    # an infinite entry would also make a NaN of its stencil partner
+    x = np.zeros((2, 3, 3), dtype=complex)
+    x[1, 0, 1] = bad
+    with pytest.raises(NotHermitian, match="non-finite"):
+        basis(3).to_vector(x)
+
+
 @pytest.mark.parametrize("shape", [(), (0,), (1,), (2,), (4,), (9,), (1, 3)])
 def test_observable_length_must_be_d_squared_minus_one(shape):
     with pytest.raises(DimensionMismatch, match=r"length d\*\*2 - 1 for some d >= 2"):
