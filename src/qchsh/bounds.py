@@ -32,8 +32,20 @@ class BoundsReport:
     dim: int
     lambda1: float
     lambda2: float
-    lower: float
-    upper: float
+
+    def __post_init__(self):
+        check_dim(self.dim)
+
+    @property
+    def lower(self) -> float:
+        """(d/(d-1)) * sqrt(lam1 + lam2)."""
+        return float(self.dim / (self.dim - 1) * np.sqrt(self.lambda1 + self.lambda2))
+
+    @property
+    def upper(self) -> float:
+        """m_d**2 * d * sqrt(lam1 + lam2)."""
+        m_d = max_admissible_norm(self.dim)
+        return float(m_d**2 * self.dim * np.sqrt(self.lambda1 + self.lambda2))
 
     @property
     def upper_improves_tsirelson(self) -> bool:
@@ -59,12 +71,7 @@ def top_two_gram_eigenvalues(correlations: CorrelationMatrix) -> tuple[float, fl
 
 def chsh_bounds(correlations: CorrelationMatrix) -> BoundsReport:
     """Lower and upper bounds on max |CHSH| for the state behind T."""
-    d = correlations.dim
-    lam1, lam2 = top_two_gram_eigenvalues(correlations)
-    root = np.sqrt(lam1 + lam2)
-    lower = d / (d - 1) * root
-    upper = max_admissible_norm(d) ** 2 * d * root
-    return BoundsReport(dim=d, lambda1=lam1, lambda2=lam2, lower=float(lower), upper=float(upper))
+    return BoundsReport(correlations.dim, *top_two_gram_eigenvalues(correlations))
 
 
 def horodecki_two_qubit(correlations: CorrelationMatrix) -> float:

@@ -7,11 +7,12 @@ The correlation matrix of a state rho is the real (d**2-1) x (d**2-1) array
 with row index i on Alice's side and column index j on Bob's side, so that
 ``tr[rho (A x B)] = (d/2) <a, T b>`` for observables with coefficient
 vectors a, b.  The CHSH operator for settings A1, A2, B1, B2 is
-``A1 x (B1 + B2) + A2 x (B1 - B2)``.
+``A1 x (B1 + B2) + A2 x (B1 - B2)``.  Both forms of its expectation take
+the settings as one ``ChshSettings``, with the state or with T.
 
 T is contracted with the sparse structure of the basis in O(d**4) work
-(``GellMannBasis.pair_leading``, once per party, on the diagonal table that
-``to_matrix`` and ``to_vector`` read).  It equals bit for bit the dense
+(``GellMannBasis._pair_leading``, once per party, on the diagonal table that
+the basis's other map cores read).  It equals bit for bit the dense
 two-einsum contraction over the basis stack, which costs O(d**6).  The
 basis is the shared one of the state's d (``build_gellmann_basis``).
 """
@@ -108,8 +109,8 @@ def _complex_entries(state: TwoQuditState) -> np.ndarray:
     basis = build_gellmann_basis(d)
     # tr[rho (A x B)] = sum_{ikjl} rho[(i,k),(j,l)] A[j,i] B[l,k]
     r4 = state.rho.reshape(d, d, d, d)
-    partial = basis.pair_leading(r4.transpose(0, 2, 1, 3))  # [a, k, l]
-    return basis.pair_leading(partial.transpose(1, 2, 0)).T  # [a, b]
+    partial = basis._pair_leading(r4.transpose(0, 2, 1, 3))  # [a, k, l]
+    return basis._pair_leading(partial.transpose(1, 2, 0)).T  # [a, b]
 
 
 def chsh_operator(settings: ChshSettings) -> np.ndarray:
@@ -121,30 +122,18 @@ def chsh_operator(settings: ChshSettings) -> np.ndarray:
 def chsh_expectation_direct(state: TwoQuditState, settings: ChshSettings) -> float:
     """Signed CHSH expectation tr[rho B_chsh]; callers take the absolute value."""
     if settings.dim != state.dim:
-        raise DimensionMismatch(
-            f"settings have d={settings.dim} but state has d={state.dim}"
-        )
+        raise DimensionMismatch(f"settings have d={settings.dim} but state has d={state.dim}")
     value = np.einsum("rc,cr->", state.rho, chsh_operator(settings))
     return float(value.real)
 
 
 def chsh_expectation_from_correlations(
-    correlations: CorrelationMatrix,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
+    correlations: CorrelationMatrix, settings: ChshSettings
 ) -> float:
     """Signed CHSH expectation (d/2) {<a1, T(b1+b2)> + <a2, T(b1-b2)>}."""
-    size = correlations.dim * correlations.dim - 1
-    vectors = [np.asarray(v, dtype=np.float64) for v in (a1, a2, b1, b2)]
-    for v in vectors:
-        if v.shape != (size,):
-            raise DimensionMismatch(
-                f"coefficient vectors must have length {size}, got shape {v.shape}"
-            )
-    va1, va2, vb1, vb2 = vectors
+    d = correlations.dim
+    if settings.dim != d:
+        raise DimensionMismatch(f"settings have d={settings.dim} but T has d={d}")
+    a1, a2, b1, b2 = (obs.coefficients for obs in settings.all)
     t = correlations.matrix
-    return float(
-        0.5 * correlations.dim * (va1 @ (t @ (vb1 + vb2)) + va2 @ (t @ (vb1 - vb2)))
-    )
+    return float(0.5 * d * (a1 @ (t @ (b1 + b2)) + a2 @ (t @ (b1 - b2))))

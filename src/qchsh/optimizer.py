@@ -419,17 +419,18 @@ def seesaw_maximize(
     bounds = chsh_bounds(correlations)
     basis = build_gellmann_basis(correlations.dim)
     runs = _run_restarts(basis, config, correlations, bounds.upper)
-    a1, a2, b1, b2 = runs["vectors"][int(np.argmax(runs["values"]))]
-    value = chsh_expectation_from_correlations(correlations, a1, a2, b1, b2)
+    best = runs["vectors"][int(np.argmax(runs["values"]))]
+    settings = ChshSettings(*map(TracelessObservable, best))
+    value = chsh_expectation_from_correlations(correlations, settings)
     if value < 0:
-        a1, a2 = -a1, -a2
+        # negating Alice's pair negates every term of the value exactly
+        settings = ChshSettings(*map(TracelessObservable, (-best[0], -best[1], best[2], best[3])))
         value = -value
     if value > bounds.upper + UPPER_BOUND_ATOL:
         raise NumericalError(
             f"see-saw value {value:.17g} exceeds the proven upper bound {bounds.upper:.17g} "
             f"by {value - bounds.upper:.3e} (allowed {UPPER_BOUND_ATOL:.0e})"
         )
-    settings = ChshSettings(*map(TracelessObservable, (a1, a2, b1, b2)))
     return SeesawResult(
         value=float(value),
         settings=settings,

@@ -21,6 +21,10 @@ nonzero rows n onto the boundary of the admissible set.  The largest
 Euclidean norm among admissible vectors is 1 for even d and sqrt((d-1)/d)
 for odd d.
 
+Each way of the map has one public, checked path: ``TracelessObservable``
+takes n to X, ``expand_observable`` X to n.  The basis holds only the
+check-free cores behind them.
+
 d alone fixes the basis, so no function takes one: each looks up the one
 ``GellMannBasis`` that ``build_gellmann_basis`` shares per d.
 
@@ -103,27 +107,26 @@ class GellMannBasis:
 
     No map here contracts the dense stack, whose entries are almost all
     zero; each walks its sparse structure in O(d**2) work per matrix, and
-    gives the dense einsum over the stack bit for bit.  ``to_matrix`` and
-    ``to_vector`` are gathers through index tables built once here, over
-    the interleaved real and imaginary parts of a flat d x d matrix: a pair
-    entry is one component (negated for the upper imaginary part), a pair
-    component a two-term sum, which ``to_vector`` forms as one matmul with
-    the +-1/0 stencil ``_PAIR_SUMS`` and ``pair_leading`` from slices.  The
-    diagonal entries and ``diag_l`` components of all three maps are
-    products with one (d-1, d) table of diagonal coefficients, summed in
-    ascending index as the einsum sums them.  The einsum starts its sums at
-    +0, so a sum of -0 terms reads +0 there; each map adds +0 at the end to
-    make that so, which leaves every other value as it is.  The public maps
-    refuse a NaN or an infinity with NotHermitian, as ``TracelessObservable``
-    does: the einsum spreads one through its zero products to every entry,
-    the cores would keep it in the entries it reaches and, in ``_vectors``,
-    put a NaN in its stencil partner, whose zero stencil entry multiplies it.
+    gives the dense einsum over the stack bit for bit.  ``_matrices`` (n to
+    n . L) and ``_vectors`` (X to Re tr[X L_j]) are gathers through index
+    tables built once here, over the interleaved real and imaginary parts of
+    a flat d x d matrix: a pair entry is one component (negated for the upper
+    imaginary part), a pair component a two-term sum, which ``_vectors``
+    forms as one matmul with the +-1/0 stencil ``_PAIR_SUMS`` and
+    ``_pair_leading`` from slices.  The diagonal entries and ``diag_l``
+    components of all three maps are products with one (d-1, d) table of
+    diagonal coefficients, summed in ascending index as the einsum sums
+    them.  The einsum starts its sums at +0, so a sum of -0 terms reads +0
+    there; each map adds +0 at the end to make that so, which leaves every
+    other value as it is.
 
-    Each public map checks its input and hands it to one check-free core
-    (``_matrices``, ``_vectors``); the see-saw calls the cores directly on
-    the arrays it builds.  ``_boundary``, the one copy of the rescale onto
-    the admissible boundary, has no checked twin: only code that builds its
-    own rows calls it.
+    The maps, ``_operator_norms`` and ``_boundary`` (the one rescale onto
+    the admissible boundary) check nothing: the see-saw and ``verify`` call
+    them on finite arrays they build.  The checked paths,
+    ``TracelessObservable`` and ``expand_observable``, refuse a NaN or an
+    infinity: the einsum spreads one through its zero products to every
+    entry, while the cores keep it in the entries it reaches and, in
+    ``_vectors``, put a NaN in its stencil partner.
     """
 
     def __init__(self, dim: int):
@@ -149,7 +152,7 @@ class GellMannBasis:
         upper = 2 * (rows * d + cols)
         lower = 2 * (cols * d + rows)
         diagonal = 2 * (d + 1) * np.arange(d)
-        # to_matrix gathers each float of X from [n, -n_as, diagonal of X, 0]:
+        # _matrices gathers each float of X from [n, -n_as, diagonal of X, 0]:
         # X[m, k] = n_s - i n_as and X[k, m] = n_s + i n_as for pair (m, k).
         index = np.full(2 * d * d, self.size + npairs + d)
         index[upper] = index[lower] = np.arange(npairs)
@@ -157,7 +160,7 @@ class GellMannBasis:
         index[upper + 1] = self.size + np.arange(npairs)
         index[diagonal] = self.size + npairs + np.arange(d)
         self._matrix_index = index
-        # to_vector gathers Re X[m, k], Re X[k, m], Im X[k, m], Im X[m, k]
+        # _vectors gathers Re X[m, k], Re X[k, m], Im X[k, m], Im X[m, k]
         # for every pair, then Re X[k, k] for every k.
         self._vector_index = np.concatenate((upper, lower, lower + 1, upper + 1, diagonal))
         for table in (rows, cols, self._diagonal, index, self._vector_index):
@@ -178,23 +181,8 @@ class GellMannBasis:
         stack.setflags(write=False)
         return stack
 
-    def _components(self, components: np.ndarray) -> np.ndarray:
-        """components as float64, checked to be finite, with d**2-1 entries on its last axis."""
-        n = np.asarray(components, dtype=np.float64)
-        if n.ndim == 0 or n.shape[-1] != self.size:
-            raise DimensionMismatch(
-                f"coefficient vector must have length {self.size}, got shape {n.shape}"
-            )
-        if not np.isfinite(n).all():
-            raise NotHermitian("coefficient vector contains non-finite entries")
-        return n
-
-    def to_matrix(self, components: np.ndarray) -> np.ndarray:
-        """Contraction n . L over the last axis of ``components[..., d**2-1]``."""
-        return self._matrices(self._components(components))
-
     def _matrices(self, n: np.ndarray) -> np.ndarray:
-        """``to_matrix`` without its checks, for a float64 ``n[..., d**2-1]``."""
+        """Contraction n . L over the last axis of a float64 ``n[..., d**2-1]``."""
         d, npairs = self.dim, self._npairs
         lead = n.shape[:-1]
         terms = n[..., 2 * npairs :, None] * self._diagonal
@@ -206,20 +194,8 @@ class GellMannBasis:
         flat = source.take(self._matrix_index, axis=-1)
         return flat.view(np.complex128).reshape(lead + (d, d))
 
-    def to_vector(self, matrices: np.ndarray) -> np.ndarray:
-        """Pairings Re tr[X L_j] of each matrix in ``matrices[..., d, d]``."""
-        x = np.ascontiguousarray(matrices, dtype=np.complex128)
-        d = self.dim
-        if x.shape[-2:] != (d, d):
-            raise DimensionMismatch(
-                f"matrices must be {d}x{d}, got shape {x.shape}"
-            )
-        if not np.isfinite(x).all():
-            raise NotHermitian("matrices contain non-finite entries")
-        return self._vectors(x)
-
     def _vectors(self, x: np.ndarray) -> np.ndarray:
-        """``to_vector`` without its checks, for a C-contiguous complex128 ``x[..., d, d]``.
+        """Pairings Re tr[X L_j] of each X in a C-contiguous complex128 ``x[..., d, d]``.
 
         The pair components are one matmul of the stencil ``_PAIR_SUMS`` with
         the four gathered parts of each pair.  Each output has two nonzero
@@ -241,7 +217,7 @@ class GellMannBasis:
         out += 0.0
         return out
 
-    def pair_leading(self, x: np.ndarray) -> np.ndarray:
+    def _pair_leading(self, x: np.ndarray) -> np.ndarray:
         """Pairings ``out[a, ...] = sum_{i,j} x[i, j, ...] L_a[j, i]`` of ``x[d, d, ...]``.
 
         Equal bit for bit to the dense einsum ``"ij...,aji->a..."`` over the
@@ -251,14 +227,8 @@ class GellMannBasis:
         added in ascending index, as the einsum adds them.  The products with
         the zero entries of L_a, which the einsum adds, change no nonzero sum.
         """
-        x = np.asarray(x)
-        d = self.dim
-        if x.shape[:2] != (d, d):
-            raise DimensionMismatch(
-                f"leading axes must be {d}x{d}, got shape {x.shape}"
-            )
+        d, npairs = self.dim, self._npairs
         out = np.empty((self.size,) + x.shape[2:], dtype=np.complex128)
-        npairs = self._npairs
         symmetric, antisymmetric = out[:npairs], out[npairs : 2 * npairs]
         start = 0
         for m in range(d - 1):
@@ -285,12 +255,8 @@ class GellMannBasis:
         out += 0.0
         return out
 
-    def vector_operator_norm(self, components: np.ndarray) -> np.ndarray:
-        """Operator norm of n . L for each coefficient vector in ``components[..., d**2-1]``."""
-        return self._operator_norms(self._components(components))
-
     def _operator_norms(self, n: np.ndarray) -> np.ndarray:
-        """``vector_operator_norm`` without its checks, for a float64 ``n[..., d**2-1]``."""
+        """Operator norm of n . L for each row n of a float64 ``n[..., d**2-1]``."""
         eigs = np.linalg.eigvalsh(self._matrices(n))
         return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
 
@@ -298,14 +264,9 @@ class GellMannBasis:
         """``sqrt(2/d) * n / ||n . L||_op`` for each row n of a float64 ``n[..., d**2-1]``.
 
         Each result's contraction has operator norm sqrt(2/d), the boundary
-        of the admissible set.  Rows must be finite and nonzero; there is no
-        check, as every caller builds its rows itself.
+        of the admissible set.  Rows must be finite and nonzero.
         """
         return np.sqrt(2.0 / self.dim) * n / self._operator_norms(n)[..., None]
-
-    def random_admissible(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Gaussian directions rescaled onto the admissible boundary, one per row."""
-        return self._boundary(rng.standard_normal((count, self.size)))
 
 
 _shared_basis = functools.cache(GellMannBasis)

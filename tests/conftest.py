@@ -93,12 +93,12 @@ def dense_gellmann_stack(d):
 
 
 def dense_to_matrix(n, stack):
-    """Reference for GellMannBasis.to_matrix: the retired dense einsum over the stack."""
+    """Reference for GellMannBasis._matrices: the retired dense einsum over the stack."""
     return np.einsum("...j,jkl->...kl", np.asarray(n, dtype=np.float64), stack)
 
 
 def dense_to_vector(x, stack):
-    """Reference for GellMannBasis.to_vector: the retired dense einsum over the stack."""
+    """Reference for GellMannBasis._vectors: the retired dense einsum over the stack."""
     return np.real(np.einsum("...kl,jlk->...j", np.asarray(x), stack))
 
 
@@ -157,14 +157,14 @@ def slice_sum_vectors(x, basis):
 
 
 def dense_pair_leading(x, stack):
-    """Reference for GellMannBasis.pair_leading: the dense einsum over the stack."""
+    """Reference for GellMannBasis._pair_leading: the dense einsum over the stack."""
     return np.einsum("ij...,aji->a...", np.asarray(x), stack)
 
 
 def is_admissible(components, basis):
     """Whether ``||n . L||_op <= sqrt(2/d) + MEMBERSHIP_ATOL`` for one vector n."""
     n = np.asarray(components, dtype=np.float64)
-    return bool(basis.vector_operator_norm(n) <= np.sqrt(2.0 / basis.dim) + MEMBERSHIP_ATOL)
+    return bool(basis._operator_norms(n) <= np.sqrt(2.0 / basis.dim) + MEMBERSHIP_ATOL)
 
 
 def boundary(components, basis):
@@ -174,7 +174,12 @@ def boundary(components, basis):
 
 def boundary_row(n, basis):
     """Reference for GellMannBasis._boundary: one nonzero row rescaled on its own."""
-    return np.sqrt(2.0 / basis.dim) * n / basis.vector_operator_norm(n)
+    return np.sqrt(2.0 / basis.dim) * n / basis._operator_norms(n)
+
+
+def random_admissible(rng, count, basis):
+    """count Gaussian rows rescaled onto the admissible boundary, as the see-saw draws them."""
+    return basis._boundary(rng.standard_normal((count, basis.size)))
 
 
 def dense_correlation(state):
@@ -202,7 +207,7 @@ def random_search_max(state, samples, seed):
     while remaining > 0:
         count = min(4096, remaining)
         remaining -= count
-        vecs = basis.random_admissible(rng, 4 * count).reshape(count, 4, basis.size)
+        vecs = random_admissible(rng, 4 * count, basis).reshape(count, 4, basis.size)
         dots = np.vecdot(vecs[:, :2], _pair_products(t, vecs[:, 2:]))
         values = 0.5 * basis.dim * (dots[:, 0] + dots[:, 1])
         best = max(best, float(np.max(np.abs(values))))
@@ -421,7 +426,7 @@ def serial_restarts(correlations, config):
             return np.zeros(basis.size)
         if config.mode == "closed-form":
             return boundary(w, basis)
-        x = serial_linear_max(basis.to_matrix(w))
+        x = serial_linear_max(basis._matrices(w))
         return slice_sum_vectors(x, basis) / math.sqrt(2.0 * basis.dim)
 
     def run(index):
@@ -429,7 +434,7 @@ def serial_restarts(correlations, config):
         if index == 0:
             b1, b2 = _deterministic_init(basis, correlations)
         else:
-            b1, b2 = basis.random_admissible(np.random.default_rng([config.seed, index]), 2)
+            b1, b2 = random_admissible(np.random.default_rng([config.seed, index]), 2, basis)
         previous = None
         sweeps = []
         for _ in range(config.max_iterations):

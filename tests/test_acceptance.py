@@ -179,7 +179,7 @@ def test_criterion_08_form_equivalence():
                 *[TracelessObservable(v) for v in vectors]
             )
             direct = chsh_expectation_direct(state, settings)
-            via = chsh_expectation_from_correlations(t, *vectors)
+            via = chsh_expectation_from_correlations(t, settings)
             worst = max(worst, abs(direct - via))
     assert worst < 1e-10
     elapsed = _report(8, "form equivalence", started, f"600 pairs; worst gap {worst:.2e}")

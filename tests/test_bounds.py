@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qchsh import (
     TSIRELSON,
+    BoundsReport,
     CorrelationMatrix,
     SeesawConfig,
     chsh_bounds,
@@ -64,6 +65,19 @@ def test_chsh_bounds_zero_matrix():
     assert report.upper == 0.0
 
 
+def test_bounds_report_derives_its_bounds_from_d_and_the_eigenvalues():
+    # the GHZ qutrit's eigenvalues, 4/9 each: lower = (3/2) sqrt(8/9), upper = 2 m_3**2 sqrt(2)
+    report = BoundsReport(3, 4.0 / 9.0, 4.0 / 9.0)
+    assert [field.name for field in dataclasses.fields(BoundsReport)] == [
+        "dim", "lambda1", "lambda2"
+    ]
+    assert report.lower == pytest.approx(ROOT2, abs=1e-15)
+    assert report.upper == pytest.approx(ghz_chsh_maximum(3), abs=1e-15)
+    for d in (0, 1, 2.0, True):
+        with pytest.raises(InvalidDimension):
+            BoundsReport(d, 0.0, 0.0)
+
+
 def test_bounds_ordering_random_states():
     for d in (2, 3, 4):
         for seed in range(25):
@@ -110,15 +124,19 @@ def test_bound_ordering_checks_the_lower_bound_at_d2(monkeypatch):
     # at d = 2 lower and upper are the same float by construction, so only a
     # comparison of lower with the exact value catches a lower bound moved
     # off it; the GHZ row reads only the upper bound and still passes
+    class LoweredLower(BoundsReport):
+        @property
+        def lower(self):
+            return super().lower - 1e-9
+
     def planted(correlations):
-        report = chsh_bounds(correlations)
-        return dataclasses.replace(report, lower=report.lower - 1e-9)
+        return LoweredLower(*dataclasses.astuple(chsh_bounds(correlations)))
 
     monkeypatch.setattr(qchsh.verify, "chsh_bounds", planted)
     result = suite_bound_ordering((2,), 500, 0)
     assert not result.passed
     assert result.checks == 1
-    assert result.detail == "d=2: bounds fail to coincide with the exact value"
+    assert result.detail == "d=2: bounds miss the exact value by 1.000e-09"
 
 
 def test_ghz_correlation_closed_form_matches_computed():

@@ -26,6 +26,7 @@ from conftest import (
     stdlib_json_text,
 )
 from qchsh import (
+    BoundsReport,
     build_gellmann_basis,
     chsh_bounds,
     correlation_matrix,
@@ -130,9 +131,13 @@ def test_optimize_random_state_within_bounds(capsys):
 
 def test_optimize_above_the_upper_bound_exits_two(capsys, monkeypatch):
     # the upper bound is a theorem, so a value above it is a numerical fault
+    class HalvedUpper(BoundsReport):
+        @property
+        def upper(self):
+            return 0.5 * super().upper
+
     def too_small(correlations):
-        report = chsh_bounds(correlations)
-        return dataclasses.replace(report, upper=0.5 * report.upper)
+        return HalvedUpper(*dataclasses.astuple(chsh_bounds(correlations)))
 
     monkeypatch.setattr(qchsh.optimizer, "chsh_bounds", too_small)
     code, out, err = run_cli(capsys, "optimize", "--state", "random:7", "--dim", "3",

@@ -38,14 +38,10 @@ def bell_optimal_settings():
 
 def random_settings(rng, basis):
     """Four admissible observables with uniformly scaled boundary vectors."""
-    vectors = [
-        rng.uniform(0.0, 1.0) * boundary(rng.standard_normal(basis.size), basis)
-        for _ in range(4)
-    ]
-    return (
-        ChshSettings(*[TracelessObservable(v) for v in vectors]),
-        vectors,
+    vectors = (
+        rng.uniform(0.0, 1.0) * boundary(rng.standard_normal(basis.size), basis) for _ in range(4)
     )
+    return ChshSettings(*map(TracelessObservable, vectors))
 
 
 def test_maximally_mixed_has_zero_correlations():
@@ -140,16 +136,12 @@ def test_pair_leading_against_per_slice_trace(trailing, basis, rng):
         b = basis(d)
         shape = (d, d) + trailing
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = b.pair_leading(x)
+        out = b._pair_leading(x)
         assert out.shape == (b.size,) + trailing
         slices = np.moveaxis(x, (0, 1), (-2, -1))
         for a, op in enumerate(b.stack):
             expected = np.trace(slices @ op, axis1=-2, axis2=-1)
             np.testing.assert_allclose(out[a], expected, rtol=0, atol=1e-13)
-    with pytest.raises(DimensionMismatch):
-        basis(3).pair_leading(np.zeros((3, 2, 4)))
-    with pytest.raises(DimensionMismatch):
-        basis(3).pair_leading(np.zeros(3))
 
 
 def test_chsh_operator_collinear_settings():
@@ -176,7 +168,7 @@ def test_chsh_operator_puts_alice_on_the_left_factor():
 def test_chsh_operator_entries_match_index_formula(basis, rng):
     # entry (i*d + k, j*d + l) is A1[i, j] (B1 + B2)[k, l] + A2[i, j] (B1 - B2)[k, l]
     d = 3
-    settings, _ = random_settings(rng, basis(d))
+    settings = random_settings(rng, basis(d))
     a1, a2, b1, b2 = (obs.matrix for obs in settings.all)
     expected = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -193,7 +185,7 @@ def test_chsh_operator_square_follows_mixed_product_rule(basis, rng):
     # (A x B)(C x D) = AC x BD expands the square of the Bell operator
     for d in (2, 3):
         for _ in range(20):
-            settings, _ = random_settings(rng, basis(d))
+            settings = random_settings(rng, basis(d))
             a1, a2, b1, b2 = (obs.matrix for obs in settings.all)
             plus, minus = b1 + b2, b1 - b2
             expected = (
@@ -263,17 +255,19 @@ def test_expectation_from_correlations_frozen_example():
     a2 = np.array([1.0, 0.0, -1.0]) / ROOT2
     b1 = np.array([1.0, 0.0, 0.0])
     b2 = np.array([0.0, 0.0, 1.0])
-    value = chsh_expectation_from_correlations(t, a1, a2, b1, b2)
+    settings = ChshSettings(*map(TracelessObservable, (a1, a2, b1, b2)))
+    value = chsh_expectation_from_correlations(t, settings)
     assert value == pytest.approx(2.0 * ROOT2, abs=1e-14)
 
     zero = CorrelationMatrix(np.zeros((3, 3)))
-    assert chsh_expectation_from_correlations(zero, a1, a2, b1, b2) == 0.0
+    assert chsh_expectation_from_correlations(zero, settings) == 0.0
 
 
-def test_expectation_from_correlations_checks_lengths():
-    t = CorrelationMatrix(np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        chsh_expectation_from_correlations(t, np.zeros(4), np.zeros(3), np.zeros(3), np.zeros(3))
+def test_expectation_from_correlations_checks_dimension():
+    # qubit settings against a qutrit T, as chsh_expectation_direct refuses them
+    t = CorrelationMatrix(np.eye(8))
+    with pytest.raises(DimensionMismatch, match="settings have d=2 but T has d=3"):
+        chsh_expectation_from_correlations(t, bell_optimal_settings())
 
 
 def test_form_equivalence_random(basis, rng):
@@ -282,9 +276,9 @@ def test_form_equivalence_random(basis, rng):
         for seed in range(30):
             state = random_two_qudit_state(d, seed)
             t = correlation_matrix(state)
-            settings, vectors = random_settings(rng, b)
+            settings = random_settings(rng, b)
             direct = chsh_expectation_direct(state, settings)
-            via = chsh_expectation_from_correlations(t, *vectors)
+            via = chsh_expectation_from_correlations(t, settings)
             assert abs(direct - via) < 1e-10
             assert abs(direct) <= 2.0 * ROOT2 + 1e-9
 

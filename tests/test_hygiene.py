@@ -1,12 +1,13 @@
-"""Static checks that stand in for a linter: no unused imports in the package
-modules or the tests, every name that ``qchsh.__all__`` exports exists, each
-export and each public method of an exported class is used by some package
-module other than ``__init__.py``, the optimizer reads states only through
-the correlation matrix it is given, no exported callable takes a ``basis``
-parameter, no package module reaches into numpy's private modules, the CLI builds its parser on the first ``main`` call, once,
-and not at import, the public surface keeps the size ROADMAP.md records,
-each ``*_ATOL`` tolerance is assigned in one package module, and every
-module-level array of the package is read-only."""
+"""Static checks that stand in for a linter: no unused imports and no f-string
+without a placeholder in the package modules or the tests, every name that
+``qchsh.__all__`` exports exists, each export and each public method of an
+exported class is used by some package module other than ``__init__.py``,
+the optimizer reads states only through the correlation matrix it is given,
+no exported callable takes a ``basis`` parameter, no package module reaches
+into numpy's private modules, the CLI builds its parser on the first
+``main`` call, once, and not at import, the public surface keeps the size
+ROADMAP.md records, each ``*_ATOL`` tolerance is assigned in one package
+module, and every module-level array of the package is read-only."""
 
 from __future__ import annotations
 
@@ -55,6 +56,45 @@ def test_unused_import_is_reported():
         "math (line 1)",
         "path (line 2)",
     ]
+
+
+def _placeholder_free_fstrings(source: str) -> list[int]:
+    """Lines of the f-strings that hold no placeholder (pyflakes F541).
+
+    The format spec of a placeholder, as in ``f"{x:.3e}"``, is an f-string
+    node of its own in the tree, and is not counted.
+    """
+    tree = ast.parse(source)
+    specs = {
+        id(node.format_spec)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(value, ast.FormattedValue) for value in node.values)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
+def test_every_fstring_has_a_placeholder(path):
+    assert _placeholder_free_fstrings(path.read_text(encoding="utf-8")) == []
+
+
+def test_placeholder_free_fstring_is_reported():
+    source = (
+        'a = f"plain"\n'
+        'b = f"{x:.3e}" + f"{x:{width}}"\n'
+        'c = "not an f-string"\n'
+        'd = (f"joined "\n'
+        '     f"{x}")\n'
+        'e = (f"joined "\n'
+        '     f"plain")\n'
+    )
+    assert _placeholder_free_fstrings(source) == [1, 6]
 
 
 def test_every_exported_name_resolves():
@@ -275,11 +315,11 @@ def _cli_option_count() -> int:
 
 
 def test_public_surface_size():
-    # 55 + 27 = 82 settable values.  A change to the surface changes these
+    # 44 + 27 = 71 settable values.  A change to the surface changes these
     # counts; ROADMAP.md records them.
     assert len(qchsh.__all__) == 27
     api = sum(_parameter_count(getattr(qchsh, name)) for name in qchsh.__all__)
-    assert (api, _cli_option_count()) == (55, 27)
+    assert (api, _cli_option_count()) == (44, 27)
 
 
 def _tolerance_homes(sources: dict[str, str]) -> dict[str, list[str]]:

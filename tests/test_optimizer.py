@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchsh import (
+    ChshSettings,
     SeesawConfig,
+    TracelessObservable,
     build_gellmann_basis,
     chsh_bounds,
     chsh_expectation_direct,
+    chsh_expectation_from_correlations,
     correlation_matrix,
     ghz_chsh_maximum,
     ghz_optimal_settings,
@@ -49,6 +52,7 @@ from conftest import (
     lp_spectrum_oracle,
     polytope_vertex_max,
     property_state,
+    random_admissible,
     random_hermitian,
     random_search_max,
     random_unitary,
@@ -228,8 +232,6 @@ def test_linear_max_invariant_under_rotation(rng):
 
 
 def test_closed_form_update_bell_example(basis):
-    from qchsh import chsh_expectation_from_correlations
-
     b = basis(2)
     t = correlation_matrix(ghz_state(2))
     b1 = np.array([1.0, 0.0, 0.0])
@@ -240,7 +242,8 @@ def test_closed_form_update_bell_example(basis):
     np.testing.assert_allclose(a2, np.array([1.0, 0.0, -1.0]) / ROOT2, atol=1e-12)
     assert is_admissible(a1, b) and is_admissible(a2, b)
     # one update already lands on the fixed point with value 2*sqrt(2)
-    value = chsh_expectation_from_correlations(t, a1, a2, b1, b2)
+    settings = ChshSettings(*map(TracelessObservable, (a1, a2, b1, b2)))
+    value = chsh_expectation_from_correlations(t, settings)
     assert value == pytest.approx(2.0 * ROOT2, abs=1e-14)
 
 
@@ -400,6 +403,35 @@ def test_closed_form_runs_may_fall(monkeypatch):
     assert result.bounds.lower <= result.value <= result.bounds.upper
 
 
+def test_negative_winner_has_alices_pair_negated(monkeypatch):
+    # no recorded request ends on a negative signed value, so plant one: the
+    # winning restart with Alice's pair negated if its value is positive
+    state = random_two_qudit_state(3, 7)
+    real = qchsh.optimizer._run_restarts
+    planted = []
+
+    def negated_winner(basis, config, correlations, upper):
+        runs = real(basis, config, correlations, upper)
+        row = runs["vectors"][int(np.argmax(runs["values"]))]
+        if chsh_expectation_from_correlations(
+            correlations, ChshSettings(*map(TracelessObservable, row))
+        ) > 0:
+            row[:2] *= -1.0
+        planted.append(row.copy())
+        return runs
+
+    monkeypatch.setattr(qchsh.optimizer, "_run_restarts", negated_winner)
+    result = seesaw_maximize(correlation_matrix(state), SeesawConfig(restarts=4))
+    (row,) = planted
+    assert chsh_expectation_direct(state, ChshSettings(*map(TracelessObservable, row))) < 0
+    assert result.value > 0
+    assert np.array_equal(result.settings.a1.coefficients, -row[0])
+    assert np.array_equal(result.settings.a2.coefficients, -row[1])
+    assert np.array_equal(result.settings.b1.coefficients, row[2])
+    assert np.array_equal(result.settings.b2.coefficients, row[3])
+    assert result.value == pytest.approx(chsh_expectation_direct(state, result.settings), abs=1e-12)
+
+
 @pytest.mark.parametrize("sweep", [1, 2])
 def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch, sweep):
     # Bob's halved update is the fall, and the run stops at its sweep: sweep 1
@@ -427,7 +459,7 @@ def test_sweep_writes_into_none_of_its_arguments(mode):
     # directions vanish
     b = build_gellmann_basis(3)
     t = correlation_matrix(random_two_qudit_state(3, 5)).matrix
-    pairs = b.random_admissible(np.random.default_rng(0), 6).reshape(3, 2, b.size)
+    pairs = random_admissible(np.random.default_rng(0), 6, b).reshape(3, 2, b.size)
     pairs[0] = 0.0
     alice_in = _pair_products(t, pairs)
     t_transposed = t.T

@@ -1,7 +1,8 @@
 """Byte-identical CLI output: benchmark requests against their recorded digests.
 
 Every request that a benchmark workload sends at its tiny size, every
-full-size ``optimize`` and ``ghz-table`` request with d <= 8, the eight
+full-size ``optimize`` and ``ghz-table`` request with d <= 8, every
+full-size ``verify`` request, the eight
 full-size ``correlation --dim 12`` requests (json and csv, four state seeds)
 and ``basis --dim 16``, the largest JSON report, are replayed through
 ``qchsh.cli.main`` and the sha256 of its stdout is compared with
@@ -83,6 +84,7 @@ CORRELATION_KEYS = [
     key for key in FULL_KEYS if key.split()[0] == "correlation" and _max_dim(key) == 12
 ]
 BASIS_KEYS = [key for key in FULL_KEYS if key.split()[0] == "basis" and _max_dim(key) == 16]
+VERIFY_KEYS = [key for key in FULL_KEYS if key.split()[0] == "verify"]
 
 
 def _assert_matches_reference(key, tmp_path):
@@ -116,6 +118,11 @@ def test_full_seesaw_request_matches_reference_digest_with_one_blas_thread(key, 
     )
     assert run.returncode == 0, run.stderr
     assert checks.digest(run.stdout) == REFERENCE[key]["sha256"]
+
+
+@pytest.mark.parametrize("key", VERIFY_KEYS)
+def test_full_verify_request_matches_reference_digest(key, tmp_path):
+    _assert_matches_reference(key, tmp_path)
 
 
 @pytest.mark.parametrize("key", CORRELATION_KEYS)
