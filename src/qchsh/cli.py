@@ -38,6 +38,9 @@ from .optimizer import MODES, SeesawConfig, ghz_optimal_settings, seesaw_maximiz
 from .representation import build_gellmann_basis, check_dim
 from .states import ghz_state, load_state_file, random_two_qudit_state
 
+# A ghz-table row's certificate farther than this from its closed form is a numerical fault.
+CERTIFICATE_ATOL = 1e-9
+
 
 def _scalar_text(obj) -> str:
     if isinstance(obj, (bool, np.bool_)):
@@ -458,6 +461,13 @@ def cmd_ghz_table(args) -> int:
         closed = ghz_chsh_maximum(d)
         settings = ghz_optimal_settings(d)
         certificate = abs(chsh_expectation_direct(state, settings))
+        residual = abs(certificate - closed)
+        # "not <=", so that a NaN residual fails too
+        if not residual <= CERTIFICATE_ATOL:
+            raise NumericalError(
+                f"ghz-table d={d}: the block strategy's value misses the closed form by "
+                f"{residual:.3e} (allowed {CERTIFICATE_ATOL:.0e})"
+            )
         # T from the state, not the closed form: the see-saw's digits follow T's bits
         seesaw = seesaw_maximize(correlation_matrix(state), config).value
         report = chsh_bounds(ghz_correlation_matrix(d))

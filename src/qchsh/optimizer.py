@@ -50,12 +50,18 @@ it is within the tolerance of the global maximum, as a converged restart is
 of its fixed point, so every live restart leaves the batch at that sweep.
 The margin is the convergence tolerance ``SeesawConfig.tolerance``.  A
 restart's result does not depend on how many restarts run beside it, unless
-the batch certifies.
+the batch certifies.  On a GHZ state restart 0 starts on the block strategy
+and its first sweep runs alone, through the driver's own loop on a one-row
+batch; it certifies there, and no random restart is drawn.  Only a sweep
+that falls short (a tolerance below the rounding of the value) sends the
+whole batch on from the same starts.
 
 ``ghz_optimal_settings`` realizes the attained GHZ maximum with a
 block-embedded qubit strategy: computational basis states are paired into
 floor(d/2) two-dimensional blocks carrying the standard optimal qubit
-settings, plus one zero row/column when d is odd.
+settings, plus one zero row/column when d is odd.  It is expanded once per
+d into one shared, read-only ``ChshSettings``, which both ``ghz-table``'s
+certificate and restart 0's GHZ start read.
 """
 
 from __future__ import annotations
@@ -279,32 +285,42 @@ def _ghz_blocks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return a1, a2, (a1 + a2) / math.sqrt(2.0), (a1 - a2) / math.sqrt(2.0)
 
 
+# one shared instance per d, like the basis; ``ghz_optimal_settings`` checks d first
+@functools.cache
+def _ghz_settings(d: int) -> ChshSettings:
+    return ChshSettings(*(TracelessObservable(expand_observable(m)) for m in _ghz_blocks(d)))
+
+
 def ghz_optimal_settings(d: int) -> ChshSettings:
-    """The ``_ghz_blocks`` settings, attaining the GHZ maximum 2 * m_d**2 * sqrt(2)."""
-    return ChshSettings(*(
-        TracelessObservable(expand_observable(m)) for m in _ghz_blocks(check_dim(d))
-    ))
+    """The ``_ghz_blocks`` settings, attaining the GHZ maximum 2 * m_d**2 * sqrt(2).
+
+    One shared, read-only instance per d.  d is checked first, so ``2.0`` or
+    ``True`` cannot find the entry for 2.
+    """
+    return _ghz_settings(check_dim(d))
 
 
 def _deterministic_init(
     basis: GellMannBasis, correlations: CorrelationMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, bool]:
     """Seed restart 0 from structure instead of noise.
 
-    When T is within ``GHZ_PROXIMITY_ATOL`` of the GHZ correlation matrix, the
-    Bob vectors of the block strategy (``_ghz_blocks``) are used; otherwise
-    the top-two right singular directions of T, mixed as v1 +- v2 so that one
-    exact sweep lands on the dominant singular pair.
+    Returns the pair (b1, b2) as a (2, d**2-1) array, and whether it is the
+    block start.  When T is within ``GHZ_PROXIMITY_ATOL`` of the GHZ
+    correlation matrix, the Bob vectors of the block strategy
+    (``ghz_optimal_settings``) are used; otherwise the top-two right singular
+    directions of T, mixed as v1 +- v2 so that one exact sweep lands on the
+    dominant singular pair.
     """
     t = correlations.matrix
     if float(np.max(np.abs(t - ghz_correlation_matrix(basis.dim).matrix))) < GHZ_PROXIMITY_ATOL:
-        _, _, b1, b2 = _ghz_blocks(basis.dim)
-        return expand_observable(b1), expand_observable(b2)
+        settings = ghz_optimal_settings(basis.dim)
+        return np.stack((settings.b1.coefficients, settings.b2.coefficients)), True
     gram = t.T @ t
     _, vectors = np.linalg.eigh(gram)
     v1, v2 = vectors[:, -1], vectors[:, -2]
     # each row is rescaled on its own, as two single calls would rescale it
-    return tuple(basis._boundary(np.stack((v1 + v2, v1 - v2))))
+    return basis._boundary(np.stack((v1 + v2, v1 - v2))), False
 
 
 def _sweep(
@@ -341,10 +357,71 @@ def _run_restarts(
     that sweep, naming the first such restart.  Every row is computed on
     its own, so a restart's result does not depend on how many restarts run
     beside it, up to the sweep at which the batch certifies.
+
+    When restart 0 takes the GHZ block start, its first sweep runs alone,
+    through the same loop on a one-row batch.  If that sweep certifies, no
+    other restart is drawn: each reads 0 sweeps, value 0, zero vectors and
+    certified, the stop it would have met at sweep 1.  Otherwise the whole
+    batch runs from the same starts.
     """
     count = config.restarts
+    t = correlations.matrix
+    t_transposed = t.T
+    certified_at = upper - config.tolerance
+
+    def lockstep(b: np.ndarray, last: int) -> dict:
+        """Sweep the restarts whose starts are b[R, 2, d**2-1], R <= count, up to sweep last."""
+        vectors = np.zeros((count, 4, basis.size))
+        values = np.zeros(count)
+        iterations = np.zeros(count, dtype=int)
+        stop_reason = np.full(count, CERTIFIED)
+        active = np.arange(len(b))
+        alice_in = _pair_products(t, b)
+        # before sweep 1 every comparison with the previous value is False, and fmax skips it
+        previous = np.full(len(b), np.nan)
+        for iteration in range(1, last + 1):
+            a, b, alice_in, after_alice, value = _sweep(
+                t, t_transposed, alice_in, basis, config.mode
+            )
+            if config.mode == "exact":
+                fall = np.fmax(previous - after_alice, after_alice - value)
+                if np.count_nonzero(fall > 1e-12):
+                    row = int(np.argmax(fall > 1e-12))
+                    raise NumericalError(
+                        f"exact see-saw restart {active[row]} is not monotone: its value fell "
+                        f"by {fall[row]:.3e} within one sweep (allowed 1e-12)"
+                    )
+            done = np.abs(value - previous) < config.tolerance
+            # np.count_nonzero tests a small mask in a fraction of the time of .any()
+            certified = np.count_nonzero(np.abs(value) >= certified_at) > 0
+            stop = done | (certified or iteration == last)
+            previous = value
+            if np.count_nonzero(stop):
+                leaving = active[stop]
+                iterations[leaving] = iteration
+                values[leaving] = value[stop]
+                vectors[leaving] = np.concatenate((a[stop], b[stop]), axis=1)
+                reason = CERTIFIED if certified else MAX_ITERATIONS
+                stop_reason[leaving] = np.where(done[stop], CONVERGED, reason)
+                keep = ~stop
+                active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
+                if active.size == 0:
+                    break
+        return {
+            "values": np.abs(values),
+            "vectors": vectors,
+            "iterations": iterations,
+            "stop_reason": stop_reason,
+        }
+
+    start, on_blocks = _deterministic_init(basis, correlations)
+    if on_blocks:
+        # the block strategy attains upper, so its first sweep should certify
+        runs = lockstep(start[None], 1)
+        if runs["stop_reason"][0] == CERTIFIED:
+            return runs
     b = np.empty((count, 2, basis.size))
-    b[0] = _deterministic_init(basis, correlations)
+    b[0] = start
     if count > 1:
         # each start is drawn from its own rng and rescaled on its own row
         starts = np.array([
@@ -352,49 +429,7 @@ def _run_restarts(
             for i in range(1, count)
         ])
         b[1:] = basis._boundary(starts)
-    t = correlations.matrix
-    t_transposed = t.T
-    certified_at = upper - config.tolerance
-    vectors = np.empty((count, 4, basis.size))
-    values = np.empty(count)
-    iterations = np.empty(count, dtype=int)
-    stop_reason = np.empty(count, dtype=int)
-    active = np.arange(count)
-    alice_in = _pair_products(t, b)
-    # before sweep 1 every comparison with the previous value is False, and fmax skips it
-    previous = np.full(count, np.nan)
-    for iteration in range(1, config.max_iterations + 1):
-        a, b, alice_in, after_alice, value = _sweep(t, t_transposed, alice_in, basis, config.mode)
-        if config.mode == "exact":
-            fall = np.fmax(previous - after_alice, after_alice - value)
-            if np.count_nonzero(fall > 1e-12):
-                row = int(np.argmax(fall > 1e-12))
-                raise NumericalError(
-                    f"exact see-saw restart {active[row]} is not monotone: its value fell "
-                    f"by {fall[row]:.3e} within one sweep (allowed 1e-12)"
-                )
-        done = np.abs(value - previous) < config.tolerance
-        # np.count_nonzero tests a small mask in a fraction of the time of .any()
-        certified = np.count_nonzero(np.abs(value) >= certified_at) > 0
-        stop = done | (certified or iteration == config.max_iterations)
-        previous = value
-        if np.count_nonzero(stop):
-            leaving = active[stop]
-            iterations[leaving] = iteration
-            values[leaving] = value[stop]
-            vectors[leaving] = np.concatenate((a[stop], b[stop]), axis=1)
-            reason = CERTIFIED if certified else MAX_ITERATIONS
-            stop_reason[leaving] = np.where(done[stop], CONVERGED, reason)
-            keep = ~stop
-            active, alice_in, previous = active[keep], alice_in[keep], previous[keep]
-            if active.size == 0:
-                break
-    return {
-        "values": np.abs(values),
-        "vectors": vectors,
-        "iterations": iterations,
-        "stop_reason": stop_reason,
-    }
+    return lockstep(b, config.max_iterations)
 
 
 def seesaw_maximize(
@@ -407,8 +442,9 @@ def seesaw_maximize(
     from its own (seed, restart-index) substream.  All restarts run in
     lockstep, one batched eigensolver call per party update, and stop
     together once one reaches the paper's upper bound (``chsh_bounds`` of
-    T, returned as ``bounds``) to within ``config.tolerance``.  The best
-    restart wins, ties broken by index.  A value above the upper bound by
+    T, returned as ``bounds``) to within ``config.tolerance``; on a GHZ state
+    restart 0 certifies on its first sweep, before any other is drawn.  The
+    best restart wins, ties broken by index.  A value above the upper bound by
     more than UPPER_BOUND_ATOL raises NumericalError, and so does an exact
     run whose value falls within a sweep of some restart, at that sweep:
     exact party updates cannot lower it.  Closed-form updates can, and

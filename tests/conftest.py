@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -414,8 +415,11 @@ def serial_restarts(correlations, config):
     certification sweep is the first at which a restart still running has
     ``|value| >= upper - tolerance``; each restart is then cut at the
     earlier of its own stop and that sweep, with its vectors as of that
-    sweep.  A vanishing direction gives the zero vector in either mode.
-    Returns one (iterations, stop reason, [a1, a2, b1, b2]) per restart.
+    sweep.  When restart 0 takes the GHZ block start and its first sweep
+    certifies, no other restart is drawn: each has 0 sweeps, zero vectors
+    and stop reason certified.  A vanishing direction gives the zero vector
+    in either mode.  Returns one (iterations, stop reason, [a1, a2, b1, b2])
+    per restart.
     """
     basis = build_gellmann_basis(correlations.dim)
     t = correlations.matrix
@@ -429,12 +433,8 @@ def serial_restarts(correlations, config):
         x = serial_linear_max(basis._matrices(w))
         return slice_sum_vectors(x, basis) / math.sqrt(2.0 * basis.dim)
 
-    def run(index):
+    def run(b1, b2):
         """One (value, converged, vectors) per sweep, to the own stop."""
-        if index == 0:
-            b1, b2 = _deterministic_init(basis, correlations)
-        else:
-            b1, b2 = random_admissible(np.random.default_rng([config.seed, index]), 2, basis)
         previous = None
         sweeps = []
         for _ in range(config.max_iterations):
@@ -450,8 +450,16 @@ def serial_restarts(correlations, config):
                 break
         return sweeps
 
-    histories = [run(i) for i in range(config.restarts)]
+    start, on_blocks = _deterministic_init(basis, correlations)
+    first = run(*start)
     upper = chsh_bounds(correlations).upper
+    if on_blocks and abs(first[0][0]) >= upper - config.tolerance:
+        unrun = (0, "certified", np.zeros((4, basis.size)))
+        return [(1, "certified", first[0][2])] + [unrun] * (config.restarts - 1)
+    histories = [first] + [
+        run(*random_admissible(np.random.default_rng([config.seed, i]), 2, basis))
+        for i in range(1, config.restarts)
+    ]
     certified = [
         k for k in range(1, config.max_iterations + 1)
         if any(len(h) >= k and abs(h[k - 1][0]) >= upper - config.tolerance for h in histories)
@@ -485,3 +493,15 @@ def halve_bob_in_sweep(monkeypatch, sweep):
         return 0.5 * out if next(calls) == 2 * sweep else out
 
     monkeypatch.setattr(optimizer, "_party_update", halved)
+
+
+def patch_ghz_blocks(monkeypatch, blocks):
+    """Patch ``optimizer._ghz_blocks`` behind a fresh, empty settings cache.
+
+    The shared per-d settings cache is swapped for an empty one first, so the
+    patched blocks are the ones expanded, and the patch's undo drops every
+    setting built from them.
+    """
+    fresh = functools.cache(optimizer._ghz_settings.__wrapped__)
+    monkeypatch.setattr(optimizer, "_ghz_settings", fresh)
+    monkeypatch.setattr(optimizer, "_ghz_blocks", blocks)

@@ -22,6 +22,7 @@ from conftest import (
     correlation_csv_oracle,
     halve_bob_in_sweep,
     load_state_file_oracle,
+    patch_ghz_blocks,
     state_to_json_dict,
     stdlib_json_text,
 )
@@ -199,6 +200,33 @@ def test_ghz_table_builds_ghz_references_once_per_dimension(capsys, monkeypatch)
     code, _, _ = run_cli(capsys, "ghz-table", "--dims", "2:8")
     assert code == 0
     assert calls == {"ghz_state": 7, "ghz_optimal_settings": 7}
+
+
+def test_ghz_table_rows_do_not_depend_on_restarts_or_seed(capsys):
+    # every row certifies on restart 0's first sweep, before a restart is drawn
+    code, reference, _ = run_cli(capsys, "ghz-table", "--dims", "2:8")
+    assert code == 0
+    for flags in (("--restarts", "1"), ("--restarts", "2"), ("--restarts", "32"),
+                  ("--seed", "0"), ("--seed", "7")):
+        code, out, _ = run_cli(capsys, "ghz-table", "--dims", "2:8", *flags)
+        assert code == 0
+        assert out == reference, flags
+
+
+def test_ghz_table_with_a_perturbed_block_strategy_exits_two(capsys, monkeypatch):
+    # a certificate off its closed form is a numerical fault, named by d
+    blocks = qchsh.optimizer._ghz_blocks
+
+    def perturbed(d):
+        a1, a2, b1, b2 = blocks(d)
+        return a1, a2, b1, 0.99 * b2
+
+    patch_ghz_blocks(monkeypatch, perturbed)
+    code, out, err = run_cli(capsys, "ghz-table", "--dims", "2:4")
+    assert code == 2
+    assert out == ""
+    assert "NumericalError" in err
+    assert "d=2: the block strategy's value misses the closed form by" in err
 
 
 def test_ghz_table_csv(capsys):

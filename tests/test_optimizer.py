@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchsh import (
@@ -26,6 +26,7 @@ from qchsh import (
 from qchsh.errors import (
     ConvergenceFailure,
     InvalidConfig,
+    InvalidDimension,
     NotTraceless,
     NumericalError,
 )
@@ -50,6 +51,7 @@ from conftest import (
     halve_bob_in_sweep,
     is_admissible,
     lp_spectrum_oracle,
+    patch_ghz_blocks,
     polytope_vertex_max,
     property_state,
     random_admissible,
@@ -288,12 +290,29 @@ def test_ghz_optimal_settings_odd_padding():
         assert np.max(np.abs(np.linalg.eigvalsh(obs.matrix))) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ghz_optimal_settings_are_shared_and_read_only():
+    # one instance per d, found by an int and by a numpy int alike; d is
+    # checked before the lookup, so 2.0 and True (both == 2) cannot find it
+    settings = ghz_optimal_settings(2)
+    assert ghz_optimal_settings(2) is settings
+    assert ghz_optimal_settings(np.int64(2)) is settings
+    for bad in (2.0, True):
+        with pytest.raises(InvalidDimension):
+            ghz_optimal_settings(bad)
+    for obs in ghz_optimal_settings(5).all:
+        for array in (obs.coefficients, obs.matrix):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 @pytest.mark.parametrize("epsilon", [0.0, 1e-12])
 def test_deterministic_init_starts_ghz_from_the_block_strategy(d, epsilon):
     b = build_gellmann_basis(d)
     rho = (1.0 - epsilon) * ghz_state(d).rho + epsilon * np.eye(d * d) / d**2
-    b1, b2 = _deterministic_init(b, correlation_matrix(validate_state(rho)))
+    (b1, b2), on_blocks = _deterministic_init(b, correlation_matrix(validate_state(rho)))
+    assert on_blocks
     settings = ghz_optimal_settings(d)
     np.testing.assert_array_equal(b1.view(np.int64), settings.b1.coefficients.view(np.int64))
     np.testing.assert_array_equal(b2.view(np.int64), settings.b2.coefficients.view(np.int64))
@@ -311,9 +330,10 @@ def test_deterministic_init_takes_singular_directions_off_ghz(d, kind, monkeypat
     def refuse(d):
         raise AssertionError("GHZ start taken")
 
-    monkeypatch.setattr(qchsh.optimizer, "_ghz_blocks", refuse)
+    patch_ghz_blocks(monkeypatch, refuse)
     b = build_gellmann_basis(d)
-    b1, b2 = _deterministic_init(b, correlation_matrix(state))
+    (b1, b2), on_blocks = _deterministic_init(b, correlation_matrix(state))
+    assert not on_blocks
     assert is_admissible(b1, b) and is_admissible(b2, b)
 
 
@@ -324,15 +344,57 @@ def test_seesaw_reaches_ghz_maximum():
         assert result.value == pytest.approx(ghz_chsh_maximum(d), abs=tol)
 
 
+def count_sweep_rows(monkeypatch):
+    """Patch ``_sweep`` to record the number of rows of each call; returns the record."""
+    rows = []
+    sweep = qchsh.optimizer._sweep
+
+    def counted(t, t_transposed, alice_in, basis, mode):
+        rows.append(alice_in.shape[0])
+        return sweep(t, t_transposed, alice_in, basis, mode)
+
+    monkeypatch.setattr(qchsh.optimizer, "_sweep", counted)
+    return rows
+
+
 @pytest.mark.parametrize("d", range(2, 9))
-def test_seesaw_certifies_ghz_within_two_sweeps(d):
-    # restart 0 starts on the block strategy, which attains the upper bound,
-    # so the whole batch stops at once
-    result = seesaw_maximize(correlation_matrix(ghz_state(d)), SeesawConfig())
-    assert max(result.iterations_per_restart) <= 2
-    assert result.stop_reasons == ["certified"] * SeesawConfig().restarts
+def test_seesaw_certifies_ghz_in_one_sweep(d, monkeypatch):
+    # restart 0 starts on the block strategy, which attains the upper bound:
+    # its first sweep runs on a one-row batch and certifies, no random start
+    # is drawn, and restart 0 has the bits it has when run alone
+    t = correlation_matrix(ghz_state(d))
+    alone = seesaw_maximize(t, SeesawConfig(restarts=1))
+    generators = []
+    default_rng = np.random.default_rng
+
+    def counted_rng(*args, **kwargs):
+        generators.append(args)
+        return default_rng(*args, **kwargs)
+
+    sweeps = count_sweep_rows(monkeypatch)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    result = seesaw_maximize(t, SeesawConfig())
+    assert sweeps == [1]
+    assert generators == []
+    assert result.iterations_per_restart == [1] + [0] * 31
+    assert result.stop_reasons == ["certified"] * 32
     assert result.converged_count == 0
     assert abs(result.value - ghz_chsh_maximum(d)) <= 1e-9
+    assert result.value == alone.value
+    for obs, solo in zip(result.settings.all, alone.settings.all):
+        assert obs.coefficients.tobytes() == solo.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_ghz_lone_sweep_that_does_not_certify_runs_the_batch(d, monkeypatch):
+    # at a tolerance of 1e-300 restart 0's first value falls short of the
+    # bound by rounding, so the whole batch runs from the same starts,
+    # restart 0's first sweep again
+    sweeps = count_sweep_rows(monkeypatch)
+    config = SeesawConfig(restarts=4, tolerance=1e-300)
+    result = seesaw_maximize(correlation_matrix(ghz_state(d)), config)
+    assert sweeps[:2] == [1, 4]
+    assert result.iterations_per_restart == [2] * 4
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -549,13 +611,17 @@ def test_seesaw_config_validation():
     max_iterations=st.integers(1, 120),
     tolerance=st.sampled_from([1e-10, 1e-300]),
 )
+# GHZ's lone first sweep, certifying and not
+@example(d=4, mode="exact", restarts=4, seed=1, kind="ghz", max_iterations=50, tolerance=1e-10)
+@example(d=4, mode="exact", restarts=4, seed=1, kind="ghz", max_iterations=50, tolerance=1e-300)
 def test_lockstep_restarts_match_serial_oracle(
     d, mode, restarts, seed, kind, max_iterations, tolerance
 ):
     # each restart of the lockstep batch reproduces, bit for bit, the same
     # restart run alone by the one-vector-at-a-time reference loop, cut at the
     # sweep where the batch certifies (GHZ, maximally mixed with T = 0 and
-    # upper = 0, and d = 2 draws); a tiny tolerance on product states makes
+    # upper = 0, and d = 2 draws), or before its first sweep when GHZ's
+    # restart 0 certifies alone; a tiny tolerance on product states makes
     # restarts leave the batch at different sweeps
     b = build_gellmann_basis(d)
     state = property_state(kind, d, seed)
