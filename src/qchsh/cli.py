@@ -10,12 +10,11 @@ every later call in the process; importing the module builds nothing.
 JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
 2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
-keys.  The correlation CSV and each JSON float array of ``_plain`` values
-fill one template of ``%.15g`` cells through ``_fill_g15``: from
-``_G15_MIN_CELLS`` cells up it prints each cell from its exact 15-digit
-integer mantissa with ``%d``, byte for byte the ``%.15g`` text, in chunks
-that bound its memory.  Any other float array fills a ``%s`` template with
-the text of each distinct value.
+keys.  A float array, like the correlation CSV, is laid out as the list of
+separators around its cells, and one ``"".join`` places the cells between
+them.  ``_fill_g15`` prints the CSV and each array of ``_plain`` values from
+their exact 15-digit integer mantissas with ``%d``, byte for byte the
+``%.15g`` text; any other array takes the text of each distinct value.
 """
 
 from __future__ import annotations
@@ -52,15 +51,25 @@ def _scalar_text(obj) -> str:
     return json.dumps(obj)
 
 
-def _array_template(shape: tuple, nl: str, leaf: str) -> str:
-    """Layout of a nested JSON list of this shape, with ``leaf`` for each element."""
+def _separators(shape: tuple, nl: str) -> list[str]:
+    """The n + 1 texts around the n > 0 cells of a JSON list of this shape, equal ones shared."""
     if not shape:
-        return leaf
-    if shape[0] == 0:
-        return "[]"
+        return ["", ""]
     inner = nl + "  "
-    item = _array_template(shape[1:], inner, leaf)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+    sub = _separators(shape[1:], inner)
+    # an item's separators after each of its cells; its last runs into the next item's first
+    separators = (sub[1:-1] + [sub[-1] + "," + inner + sub[0]]) * shape[0]
+    separators[-1] = sub[-1] + nl + "]"
+    separators.insert(0, "[" + inner + sub[0])
+    return separators
+
+
+def _interleave(separators: list[str], cells: list[str]) -> str:
+    """separators[0] + cells[0] + separators[1] + ...; one more separator than cells, or as many."""
+    pieces = [""] * (len(separators) + len(cells))
+    pieces[::2] = separators
+    pieces[1::2] = cells
+    return "".join(pieces)
 
 
 def _plain(values: np.ndarray) -> np.ndarray:
@@ -78,12 +87,12 @@ def _plain(values: np.ndarray) -> np.ndarray:
         return (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
 
 
-# Below this many cells ``_fill_g15`` fills its template with one ``%`` call of
+# Below this many cells ``_fill_g15`` fills all of them with one ``%`` call of
 # floats: the integer path's fixed cost, about 70 us of numpy calls, is repaid
 # only above it (the two cross at 290-350 cells, one BLAS thread, 2-vCPU VM).
 _G15_MIN_CELLS = 320
-# Template characters per chunk of ``_fill_g15``, which bounds its working memory.
-_G15_CHUNK = 1 << 15
+# Cells per chunk of ``_fill_g15``, which bounds its working memory.
+_G15_CHUNK = 4096
 # Exponents of the tables: floor(log10|x|) is -31..13 for 1e-31 <= |x| < 1e14,
 # np.log10's guess of it may be one off, and the exact check reads one above.
 _G15_EXPONENTS = range(-32, 16)
@@ -222,66 +231,55 @@ def _g15_cells(x: np.ndarray) -> tuple[list[str], list[int]]:
     return texts, ints[used].tolist()
 
 
-def _fill_g15(template: str, values) -> str:
-    """``template % tuple(values)``, for a template of one ``%.15g`` directive per value.
+def _fill_g15(separators: list[str], values) -> str:
+    """``"%.15g".join(separators) % tuple(values)``, one value between each two separators.
 
-    From ``_G15_MIN_CELLS`` values up, the template is filled in chunks of
-    about ``_G15_CHUNK`` characters: each ``%.15g`` becomes its cell's
-    ``_g15_cells`` snippet, and one ``%`` call over Python ints fills the
-    chunk.  ``%d`` of an int costs a fraction of ``%.15g`` of a float.  The
-    ints are the exact 15-digit mantissas, from a product whose error is
-    about 1e-16; a cell within 1e-9 of a rounding tie, and a non-zero cell
-    outside 1e-31 <= |x| < 1e14, prints through ``%.15g`` itself.
+    From ``_G15_MIN_CELLS`` values up, each chunk of ``_G15_CHUNK`` cells
+    interleaves its separators with its ``_g15_cells`` snippets, which one
+    ``%`` call fills with the exact 15-digit mantissas as Python ints: ``%d``
+    of an int costs a fraction of ``%.15g`` of a float.  A cell within 1e-9
+    of a rounding tie, or non-zero outside 1e-31 <= |x| < 1e14, prints
+    through ``%.15g`` itself.
     """
     flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size < _G15_MIN_CELLS:
-        return template % tuple(flat.tolist())
+        return "%.15g".join(separators) % tuple(flat.tolist())
     parts = []
-    start = done = 0
-    while start < len(template):
-        stop = min(start + _G15_CHUNK, len(template))
-        cut = template.rfind("%", stop - 4, stop)  # a directive across the end starts here
-        if cut > start:
-            stop = cut
-        pieces = template[start:stop].split("%.15g")
-        texts, ints = _g15_cells(flat[done : done + len(pieces) - 1])
-        cells = [""] * (2 * len(pieces) - 1)
-        cells[::2] = pieces
-        cells[1::2] = texts
-        parts.append("".join(cells) % tuple(ints))
-        done += len(pieces) - 1
-        start = stop
+    for start in range(0, flat.size, _G15_CHUNK):
+        texts, ints = _g15_cells(flat[start : start + _G15_CHUNK])
+        parts.append(_interleave(separators[start : start + len(texts)], texts) % tuple(ints))
+    parts.append(separators[-1])
     return "".join(parts)
 
 
-def _distinct_floats(flat: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Distinct values of a flat float64 array, their ``%.15g`` texts and the inverse index.
+def _distinct_cells(flat: np.ndarray) -> list[str]:
+    """``_scalar_text`` of each cell of a flat float64 array, each distinct value printed once.
 
     Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
-    All texts come from one ``_fill_g15`` call; ``%.15g`` never prints a
-    space, so splitting on spaces recovers them.
+    One ``_fill_g15`` call prints them, split on spaces (``%.15g`` prints
+    none); those not ``_plain`` go through ``_scalar_text``.
     """
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
-    texts = _fill_g15("%.15g " * values.size, values).split()
-    return values, texts, inverse
+    texts = _fill_g15([" "] * (values.size + 1), values).split()
+    for i in np.flatnonzero(~_plain(values)).tolist():
+        texts[i] = _scalar_text(values[i])
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _float_array_text(a: np.ndarray, nl: str) -> str:
-    """JSON text of a float array, each element printed as ``_scalar_text`` would.
+    """JSON text of a non-empty float array, each element printed as ``_scalar_text`` would.
 
-    All ``_plain`` values fill a template of ``%.15g`` leaves.  Otherwise each
-    distinct value is formatted once (``_distinct_floats``, which pays off
-    when values repeat), and those not plain go through ``_scalar_text``.
+    The cells go between the ``_separators`` of its shape: through
+    ``_fill_g15`` when every value is ``_plain``, and otherwise through
+    ``_distinct_cells``, which pays off when values repeat.
     """
     flat = np.asarray(a, dtype=np.float64).ravel()
-    if flat.all() and _plain(flat).all():  # a zero, the usual odd cell, ends it early
-        return _fill_g15(_array_template(a.shape, nl, "%.15g"), flat)
-    values, texts, inverse = _distinct_floats(flat)
-    for i in np.flatnonzero(~_plain(values)).tolist():
-        texts[i] = _scalar_text(values[i])
-    cells = np.array(texts, dtype=object)[inverse].tolist()
-    return _array_template(a.shape, nl, "%s") % tuple(cells)
+    with np.errstate(invalid="ignore"):  # casting a signaling NaN to bool sets the flag
+        plain = flat.all() and _plain(flat).all()  # a zero, the usual odd cell, ends it early
+    if plain:
+        return _fill_g15(_separators(a.shape, nl), flat)
+    return _interleave(_separators(a.shape, nl), _distinct_cells(flat))
 
 
 def _json_text(obj, nl: str = "\n") -> str:
@@ -291,7 +289,7 @@ def _json_text(obj, nl: str = "\n") -> str:
     are written as Python scalars and (nested) lists.
     """
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
+        if obj.dtype.kind == "f" and obj.size:
             return _float_array_text(obj, nl)
         return _json_text(obj.tolist(), nl)
     inner = nl + "  "
@@ -305,7 +303,8 @@ def _json_text(obj, nl: str = "\n") -> str:
         return _scalar_text(obj)
     if not items:
         return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+    separators = [brackets[0] + inner] + ["," + inner] * (len(items) - 1) + [nl + brackets[1]]
+    return _interleave(separators, items)  # one copy of each item's text
 
 
 def _matrix_pairs(matrices: np.ndarray) -> np.ndarray:
@@ -319,14 +318,13 @@ def _matrix_pairs(matrices: np.ndarray) -> np.ndarray:
 
 
 def _correlation_csv(labels, matrix: np.ndarray) -> str:
-    """CSV text of a square matrix: a header row of labels, then one labelled row each.
-
-    Every cell is a ``%.15g`` directive of one template, which the matrix
-    fills in one ``%`` call, with no JSON round trip.
-    """
-    row = ",%.15g" * len(labels) + "\n"
-    template = "," + ",".join(labels) + "\n" + "".join([label + row for label in labels])
-    return _fill_g15(template, matrix)
+    """CSV text of a square matrix: a header row of labels, then one labelled row each."""
+    n = len(labels)
+    separators = [","] * (n * n) + ["\n"]
+    for i, label in enumerate(labels):
+        separators[i * n] = "\n" + label + ","
+    separators[0] = "," + ",".join(labels) + separators[0]  # the header row
+    return _fill_g15(separators, matrix)
 
 
 def _csv_cell(value) -> str:

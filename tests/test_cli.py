@@ -475,12 +475,21 @@ def test_json_writer_matches_stdlib_encoder(payload):
     assert _json_text(payload) == stdlib_json_text(payload)
 
 
+def _from_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=_FLOATS)
+# signaling NaNs: casting one to bool sets the invalid-operation flag
+@example(x=_from_bits(0x7FF0000000000001))
+@example(x=_from_bits(0xFFF0000000000001))
+@example(x=_from_bits(0x7FF4000000000000))
 def test_json_writer_zero_dim_array_is_its_scalar(x):
     # the retired converter could not take a 0-d array; the writer prints its scalar
     assert _json_text(np.array(x)) == stdlib_json_text(np.float64(x))
     assert _json_text({"x": np.array(x)}) == stdlib_json_text({"x": np.float64(x)})
+    assert _json_text(np.array([x, 1.0])) == stdlib_json_text(np.array([x, 1.0]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -562,7 +571,11 @@ def _hard_cells():
 _HARD = _hard_cells()
 
 
-@pytest.mark.parametrize("size", [qchsh.cli._G15_MIN_CELLS - 1, qchsh.cli._G15_MIN_CELLS, 9000])
+@pytest.mark.parametrize(
+    "size",
+    [qchsh.cli._G15_MIN_CELLS - 1, qchsh.cli._G15_MIN_CELLS, qchsh.cli._G15_CHUNK - 1,
+     qchsh.cli._G15_CHUNK, qchsh.cli._G15_CHUNK + 1, 9000],
+)
 def test_writers_print_hard_cells_as_the_oracles_do(size):
     rng = np.random.default_rng(size)
     side = int(np.ceil(np.sqrt(size)))
@@ -574,7 +587,7 @@ def test_writers_print_hard_cells_as_the_oracles_do(size):
     assert _json_text({"T": plain.reshape(-1, 1)}) == stdlib_json_text({"T": plain.reshape(-1, 1)})
     template = "|%.15g" * size
     cells = matrix.ravel()[:size]
-    assert _fill_g15(template, cells) == template % tuple(cells.tolist())
+    assert _fill_g15(template.split("%.15g"), cells) == template % tuple(cells.tolist())
 
 
 def test_integer_path_prints_extreme_cells_without_warnings():
@@ -586,15 +599,21 @@ def test_integer_path_prints_extreme_cells_without_warnings():
         warnings.simplefilter("error")
         assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
         template = ",%.15g" * matrix.size
-        assert _fill_g15(template, matrix) == template % tuple(matrix.ravel().tolist())
+        assert _fill_g15(template.split("%.15g"), matrix) == template % tuple(matrix.ravel().tolist())
 
 
 def test_writers_peak_memory_stays_within_four_times_the_text():
-    # the d = 16 T: 65 025 cells, about 1.4 MB of CSV and 1.8 MB of JSON
+    # the d = 16 T: 65 025 cells, about 1.4 MB of CSV and 1.8 MB of JSON; the d = 16
+    # basis payload: 130 560 cells of few distinct values, about 2.7 MB of JSON
     t = correlation_matrix(random_two_qudit_state(16, 3000)).matrix
-    labels = build_gellmann_basis(16).labels
-    qchsh.cli._g15_tables()  # built once per process, not part of either writer's peak
-    for write in (lambda: _correlation_csv(labels, t), lambda: _float_array_text(t, "\n")):
+    basis = build_gellmann_basis(16)
+    operators = qchsh.cli._matrix_pairs(basis.stack)
+    qchsh.cli._g15_tables()  # built once per process, not part of any writer's peak
+    for write in (
+        lambda: _correlation_csv(basis.labels, t),
+        lambda: _float_array_text(t, "\n"),
+        lambda: _json_text({"d": 16, "operators": operators}),
+    ):
         tracemalloc.start()
         try:
             text = write()
