@@ -67,6 +67,12 @@ def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     """Ginibre-induced random full-rank state, deterministic per (d, seed)."""
     d = check_dim(d)
     check_count("seed", seed, 0)
+    # no local keeps the raw matrix, so validation frees it before it factorizes
+    return validate_state(_ginibre_density(d, seed))
+
+
+def _ginibre_density(d: int, seed: int) -> np.ndarray:
+    """g @ g^H / tr for a complex Ginibre g of side d**2 drawn from seed."""
     rng = np.random.default_rng(seed)
     # Filling the parts in place gives the bits of a + 1j * b and the same
     # memory peak, which g @ g^H sets, but a + 1j * b builds g 0.2-4.5 ms
@@ -75,9 +81,9 @@ def random_two_qudit_state(d: int, seed: int) -> TwoQuditState:
     g.real = rng.standard_normal((d * d, d * d))
     g.imag = rng.standard_normal((d * d, d * d))
     rho = g @ g.conj().T
-    del g  # validation holds several d**2 x d**2 matrices; g need not be one of them
+    del g  # g, g^H and rho are three d**2 x d**2 matrices, as at each step of validation
     rho /= np.trace(rho).real
-    return validate_state(rho)
+    return rho
 
 
 def validate_state(rho: np.ndarray) -> TwoQuditState:
@@ -94,8 +100,12 @@ def validate_state(rho: np.ndarray) -> TwoQuditState:
     the state is accepted.  Only when it fails does ``eigvalsh`` give the
     verdict and the minimum eigenvalue for the message.  The two agree except
     within rounding (about n * eps * ||rho||, n = d**2) of the threshold.
+
+    No reference to rho is kept: a caller that passes a temporary frees the
+    raw matrix once it is symmetrized, before the factorization.
     """
     m = np.asarray(rho, dtype=np.complex128)
+    del rho
     d = dim_from_side(m, 0, "state")
     m = symmetrized_hermitian(m, "state")
     trace_residual = abs(np.trace(m).real - 1.0)
@@ -127,7 +137,7 @@ def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
             payload = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8, depth or int size
         raise ValidationError(f"state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "d" not in payload or "rho" not in payload:
         raise ValidationError(f'state file {path} must contain keys "d" and "rho"')

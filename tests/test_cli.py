@@ -732,6 +732,21 @@ def test_state_file_int_beyond_float_range_exits_one(capsys, tmp_path, cell):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00garbage", b"[" * 100000, b"9" * 5000],
+    ids=["not-utf8", "deeply-nested", "int-of-5000-digits"],
+)
+def test_state_file_that_json_cannot_read_exits_one(capsys, tmp_path, content):
+    # json.load raises UnicodeDecodeError, RecursionError and ValueError for these
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "bounds", "--state", f"file:{path}")
+    assert code == 1
+    assert err.startswith("error: ValidationError: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("basis", "--dim", "3"),
