@@ -10,11 +10,11 @@ every later call in the process; importing the module builds nothing.
 JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
 2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
-keys.  A float array, like the correlation CSV, is laid out as the list of
-separators around its cells, and one ``"".join`` places the cells between
-them.  ``_fill_g15`` prints the CSV and each array of ``_plain`` values from
-their exact 15-digit integer mantissas with ``%d``, byte for byte the
-``%.15g`` text; any other array takes the text of each distinct value.
+keys.  A report, like the correlation CSV, is laid out once as one array of
+float cells and the list of separators around them: brackets, indents,
+keys, ints, bools, ``null`` and strings.  One ``_fill_g15`` call prints it,
+each cell from its exact 15-digit integer mantissa with ``%d`` (as JSON, or
+as ``%.15g`` in the CSV) and each zero from a table.
 """
 
 from __future__ import annotations
@@ -64,33 +64,6 @@ def _separators(shape: tuple, nl: str) -> list[str]:
     return separators
 
 
-def _interleave(separators: list[str], cells: list[str]) -> str:
-    """separators[0] + cells[0] + separators[1] + ...; one more separator than cells, or as many."""
-    pieces = [""] * (len(separators) + len(cells))
-    pieces[::2] = separators
-    pieces[1::2] = cells
-    return "".join(pieces)
-
-
-def _plain(values: np.ndarray) -> np.ndarray:
-    """Mask of the float64 values whose JSON text is their ``%.15g`` text.
-
-    For a normal double whose 15-digit rounding is not an integer (which
-    every rounding of 1e14 and above is), the ``%.15g`` text already is the
-    shortest repr of the rounded value.  The mask leaves out a superset of
-    the other values: zeros, subnormals, non-finite values and values within
-    1e-14 (relative) of an integer, twice the most that 15-digit rounding
-    moves a value.
-    """
-    magnitude = np.abs(values)
-    with np.errstate(invalid="ignore"):
-        return (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
-
-
-# Below this many cells ``_fill_g15`` fills all of them with one ``%`` call of
-# floats: the integer path's fixed cost, about 70 us of numpy calls, is repaid
-# only above it (the two cross at 290-350 cells, one BLAS thread, 2-vCPU VM).
-_G15_MIN_CELLS = 320
 # Cells per chunk of ``_fill_g15``, which bounds its working memory.
 _G15_CHUNK = 4096
 # Exponents of the tables: floor(log10|x|) is -31..13 for 1e-31 <= |x| < 1e14,
@@ -116,6 +89,8 @@ def _g15_tables() -> tuple[np.ndarray, ...]:
     (15 for 0.0001 <= |x| < 1, whose integer part is the literal ``0.``).
     The snippet of a cell is indexed by (sign, e, leading zeros of that
     group, whether the group is printed); two more snippets print zeros.
+    Row 0 holds the ``%.15g`` snippets and row 1 the JSON ones, which print
+    ``.0`` after a zero and after an integer part with no digit group.
     """
     def power(k):  # 10**k as num / den, and its nearest double as p / q
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -131,17 +106,19 @@ def _g15_tables() -> tuple[np.ndarray, ...]:
         lo.append((num * q - p * den) / (den * q))
     widths = [14 if e < -4 else 15 if e < 0 else max(14 - e, 0) for e in exponents]
     snippets = []
-    for sign in ("", "-"):
-        for e in exponents:
-            for zeros in range(16):
-                group = "." + "0" * zeros + "%d"
-                if e < -4:
-                    snippets += [f"{sign}%de-{-e:02d}", f"{sign}%d{group}e-{-e:02d}"]
-                elif e < 0:
-                    snippets += [f"{sign}0.{'0' * (-e - 1)}%d"] * 2
-                else:
-                    snippets += [f"{sign}%d", f"{sign}%d{group}"]
-    snippets += ["0", "-0"]
+    for point in ("", ".0"):
+        row = []
+        for sign in ("", "-"):
+            for e in exponents:
+                for zeros in range(16):
+                    group = "." + "0" * zeros + "%d"
+                    if e < -4:
+                        row += [f"{sign}%de-{-e:02d}", f"{sign}%d{group}e-{-e:02d}"]
+                    elif e < 0:
+                        row += [f"{sign}0.{'0' * (-e - 1)}%d"] * 2
+                    else:
+                        row += [f"{sign}%d{point}", f"{sign}%d{group}"]
+        snippets.append(row + ["0" + point, "-0" + point])
     halves = np.array([_veltkamp_split(h) for h in hi])
     tables = (
         np.array(floors), halves[:, 0].copy(), halves[:, 1].copy(), np.array(lo),
@@ -156,22 +133,31 @@ _POWERS_OF_TEN = 10.0 ** np.arange(15)
 _POWERS_OF_TEN.setflags(write=False)
 
 
-def _g15_cells(x: np.ndarray) -> tuple[list[str], list[int]]:
-    """Snippets of ``%d`` directives, and the ints they take, that print each cell as ``%.15g``.
+def _g15_cells(x: np.ndarray, as_json: bool) -> tuple[list[str], list[int]]:
+    """Snippets of ``%d`` directives, and the ints they take, that print each cell.
 
-    e = floor(log10|x|) is guessed by ``np.log10`` and then set exactly
-    against the table's powers of ten.  y = |x| * 10**(14 - e) is formed as
-    a double-double (a Dekker two-product against the table's hi, plus
-    |x| * lo) within about 1e-16 of its exact value, so N = round(y), the
-    15-digit mantissa with 10**14 <= N <= 10**15, is exact unless the
-    fraction of y is within 1e-9 of a half.  N = 10**15 carries into the next
-    power of ten.  The integer part and the digit group (its trailing zeros
-    stripped) come from N.  A cell that this does not cover gets
-    ``'%.15g' % x`` as its snippet and no ints: the near-halves, and the
-    non-zero cells outside 1e-31 <= |x| < 1e14 (subnormal and non-finite ones
-    among them).  Zeros get the snippets ``0`` and ``-0``.
+    A cell prints as its ``%.15g`` text, or with ``as_json`` as its
+    ``_scalar_text``.  Zeros take their snippets straight from the table;
+    the arithmetic runs on the other cells.  e = floor(log10|x|) is guessed
+    by ``np.log10`` and then set exactly against the table's powers of ten.
+    y = |x| * 10**(14 - e) is formed as a double-double (a Dekker
+    two-product against the table's hi, plus |x| * lo) within about 1e-16 of
+    its exact value, so N = round(y), the 15-digit mantissa with
+    10**14 <= N <= 10**15, is exact unless the fraction of y is within 1e-9
+    of a half.  N = 10**15 carries into the next power of ten.  The integer
+    part and the digit group (its trailing zeros stripped) come from N.  A
+    cell that this does not cover gets its whole text as its snippet and no
+    ints: the near-halves, and the non-zero cells outside
+    1e-31 <= |x| < 1e14 (subnormal and non-finite ones among them).
     """
     floors, split_hi, split_lo, low, widths, scales, snippets = _g15_tables()
+    snippets = snippets[int(as_json)]
+    sign = np.signbit(x)
+    codes = sign + (len(snippets) - 2)  # the zeros' snippets
+    # all cells as a view when none is zero: a gather would cost more than it saves
+    nonzero = x != 0
+    nonzero = np.s_[:] if nonzero.all() else np.flatnonzero(nonzero)
+    x = x[nonzero]
     a = np.abs(x)
     ok = (a >= 1e-31) & (a < 1e14)
     a[~ok] = 1.0
@@ -215,13 +201,11 @@ def _g15_cells(x: np.ndarray) -> tuple[list[str], list[int]]:
         tenth /= 10.0
         keep = tenth == np.floor(tenth)
         cut, tenth = cut[keep], tenth[keep]
-    sign = np.signbit(x)
-    code += sign * (32 * len(_G15_EXPONENTS))
-    zero = x == 0
-    code[zero] = len(snippets) - 2 + sign[zero]
-    texts = snippets.take(code).tolist()
-    for i in np.flatnonzero(~ok & ~zero).tolist():
-        texts[i] = "%.15g" % x[i]
+    code += sign[nonzero] * (32 * len(_G15_EXPONENTS))
+    codes[nonzero] = code
+    texts = snippets.take(codes).tolist()
+    for i, value in zip(np.arange(codes.size)[nonzero][~ok].tolist(), x[~ok].tolist()):
+        texts[i] = _scalar_text(value) if as_json else "%.15g" % value
     ints = np.empty((x.size, 2), dtype=np.int64)
     ints[:, 0] = whole
     ints[:, 1] = n
@@ -231,80 +215,85 @@ def _g15_cells(x: np.ndarray) -> tuple[list[str], list[int]]:
     return texts, ints[used].tolist()
 
 
-def _fill_g15(separators: list[str], values) -> str:
-    """``"%.15g".join(separators) % tuple(values)``, one value between each two separators.
+def _fill_g15(separators: list[str], values, as_json: bool = False) -> str:
+    """``"%s".join(separators) % texts``, the text of one value between each two separators.
 
-    From ``_G15_MIN_CELLS`` values up, each chunk of ``_G15_CHUNK`` cells
+    A value's text is its ``%.15g`` text, or with ``as_json`` its
+    ``_scalar_text``.  Each separator is a ``%`` format without directives,
+    its literal ``%`` written ``%%``.  Each chunk of ``_G15_CHUNK`` cells
     interleaves its separators with its ``_g15_cells`` snippets, which one
     ``%`` call fills with the exact 15-digit mantissas as Python ints: ``%d``
-    of an int costs a fraction of ``%.15g`` of a float.  A cell within 1e-9
-    of a rounding tie, or non-zero outside 1e-31 <= |x| < 1e14, prints
-    through ``%.15g`` itself.
+    of an int costs a fraction of ``%.15g`` of a float.
     """
     flat = np.asarray(values, dtype=np.float64).ravel()
-    if flat.size < _G15_MIN_CELLS:
-        return "%.15g".join(separators) % tuple(flat.tolist())
     parts = []
     for start in range(0, flat.size, _G15_CHUNK):
-        texts, ints = _g15_cells(flat[start : start + _G15_CHUNK])
-        parts.append(_interleave(separators[start : start + len(texts)], texts) % tuple(ints))
-    parts.append(separators[-1])
+        texts, ints = _g15_cells(flat[start : start + _G15_CHUNK], as_json)
+        pieces = [""] * (2 * len(texts))
+        pieces[::2] = separators[start : start + len(texts)]
+        pieces[1::2] = texts
+        parts.append("".join(pieces) % tuple(ints))
+    parts.append(separators[-1] % ())
     return "".join(parts)
 
 
-def _distinct_cells(flat: np.ndarray) -> list[str]:
-    """``_scalar_text`` of each cell of a flat float64 array, each distinct value printed once.
+def _lay_out(obj, nl: str, text: list[str], separators: list[str], cells: list) -> None:
+    """Add the JSON text of obj, placed at indent ``nl``, to a document being laid out.
 
-    Values are told apart by bit pattern, which keeps -0.0 apart from 0.0.
-    One ``_fill_g15`` call prints them, split on spaces (``%.15g`` prints
-    none); those not ``_plain`` go through ``_scalar_text``.
-    """
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    texts = _fill_g15([" "] * (values.size + 1), values).split()
-    for i in np.flatnonzero(~_plain(values)).tolist():
-        texts[i] = _scalar_text(values[i])
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-def _float_array_text(a: np.ndarray, nl: str) -> str:
-    """JSON text of a non-empty float array, each element printed as ``_scalar_text`` would.
-
-    The cells go between the ``_separators`` of its shape: through
-    ``_fill_g15`` when every value is ``_plain``, and otherwise through
-    ``_distinct_cells``, which pays off when values repeat.
-    """
-    flat = np.asarray(a, dtype=np.float64).ravel()
-    with np.errstate(invalid="ignore"):  # casting a signaling NaN to bool sets the flag
-        plain = flat.all() and _plain(flat).all()  # a zero, the usual odd cell, ends it early
-    if plain:
-        return _fill_g15(_separators(a.shape, nl), flat)
-    return _interleave(_separators(a.shape, nl), _distinct_cells(flat))
-
-
-def _json_text(obj, nl: str = "\n") -> str:
-    """The ``json.dumps(obj, indent=2)`` text of obj, placed at indent ``nl``.
-
-    Floats are rounded to 15 significant digits; numpy scalars and arrays
-    are written as Python scalars and (nested) lists.
+    Its floats go onto ``cells``: a float array's cells between the
+    ``_separators`` of its shape, a float scalar as one cell.  ``text``
+    holds the pieces since the last cell, and a cell closes them into one
+    of ``separators``.  Each piece is a ``%`` format, so a ``%`` of a key
+    or string is doubled.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.size:
-            return _float_array_text(obj, nl)
-        return _json_text(obj.tolist(), nl)
-    inner = nl + "  "
+            around = _separators(obj.shape, nl)
+            text.append(around[0])
+            start = len(separators)
+            separators += around
+            separators[start] = "".join(text)
+            text[:] = [separators.pop()]
+            cells.append(obj.ravel())
+            return
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        separators.append("".join(text))
+        text.clear()
+        cells.append((obj,))
+        return
     if isinstance(obj, dict):
         brackets = "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        items = [(encode_basestring_ascii(k).replace("%", "%%") + ": ", v) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
-        items = [_json_text(v, inner) for v in obj]
+        items = [("", v) for v in obj]
     else:
-        return _scalar_text(obj)
+        text.append(_scalar_text(obj).replace("%", "%%"))
+        return
     if not items:
-        return brackets
-    separators = [brackets[0] + inner] + ["," + inner] * (len(items) - 1) + [nl + brackets[1]]
-    return _interleave(separators, items)  # one copy of each item's text
+        text.append(brackets)
+        return
+    inner = nl + "  "
+    opener = brackets[0] + inner
+    for key, value in items:
+        text.append(opener + key)
+        _lay_out(value, inner, text, separators, cells)
+        opener = "," + inner
+    text.append(nl + brackets[1])
+
+
+def _json_text(obj) -> str:
+    """The ``json.dumps(obj, indent=2)`` text of obj, floats rounded to 15 significant digits.
+
+    numpy scalars and arrays are written as Python scalars and (nested)
+    lists.  The document is laid out once, as its float cells and the texts
+    between them, and one ``_fill_g15`` call prints it.
+    """
+    text, separators, cells = [], [], []
+    _lay_out(obj, "\n", text, separators, cells)
+    separators.append("".join(text))
+    return _fill_g15(separators, np.concatenate(cells) if cells else (), as_json=True)
 
 
 def _matrix_pairs(matrices: np.ndarray) -> np.ndarray:

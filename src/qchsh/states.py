@@ -132,6 +132,8 @@ def validate_state(rho: np.ndarray) -> TwoQuditState:
 
 def load_state_file(path: str, d: int | None = None) -> TwoQuditState:
     """Read and validate a state file; d is inferred from the file if omitted."""
+    if d is not None:
+        d = check_dim(d)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)

@@ -28,6 +28,7 @@ from qchsh.representation import (
 from qchsh.optimizer import (
     DEGENERATE_NORM_ATOL,
     LP_TIE_ATOL,
+    UPPER_BOUND_ATOL,
     _deterministic_init,
     _linear_max,
     _pair_products,
@@ -272,6 +273,66 @@ def stdlib_json_text(obj):
     ``tolist()`` is a scalar, which ``_jsonable`` then tries to iterate).
     """
     return json.dumps(_jsonable(obj), indent=2)
+
+
+def plain_mask(values: np.ndarray) -> np.ndarray:
+    """Mask of the float64 values whose JSON text is their ``%.15g`` text.
+
+    For a normal double whose 15-digit rounding is not an integer (which
+    every rounding of 1e14 and above is), the ``%.15g`` text already is the
+    shortest repr of the rounded value.  The mask leaves out a superset of
+    the other values: zeros, subnormals, non-finite values and values within
+    1e-14 (relative) of an integer, twice the most that 15-digit rounding
+    moves a value.
+    """
+    magnitude = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        return (magnitude >= 1e-307) & (np.abs(values - np.rint(values)) > 1e-14 * magnitude)
+
+
+# A printed optimize report's own numbers agree within this: each matrix with
+# its conjugate transpose and its expansion, its trace with 0, its largest
+# |eigenvalue| with 1 at most, and the dense tr[rho B] with its value.  The
+# replayed reports reach 2.7e-15 (the eigenvalue, at d = 12).
+REPORT_ATOL = 1e-14
+# The see-saw's value may fall short of the spectral lower bound by this much.
+LOWER_BOUND_SLACK = 1e-9
+
+
+def check_optimize_report(text: str, rho) -> None:
+    """Check a printed ``optimize`` report against the state rho, from its printed numbers only.
+
+    Each setting's printed matrix is Hermitian and traceless, its spectrum
+    lies in [-1, 1], and its printed coefficients expand to it through the
+    dense Gell-Mann stack; the dense tr[rho B] of the printed matrices,
+    B = A1 x (B1 + B2) + A2 x (B1 - B2), is the printed value, and the value
+    lies between the printed bounds.  All within ``REPORT_ATOL``, the bounds
+    within ``LOWER_BOUND_SLACK`` and ``UPPER_BOUND_ATOL``.  An
+    AssertionError names the first check that fails.
+    """
+    report = json.loads(text)
+    d = report["d"]
+    stack, _ = dense_gellmann_stack(d)
+    matrices = []
+    for name in ("A1", "A2", "B1", "B2"):
+        pairs = np.array(report["settings"][name], dtype=np.float64)
+        m = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
+        assert np.max(np.abs(m - m.conj().T)) <= REPORT_ATOL, f"{name} is not Hermitian"
+        assert abs(np.trace(m)) <= REPORT_ATOL, f"{name} has trace {np.trace(m)}"
+        spectrum = np.max(np.abs(np.linalg.eigvalsh(m)))
+        assert spectrum <= 1.0 + REPORT_ATOL, f"{name} has |eigenvalue| {spectrum!r}"
+        coefficients = np.array(report[name.lower()], dtype=np.float64)
+        expanded = math.sqrt(d / 2.0) * np.einsum("j,jkl->kl", coefficients, stack)
+        residual = np.max(np.abs(expanded - m))
+        assert residual <= REPORT_ATOL, f"{name.lower()} misses {name} by {residual:.3e}"
+        matrices.append(m)
+    a1, a2, b1, b2 = matrices
+    bell = np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2)
+    direct = np.einsum("rc,cr->", np.asarray(rho), bell).real
+    value = report["value"]
+    assert abs(direct - value) <= REPORT_ATOL, f"tr[rho B] = {direct!r} but value = {value!r}"
+    assert report["lower_bound"] - LOWER_BOUND_SLACK <= value, "value below the lower bound"
+    assert value <= report["upper_bound"] + UPPER_BOUND_ATOL, "value above the upper bound"
 
 
 def correlation_csv_oracle(labels, matrix):

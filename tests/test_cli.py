@@ -23,6 +23,7 @@ from conftest import (
     halve_bob_in_sweep,
     load_state_file_oracle,
     patch_ghz_blocks,
+    plain_mask,
     state_to_json_dict,
     stdlib_json_text,
 )
@@ -35,7 +36,7 @@ from qchsh import (
     load_state_file,
     random_two_qudit_state,
 )
-from qchsh.cli import _correlation_csv, _fill_g15, _float_array_text, _json_text, _plain, main
+from qchsh.cli import _correlation_csv, _fill_g15, _json_text, main
 from qchsh.errors import InvalidConfig, ValidationError
 from qchsh.representation import GellMannBasis
 
@@ -404,6 +405,16 @@ def test_state_file_bad_dimension_exits_one(capsys, tmp_path, bad_d):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["ghz", "random:1", "file"])
+def test_dim_one_is_an_invalid_dimension_for_every_state_source(capsys, tmp_path, spec):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(ghz_state(2))))
+    spec = f"file:{path}" if spec == "file" else spec
+    code, _, err = run_cli(capsys, "bounds", "--state", spec, "--dim", "1")
+    assert code == 1
+    assert err.startswith("error: InvalidDimension")
+
+
 @pytest.mark.parametrize("declared", [3, 4])
 def test_state_file_side_mismatch_is_named_before_positivity(capsys, tmp_path, declared):
     # a 4x4 rho, the side of d = 2, that is also not positive
@@ -475,6 +486,38 @@ def test_json_writer_matches_stdlib_encoder(payload):
     assert _json_text(payload) == stdlib_json_text(payload)
 
 
+_PERCENT_TEXT = st.text(alphabet="%ds.a", max_size=4)
+
+
+# A key or string is part of a ``%`` format in the writer, its ``%`` doubled;
+# the text after the last float is such a format too.
+@settings(max_examples=100, deadline=None)
+@given(
+    payload=st.dictionaries(
+        _PERCENT_TEXT, st.one_of(_PERCENT_TEXT, _FLOATS, _FLOAT_ARRAYS, st.lists(_PERCENT_TEXT)),
+        max_size=4,
+    )
+)
+@example(payload={"%d": "100%", "a%%s": [0.5, 0.0]})
+@example(payload={"%s": np.array([1.5, -0.0]), "%%": 2.0, "after": "100%", "%d": ["%.15g"]})
+def test_json_writer_prints_percent_signs_in_keys_and_strings(payload):
+    assert _json_text(payload) == stdlib_json_text(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"d": 3, "note": "100%", "flags": [True, False, None], "empty": np.zeros((0, 3)), "n": np.int64(7)},
+        [[], {}, "%d%%", np.arange(6).reshape(2, 3), np.array([True])],
+        "%s",
+        12,
+        {},
+    ],
+)
+def test_json_writer_prints_a_document_without_floats(payload):
+    assert _json_text(payload) == stdlib_json_text(payload)
+
+
 def _from_bits(bits):
     return float(np.uint64(bits).view(np.float64))
 
@@ -519,11 +562,11 @@ def _scaled_normals(seed, size, exponents):
 def test_json_writer_matches_stdlib_encoder_on_large_plain_arrays(shape, seed, odd, where):
     size = int(np.prod(shape))
     pool = _scaled_normals(seed, 2 * size + 64, (-310, 16))
-    pool = pool[_plain(pool)]
+    pool = pool[plain_mask(pool)]
     assume(pool.size >= size)
     a = pool[:size].reshape(shape)
     assert _json_text(a) == stdlib_json_text(a)
-    a.flat[int(where * size)] = odd  # one cell that is not plain takes the distinct-value path
+    a.flat[int(where * size)] = odd  # one cell that is not plain, printed from the table or its own text
     assert _json_text(a) == stdlib_json_text(a)
     assert _json_text({"a": [a]}) == stdlib_json_text({"a": [a]})
 
@@ -573,7 +616,7 @@ _HARD = _hard_cells()
 
 @pytest.mark.parametrize(
     "size",
-    [qchsh.cli._G15_MIN_CELLS - 1, qchsh.cli._G15_MIN_CELLS, qchsh.cli._G15_CHUNK - 1,
+    [319, 320, qchsh.cli._G15_CHUNK - 1,
      qchsh.cli._G15_CHUNK, qchsh.cli._G15_CHUNK + 1, 9000],
 )
 def test_writers_print_hard_cells_as_the_oracles_do(size):
@@ -582,12 +625,27 @@ def test_writers_print_hard_cells_as_the_oracles_do(size):
     matrix = rng.permutation(np.resize(_HARD, side * side)).reshape(side, side)
     labels = [f"l{i}" for i in range(side)]
     assert _correlation_csv(labels, matrix) == correlation_csv_oracle(labels, matrix)
-    plain = rng.permutation(np.resize(_HARD[_plain(_HARD)], size))
+    plain = rng.permutation(np.resize(_HARD[plain_mask(_HARD)], size))
     assert _json_text(plain) == stdlib_json_text(plain)
     assert _json_text({"T": plain.reshape(-1, 1)}) == stdlib_json_text({"T": plain.reshape(-1, 1)})
     template = "|%.15g" * size
     cells = matrix.ravel()[:size]
     assert _fill_g15(template.split("%.15g"), cells) == template % tuple(cells.tolist())
+
+
+def test_json_writer_prints_arrays_across_chunk_boundaries():
+    # two 3000-cell arrays with scalars between them: the first chunk holds the
+    # first array, two scalars and the head of the second array, the next chunk
+    # the rest of it and the last scalar
+    rng = np.random.default_rng(28)
+    first = rng.permutation(np.resize(_HARD, 3000))
+    second = rng.permutation(np.resize(_HARD, 3000)).reshape(50, 30, 2)
+    payload = {
+        "first": first, "x": 1.5, "n": 3, "%": "%s", "zero": -0.0, "second": second, "last": 0.1,
+    }
+    assert 3000 + 2 < qchsh.cli._G15_CHUNK < 3000 + 2 + 3000
+    assert _json_text(payload) == stdlib_json_text(payload)
+    assert _json_text([second, first]) == stdlib_json_text([second, first])
 
 
 def test_integer_path_prints_extreme_cells_without_warnings():
@@ -611,7 +669,7 @@ def test_writers_peak_memory_stays_within_four_times_the_text():
     qchsh.cli._g15_tables()  # built once per process, not part of any writer's peak
     for write in (
         lambda: _correlation_csv(basis.labels, t),
-        lambda: _float_array_text(t, "\n"),
+        lambda: _json_text(t),
         lambda: _json_text({"d": 16, "operators": operators}),
     ):
         tracemalloc.start()

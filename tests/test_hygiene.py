@@ -2,6 +2,7 @@
 without a placeholder in the package modules or the tests, every name that
 ``qchsh.__all__`` exports exists, each export and each public method of an
 exported class is used by some package module other than ``__init__.py``,
+each private module-level name is read by another part of the package,
 the optimizer reads states only through the correlation matrix it is given,
 no exported callable takes a ``basis`` parameter, no package module reaches
 into numpy's private modules, the CLI builds its parser on the first
@@ -114,6 +115,65 @@ def _names_used_in_package() -> set[str]:
 def test_every_export_is_used_in_the_package():
     used = _names_used_in_package()
     assert [name for name in qchsh.__all__ if name not in used] == []
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions, classes and constants that no module reads.
+
+    A name is read where a module loads it, imports it or reads it as an
+    attribute, outside the statement that defines it.  Reads by the tests
+    do not count.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {statement.name}
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                names = {
+                    node.id for target in targets for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                }
+            else:
+                names = set()
+            defined += [
+                (module, name) for name in sorted(names)
+                if name.startswith("_") and not name.startswith("__")
+            ]
+            reads = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    reads.add(node.name)
+            read |= reads - names
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that only tests call is test code, and lives in the tests
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _unread_private_names(sources) == []
+
+
+def test_unread_private_name_is_reported():
+    sources = {
+        "a.py": (
+            "_READ = 1\n"
+            "_UNREAD, _PAIR = 2, 3\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) + _READ + _PAIR\n"
+            "class _Imported: ...\n"
+            "def _attribute(): ...\n"
+            "def public(): ...\n"
+            "__version__ = '1'\n"
+        ),
+        "b.py": "import a\nfrom a import _Imported\na._attribute()\n",
+    }
+    assert _unread_private_names(sources) == ["a.py: _UNREAD", "a.py: _recursive"]
 
 
 def _attributes_read(sources) -> set[str]:

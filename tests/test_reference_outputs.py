@@ -7,7 +7,9 @@ full-size ``correlation --dim 12`` requests (json and csv, four state seeds)
 and ``basis --dim 16``, the largest JSON report, are replayed through
 ``qchsh.cli.main`` and the sha256 of its stdout is compared with
 ``perfbench/reference.json``.  A refactor that changes any printed digit
-fails here.  The benchmark files are only read.
+fails here.  Each replayed ``optimize`` report is also checked from its own
+printed numbers against its state (``conftest.check_optimize_report``).
+The benchmark files are only read.
 
 The digests were recorded with one BLAS thread, and some drift in the last
 digits when OpenBLAS runs several.  The see-saw requests at d = 10 and 12
@@ -28,9 +30,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qchsh.cli import main
+from conftest import check_optimize_report
+from qchsh.cli import _resolve_state, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -85,6 +89,10 @@ CORRELATION_KEYS = [
 ]
 BASIS_KEYS = [key for key in FULL_KEYS if key.split()[0] == "basis" and _max_dim(key) == 16]
 VERIFY_KEYS = [key for key in FULL_KEYS if key.split()[0] == "verify"]
+OPTIMIZE_KEYS = [
+    key for key in dict.fromkeys(TINY_KEYS + SEESAW_KEYS + ONE_THREAD_SEESAW_KEYS)
+    if key.split()[0] == "optimize"
+]
 
 
 def _assert_matches_reference(key, tmp_path):
@@ -133,3 +141,62 @@ def test_full_correlation_request_matches_reference_digest(key, tmp_path):
 @pytest.mark.parametrize("key", BASIS_KEYS)
 def test_full_basis_request_matches_reference_digest(key, tmp_path):
     _assert_matches_reference(key, tmp_path)
+
+
+def _report_and_rho(key, tmp_path):
+    """The printed report of a replayed request, one BLAS thread where its digest needs
+    one, and the density matrix of its state."""
+    (request,) = workloads.build_requests([key], tmp_path)
+    if key in ONE_THREAD_SEESAW_KEYS:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        script = "import sys; from qchsh.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run(
+            [sys.executable, "-c", script, *request.argv],
+            capture_output=True, encoding="utf-8", env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        text = run.stdout
+    else:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(request.argv)) == 0
+        text = out.getvalue()
+    return text, _resolve_state(build_parser().parse_args(request.argv)).rho
+
+
+@pytest.mark.parametrize("key", OPTIMIZE_KEYS)
+def test_replayed_optimize_report_passes_its_own_check(key, tmp_path):
+    text, rho = _report_and_rho(key, tmp_path)
+    check_optimize_report(text, rho)
+
+
+def _nudge_coefficient(report, rho):
+    report["a1"][0] += 1e-12
+    return report, rho
+
+
+def _scale_matrix(report, rho):
+    report["settings"]["B2"] = (np.array(report["settings"]["B2"]) * (1 + 1e-12)).tolist()
+    return report, rho
+
+
+def _swap_parties(report, rho):
+    d = report["d"]
+    return report, rho.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_nudge_coefficient, "a1 misses A1"),
+        (_scale_matrix, "B2 has [|]eigenvalue[|]"),  # exact-mode settings have eigenvalues +-1
+        (_swap_parties, "tr.rho B."),
+    ],
+)
+def test_optimize_report_check_refuses_a_planted_fault(fault, message, tmp_path):
+    text, rho = _report_and_rho(OPTIMIZE_KEYS[0], tmp_path)
+    check_optimize_report(text, rho)
+    report, rho = fault(json.loads(text), rho)
+    with pytest.raises(AssertionError, match=message):
+        check_optimize_report(json.dumps(report), rho)

@@ -225,6 +225,23 @@ def test_state_file_dim_mismatch(tmp_path):
         load_state_file(str(path), d=3)
 
 
+@pytest.mark.parametrize("d", [2.0, "2", 1, True, np.float64(2.0)])
+def test_state_file_requested_dim_is_checked_before_the_file(tmp_path, d):
+    # the file holds a valid d = 2 state, so only the requested d can be refused
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(ghz_state(2))))
+    with pytest.raises(InvalidDimension, match="integer >= 2"):
+        load_state_file(str(path), d=d)
+    with pytest.raises(InvalidDimension):
+        load_state_file(str(tmp_path / "missing.json"), d=d)
+
+
+def test_state_file_requested_numpy_int_dim_is_accepted(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(ghz_state(2))))
+    assert load_state_file(str(path), d=np.int64(2)).dim == 2
+
+
 def test_state_file_malformed(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
