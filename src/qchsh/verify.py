@@ -1,9 +1,12 @@
 """Self-verification suites exposed through the CLI ``verify`` subcommand.
 
-Each suite checks one family of invariants at fixed tolerances and reports a
-pass/fail outcome with the number of checks performed.  Suites build bases
-through the module-level ``build_gellmann_basis`` name so tests can inject a
-corrupted builder.
+Each suite checks one family of invariants at fixed tolerances and returns
+``(checks, passed, detail)``: the number of checks made, and on a failure
+the count made before the first failing one.  ``run_suites`` names each
+result from its ``SUITES`` key, so a new check is one
+``return checks, False, detail`` in its suite.  Suites reach the basis
+builder, ``correlation_matrix`` and ``chsh_bounds`` through module-level
+names so tests can plant a fault in each.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ class SuiteResult:
     name: str
     checks: int
     passed: bool
-    detail: str = ""
+    detail: str
 
 
-def suite_orthogonality(dims, trials, seed) -> SuiteResult:
+def suite_orthogonality(dims, trials, seed) -> tuple[int, bool, str]:
     worst = 0.0
     checks = 0
     for d in dims:
@@ -37,10 +40,10 @@ def suite_orthogonality(dims, trials, seed) -> SuiteResult:
         worst = max(worst, residual)
         checks += basis.size * basis.size
     passed = worst < 1e-12
-    return SuiteResult("orthogonality", checks, passed, f"max |tr - 2*delta| = {worst:.3e}")
+    return checks, passed, f"max |tr - 2*delta| = {worst:.3e}"
 
 
-def suite_lemma1(dims, trials, seed) -> SuiteResult:
+def suite_lemma1(dims, trials, seed) -> tuple[int, bool, str]:
     rng = np.random.default_rng([seed, 1])
     checks = 0
     for d in dims:
@@ -53,23 +56,17 @@ def suite_lemma1(dims, trials, seed) -> SuiteResult:
         low = np.sqrt(2.0 / d)
         high = np.sqrt(2.0 * (d - 1) / d)
         if np.min(ratio) < low - 1e-10 or np.max(ratio) > high + 1e-10:
-            return SuiteResult(
-                "lemma1",
-                checks,
-                False,
+            return checks, False, (
                 f"d={d}: ratio range [{np.min(ratio):.12f}, {np.max(ratio):.12f}] "
-                f"outside [{low:.12f}, {high:.12f}]",
+                f"outside [{low:.12f}, {high:.12f}]"
             )
         if d == 2 and np.max(np.abs(ratio - 1.0)) > 1e-12:
-            return SuiteResult(
-                "lemma1", checks, False,
-                f"d=2 ratio deviates from 1 by {np.max(np.abs(ratio - 1.0)):.3e}",
-            )
+            return checks, False, f"d=2 ratio deviates from 1 by {np.max(np.abs(ratio - 1.0)):.3e}"
         checks += int(g.shape[0])
-    return SuiteResult("lemma1", checks, True, "norm sandwich holds")
+    return checks, True, "norm sandwich holds"
 
 
-def suite_roundtrip(dims, trials, seed) -> SuiteResult:
+def suite_roundtrip(dims, trials, seed) -> tuple[int, bool, str]:
     rng = np.random.default_rng([seed, 2])
     checks = 0
     count = min(trials, 2000)
@@ -85,29 +82,23 @@ def suite_roundtrip(dims, trials, seed) -> SuiteResult:
         back = np.sqrt(d / 2.0) * basis._matrices(n)
         matrix_err = float(np.max(np.abs(back - x)))
         if matrix_err > 1e-10:
-            return SuiteResult(
-                "roundtrip", checks, False, f"d={d}: reconstruction error {matrix_err:.3e}"
-            )
+            return checks, False, f"d={d}: reconstruction error {matrix_err:.3e}"
         # tr[X^2] = d * ||n||^2 for the rescaled coefficients
         x_sq = np.real(np.einsum("tkl,tlk->t", x, x))
         norm_err = float(np.max(np.abs(x_sq - d * np.vecdot(n, n))))
         if norm_err > 1e-10:
-            return SuiteResult(
-                "roundtrip", checks, False, f"d={d}: norm identity residual {norm_err:.3e}"
-            )
+            return checks, False, f"d={d}: norm identity residual {norm_err:.3e}"
         vec = rng.standard_normal((count, basis.size))
         mats = np.sqrt(d / 2.0) * basis._matrices(vec)
         vec_back = basis._vectors(mats) / scale
         vector_err = float(np.max(np.abs(vec_back - vec)))
         if vector_err > 1e-10:
-            return SuiteResult(
-                "roundtrip", checks, False, f"d={d}: vector round-trip error {vector_err:.3e}"
-            )
+            return checks, False, f"d={d}: vector round-trip error {vector_err:.3e}"
         checks += 3 * count
-    return SuiteResult("roundtrip", checks, True, "bijection holds to 1e-10")
+    return checks, True, "bijection holds to 1e-10"
 
 
-def suite_correlation_bound(dims, trials, seed) -> SuiteResult:
+def suite_correlation_bound(dims, trials, seed) -> tuple[int, bool, str]:
     rng = np.random.default_rng([seed, 3])
     checks = 0
     pairs = min(trials, 1000)
@@ -121,15 +112,14 @@ def suite_correlation_bound(dims, trials, seed) -> SuiteResult:
             values = np.abs(np.vecdot(a, b @ t.T))
             worst = float(np.max(values))
             if worst > 2.0 / d + 1e-9:
-                return SuiteResult(
-                    "correlation-bound", checks, False,
-                    f"d={d}: |<a, T b>| = {worst:.12f} exceeds 2/d = {2.0 / d:.12f}",
+                return checks, False, (
+                    f"d={d}: |<a, T b>| = {worst:.12f} exceeds 2/d = {2.0 / d:.12f}"
                 )
             checks += pairs
-    return SuiteResult("correlation-bound", checks, True, "pairings within 2/d")
+    return checks, True, "pairings within 2/d"
 
 
-def suite_ghz_closed_form(dims, trials, seed) -> SuiteResult:
+def suite_ghz_closed_form(dims, trials, seed) -> tuple[int, bool, str]:
     checks = 0
     for d in dims:
         computed = correlation_matrix(ghz_state(d)).matrix
@@ -139,45 +129,35 @@ def suite_ghz_closed_form(dims, trials, seed) -> SuiteResult:
             np.max(np.abs(computed @ computed - (4.0 / d**2) * np.eye(d * d - 1)))
         )
         if entry_err > 1e-12 or square_err > 1e-12:
-            return SuiteResult(
-                "ghz-closed-form", checks, False,
-                f"d={d}: entry residual {entry_err:.3e}, square residual {square_err:.3e}",
+            return checks, False, (
+                f"d={d}: entry residual {entry_err:.3e}, square residual {square_err:.3e}"
             )
         checks += 2
-    return SuiteResult("ghz-closed-form", checks, True, "block form and T^2 = (4/d^2) I")
+    return checks, True, "block form and T^2 = (4/d^2) I"
 
 
-def suite_bound_ordering(dims, trials, seed) -> SuiteResult:
+def suite_bound_ordering(dims, trials, seed) -> tuple[int, bool, str]:
     rng = np.random.default_rng([seed, 4])
     checks = 0
     states_per_dim = min(max(trials // 100, 5), 50)
     for d in dims:
         closed_upper = chsh_bounds(ghz_correlation_matrix(d)).upper
         if abs(closed_upper - ghz_chsh_maximum(d)) > 1e-12:
-            return SuiteResult(
-                "bound-ordering", checks, False,
-                f"d={d}: GHZ upper bound {closed_upper!r} != closed form",
-            )
+            return checks, False, f"d={d}: GHZ upper bound {closed_upper!r} != closed form"
         checks += 1
         for _ in range(states_per_dim):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))
             correlations = correlation_matrix(state)
             report = chsh_bounds(correlations)
             if report.lower > report.upper + 1e-12:
-                return SuiteResult(
-                    "bound-ordering", checks, False,
-                    f"d={d}: lower {report.lower!r} above upper {report.upper!r}",
-                )
+                return checks, False, f"d={d}: lower {report.lower!r} above upper {report.upper!r}"
             if d == 2:
                 exact = horodecki_two_qubit(correlations)
                 residual = max(abs(exact - report.lower), abs(exact - report.upper))
                 if residual > 1e-12:
-                    return SuiteResult(
-                        "bound-ordering", checks, False,
-                        f"d=2: bounds miss the exact value by {residual:.3e}",
-                    )
+                    return checks, False, f"d=2: bounds miss the exact value by {residual:.3e}"
             checks += 1
-    return SuiteResult("bound-ordering", checks, True, "lower <= upper everywhere")
+    return checks, True, "lower <= upper everywhere"
 
 
 SUITES = {
@@ -195,11 +175,9 @@ def run_suites(names: list[str] | None, dims, trials: int, seed: int) -> list[Su
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
     selected = list(SUITES) if not names else names
-    results = []
     for name in selected:
         if name not in SUITES:
             raise ValidationError(
                 f"unknown suite {name!r}; available: {', '.join(SUITES)}"
             )
-        results.append(SUITES[name](tuple(dims), trials, seed))
-    return results
+    return [SuiteResult(name, *SUITES[name](tuple(dims), trials, seed)) for name in selected]

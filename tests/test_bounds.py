@@ -25,7 +25,7 @@ from qchsh import (
 import qchsh.bounds
 import qchsh.verify
 from qchsh.errors import InvalidDimension, WrongDimension
-from qchsh.verify import suite_bound_ordering
+from qchsh.verify import run_suites
 
 from conftest import random_unitary
 
@@ -114,7 +114,7 @@ def test_bound_ordering_catches_a_wrong_gram_spectrum(monkeypatch):
         return (lam1, lam2) if np.array_equal(t, np.diag(np.diag(t))) else (1.01 * lam1, lam2)
 
     monkeypatch.setattr(qchsh.bounds, "top_two_gram_eigenvalues", planted)
-    result = suite_bound_ordering((2,), 500, 0)
+    (result,) = run_suites(["bound-ordering"], (2,), 500, 0)
     assert not result.passed
     assert result.checks == 1
     assert result.detail.startswith("d=2:")
@@ -133,7 +133,7 @@ def test_bound_ordering_checks_the_lower_bound_at_d2(monkeypatch):
         return LoweredLower(*dataclasses.astuple(chsh_bounds(correlations)))
 
     monkeypatch.setattr(qchsh.verify, "chsh_bounds", planted)
-    result = suite_bound_ordering((2,), 500, 0)
+    (result,) = run_suites(["bound-ordering"], (2,), 500, 0)
     assert not result.passed
     assert result.checks == 1
     assert result.detail == "d=2: bounds miss the exact value by 1.000e-09"

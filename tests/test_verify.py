@@ -12,6 +12,7 @@ import qchsh.bounds
 import qchsh.verify
 from qchsh.cli import main
 from qchsh.correlation import CorrelationMatrix
+from qchsh.errors import ValidationError
 from qchsh.representation import GellMannBasis
 from qchsh.verify import SUITES, SuiteResult, run_suites
 
@@ -113,6 +114,20 @@ def test_suite_fails_on_its_planted_fault(monkeypatch, name):
     plant, checks, detail = PLANTS[name]
     plant(monkeypatch)
     assert run_suites([name], range(2, 7), 500, 0) == [SuiteResult(name, checks, False, detail)]
+
+
+def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
+    calls = []
+    right = SUITES["lemma1"]
+
+    def recording(*args):
+        calls.append(args)
+        return right(*args)
+
+    monkeypatch.setitem(qchsh.verify.SUITES, "lemma1", recording)
+    with pytest.raises(ValidationError, match="unknown suite 'nope'"):
+        run_suites(["lemma1", "nope"], (2,), 5, 0)
+    assert calls == []
 
 
 def _verify_lines(capsys, *argv):
