@@ -26,16 +26,20 @@ def _scaled_method(monkeypatch, name, factor):
     monkeypatch.setattr(GellMannBasis, name, planted)
 
 
-def _scaled_correlations(monkeypatch, factor):
+def _changed_correlations(monkeypatch, change):
     right = qchsh.verify.correlation_matrix
 
     def planted(state):
         correlations = right(state)
         if correlations.dim < 3:
             return correlations
-        return CorrelationMatrix(factor * correlations.matrix)
+        return CorrelationMatrix(change(correlations.matrix))
 
     monkeypatch.setattr(qchsh.verify, "correlation_matrix", planted)
+
+
+def _scaled_correlations(monkeypatch, factor):
+    _changed_correlations(monkeypatch, lambda t: factor * t)
 
 
 def plant_orthogonality(monkeypatch):
@@ -114,6 +118,26 @@ def test_suite_fails_on_its_planted_fault(monkeypatch, name):
     plant, checks, detail = PLANTS[name]
     plant(monkeypatch)
     assert run_suites([name], range(2, 7), 500, 0) == [SuiteResult(name, checks, False, detail)]
+
+
+# a wrong T that correlation-bound should catch -> its SuiteResult
+WRONG_T = {
+    "transposed": (
+        lambda monkeypatch: _changed_correlations(monkeypatch, lambda t: t.T),
+        SuiteResult("correlation-bound", 7500, True, "pairings within 2/d"),
+    ),
+    "scaled by 1.2": (
+        lambda monkeypatch: _scaled_correlations(monkeypatch, 1.2),
+        SuiteResult("correlation-bound", 7500, True, "pairings within 2/d"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(WRONG_T))
+def test_correlation_bound_on_a_wrong_t(monkeypatch, fault):
+    plant, result = WRONG_T[fault]
+    plant(monkeypatch)
+    assert run_suites(["correlation-bound"], range(2, 7), 500, 0) == [result]
 
 
 def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
