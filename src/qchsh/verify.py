@@ -104,13 +104,22 @@ def suite_correlation_bound(dims, trials, seed) -> tuple[int, bool, str]:
     pairs = min(trials, 1000)
     for d in dims:
         basis = build_gellmann_basis(d)
-        for k in range(3):
+        # one admissible draw per d, which each of its three states meets
+        a = basis._boundary(rng.standard_normal((pairs, basis.size)))
+        b = basis._boundary(rng.standard_normal((pairs, basis.size)))
+        # kron(X_a, X_b) of the first pairs, X = sqrt(d/2) n . L
+        x_a, x_b = np.sqrt(d / 2.0) * basis._matrices(np.stack((a[:4], b[:4])))
+        kron = (x_a[:, :, None, :, None] * x_b[:, None, :, None, :]).reshape(-1, d * d, d * d)
+        for _ in range(3):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))
             t = correlation_matrix(state).matrix
-            a = basis._boundary(rng.standard_normal((pairs, basis.size)))
-            b = basis._boundary(rng.standard_normal((pairs, basis.size)))
-            values = np.abs(np.vecdot(a, b @ t.T))
-            worst = float(np.max(values))
+            values = np.vecdot(a, b @ t.T)
+            # tr[rho (X_a x X_b)] = (d/2) <a, T b>, on the dense rho
+            direct = np.einsum("rc,pcr->p", state.rho, kron).real
+            gap = float(np.max(np.abs(values[:4] - (2.0 / d) * direct)))
+            if gap > 1e-10:
+                return checks, False, f"d={d}: <a, T b> is {gap:.3e} off tr[rho (X_a x X_b)]"
+            worst = float(np.max(np.abs(values)))
             if worst > 2.0 / d + 1e-9:
                 return checks, False, (
                     f"d={d}: |<a, T b>| = {worst:.12f} exceeds 2/d = {2.0 / d:.12f}"

@@ -68,7 +68,8 @@ def plant_roundtrip(monkeypatch):
 
 
 def plant_correlation_bound(monkeypatch):
-    _scaled_correlations(monkeypatch, 4.0)
+    # off the admissible set, in a and b alike: only the 2/d bound sees it
+    _scaled_method(monkeypatch, "_boundary", 3.0)
 
 
 def plant_ghz_closed_form(monkeypatch):
@@ -97,8 +98,8 @@ PLANTS = {
     "roundtrip": (plant_roundtrip, 1500, "d=3: reconstruction error 3.196e-03"),
     "correlation-bound": (
         plant_correlation_bound,
-        2500,
-        "d=3: |<a, T b>| = 0.705504308471 exceeds 2/d = 0.666666666667",
+        1500,
+        "d=3: |<a, T b>| = 0.974301849277 exceeds 2/d = 0.666666666667",
     ),
     "ghz-closed-form": (
         plant_ghz_closed_form, 2, "d=3: entry residual 3.333e-02, square residual 4.556e-02"
@@ -120,15 +121,24 @@ def test_suite_fails_on_its_planted_fault(monkeypatch, name):
     assert run_suites([name], range(2, 7), 500, 0) == [SuiteResult(name, checks, False, detail)]
 
 
+def _off_direct_form(checks, gap):
+    detail = f"d=3: <a, T b> is {gap} off tr[rho (X_a x X_b)]"
+    return SuiteResult("correlation-bound", checks, False, detail)
+
+
 # a wrong T that correlation-bound should catch -> its SuiteResult
 WRONG_T = {
     "transposed": (
         lambda monkeypatch: _changed_correlations(monkeypatch, lambda t: t.T),
-        SuiteResult("correlation-bound", 7500, True, "pairings within 2/d"),
+        _off_direct_form(1500, "5.844e-02"),
     ),
     "scaled by 1.2": (
         lambda monkeypatch: _scaled_correlations(monkeypatch, 1.2),
-        SuiteResult("correlation-bound", 7500, True, "pairings within 2/d"),
+        _off_direct_form(1500, "1.467e-02"),
+    ),
+    "scaled by 4": (
+        lambda monkeypatch: _scaled_correlations(monkeypatch, 4.0),
+        _off_direct_form(1500, "2.201e-01"),
     ),
 }
 
@@ -138,6 +148,20 @@ def test_correlation_bound_on_a_wrong_t(monkeypatch, fault):
     plant, result = WRONG_T[fault]
     plant(monkeypatch)
     assert run_suites(["correlation-bound"], range(2, 7), 500, 0) == [result]
+
+
+def test_correlation_bound_draws_its_admissible_pairs_once_per_dimension(monkeypatch):
+    calls = []
+    right = GellMannBasis._operator_norms
+
+    def counted(self, n):
+        calls.append(self.dim)
+        return right(self, n)
+
+    monkeypatch.setattr(GellMannBasis, "_operator_norms", counted)
+    run_suites(["correlation-bound"], range(2, 7), 500, 0)
+    # one _boundary batch for a and one for b, whatever the number of states
+    assert calls == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
 
 
 def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
