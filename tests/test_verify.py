@@ -3,7 +3,9 @@
 Every plant is active only from d = 3 on, so a suite run over d = 2..6
 reports the checks it made at d = 2 before the fault, and the first failing
 dimension's detail.  ``PLANTS`` names every suite: a suite cannot be added
-without a planted fault that it is shown to catch.
+without a planted fault that it is shown to catch.  ``WRONG_T`` holds wrong
+correlation matrices that ``correlation-bound`` catches through its direct
+form.
 """
 
 import pytest
