@@ -323,7 +323,7 @@ def _csv_cell(value) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -480,7 +480,7 @@ def cmd_ghz_table(args) -> int:
 
 def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
-    names = [args.suite] if args.suite else None
+    names = None if args.suite is None else [args.suite]
     results = verify_module.run_suites(names, dims, args.trials, args.seed)
     failed = [r for r in results if not r.passed]
     for result in results:

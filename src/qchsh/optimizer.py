@@ -12,11 +12,11 @@ program
 whose optimum is mu_i = sign(lam_i - t*) with t* a median of the lam_i
 (ties adjusted to make the sum vanish exactly), with optimal value
 ``min_t sum_i |lam_i - t|``.  In both modes a direction of norm at most
-``DEGENERATE_NORM_ATOL`` gives the zero vector, which maximizes the zero
-objective it stands for.  Exact updates make the value sequence
-monotonically non-decreasing, so an exact run raises NumericalError at the
-first sweep in which a restart's value falls; closed-form updates can lower
-it, and closed-form runs track nothing.
+``DEGENERATE_NORM_ATOL`` gives the zero vector (in exact mode by the LP's
+tie rule), which maximizes the zero objective it stands for.  Exact updates
+make the value sequence monotonically non-decreasing, so an exact run raises
+NumericalError at the first sweep in which a restart's value falls;
+closed-form updates can lower it, and closed-form runs track nothing.
 
 All restarts of one ``seesaw_maximize`` call advance in lockstep on
 (restarts, 2, d**2-1) arrays.  ``_sweep`` is one sweep and holds nothing
@@ -32,9 +32,9 @@ alone.  The LP's sign pattern, one read-only array per batch shape, and
 the slice its tie test reads are built once per shape (``_lp_pattern``); a
 batch with no tie beside a median gets that array itself.  The sums
 ``u +- v`` of a pair are one matmul with a +-1 stencil (``_pair_products``),
-and every row dot product, the values and the vanishing test's squared
-norms alike, is one ``np.vecdot``.  The party updates hand the arrays they
-build straight to the basis's check-free map cores.
+and every row dot product, the values and the closed-form vanishing test's
+squared norms alike, is one ``np.vecdot``.  The party updates hand the
+arrays they build straight to the basis's check-free map cores.
 
 The driver ``_run_restarts`` holds the rest: the starts, the fall check,
 the stop rules and the live batch.  Before the first sweep it takes T's
@@ -85,6 +85,8 @@ from .representation import (
     expand_observable,
 )
 
+# 2 sqrt(2) DEGENERATE_NORM_ATOL < LP_TIE_ATOL: by Lemma 1, w . L then has all
+# its eigenvalues tied with the median when ||w|| <= DEGENERATE_NORM_ATOL.
 DEGENERATE_NORM_ATOL = 1e-14
 LP_TIE_ATOL = 1e-12
 # A distance on T, not on rho: restart 0 takes the GHZ start within it of the
@@ -248,20 +250,18 @@ def _party_update(directions: np.ndarray, basis: GellMannBasis, mode: str) -> np
     as (A1+A2) x B1 + (A1-A2) x B2).  "exact" maximizes <n, w> over
     admissible n: all directions share one basis map, one eigensolver call
     and one LP, each row on its own.  "closed-form" rescales w onto the
-    admissible boundary.  In either mode a vanishing w (norm at most
-    ``DEGENERATE_NORM_ATOL``) gives the zero vector: exact mode maps its row
-    with the others and then zeroes it, closed-form mode rescales only the
-    other rows, so no 0/0 is formed.
+    admissible boundary.  A vanishing w, of norm at most
+    ``DEGENERATE_NORM_ATOL``, gives the zero vector: the LP's tie rule maps it
+    to X = 0, and closed-form mode rescales only the other rows (no 0/0).
     """
     w = directions.reshape(-1, basis.size)
-    vanishing = np.sqrt(np.vecdot(w, w)) <= DEGENERATE_NORM_ATOL
     if mode == "exact":
         x, _, _ = _linear_max(basis._matrices(w))
         out = basis._vectors(x)
         out /= math.sqrt(2.0 * basis.dim)
-        if np.count_nonzero(vanishing):
-            out[vanishing] = 0.0
-    elif np.count_nonzero(vanishing):
+        return out.reshape(directions.shape)
+    vanishing = np.sqrt(np.vecdot(w, w)) <= DEGENERATE_NORM_ATOL
+    if np.count_nonzero(vanishing):
         out = np.zeros_like(w)
         out[~vanishing] = basis._boundary(w[~vanishing])
     else:

@@ -180,10 +180,10 @@ SUITES = {
 
 
 def run_suites(names: list[str] | None, dims, trials: int, seed: int) -> list[SuiteResult]:
-    """Run the named suites, or all of them; ``qchsh verify`` holds the defaults."""
+    """Run the named suites, or all of them when names is None; the CLI holds the defaults."""
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
-    selected = list(SUITES) if not names else names
+    selected = list(SUITES) if names is None else names
     for name in selected:
         if name not in SUITES:
             raise ValidationError(

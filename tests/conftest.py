@@ -466,12 +466,29 @@ def serial_linear_max(c):
     return (vectors * mu) @ vectors.conj().T
 
 
+def serial_update(w, basis, mode):
+    """Reference for optimizer._party_update on one direction w.
+
+    A direction of norm at most ``DEGENERATE_NORM_ATOL`` gives the zero
+    vector in either mode, by a test on the norm itself; exact mode has no
+    such test and leaves it to the LP's tie rule.  Other directions go
+    through ``serial_linear_max`` and ``slice_sum_vectors`` (exact) or the
+    boundary rescale (closed-form).
+    """
+    if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
+        return np.zeros(basis.size)
+    if mode == "closed-form":
+        return boundary(w, basis)
+    x = serial_linear_max(basis._matrices(w))
+    return slice_sum_vectors(x, basis) / math.sqrt(2.0 * basis.dim)
+
+
 def serial_restarts(correlations, config):
     """Reference for optimizer._run_restarts: each restart alone, one vector at a time.
 
     Its arithmetic is the retired one: ``u +- v`` by plain add and subtract,
-    the pair components by ``slice_sum_vectors``, the LP by the share formula
-    and the vanishing test on the norm itself.
+    and each update by ``serial_update``, the vanishing test on the norm
+    itself in both modes.
     Each restart runs to its own stop and records every sweep.  The batch's
     certification sweep is the first at which a restart still running has
     ``|value| >= upper - tolerance``; each restart is then cut at the
@@ -486,13 +503,7 @@ def serial_restarts(correlations, config):
     t = correlations.matrix
     half = 0.5 * basis.dim
 
-    def update(w):
-        if float(np.linalg.norm(w)) <= DEGENERATE_NORM_ATOL:
-            return np.zeros(basis.size)
-        if config.mode == "closed-form":
-            return boundary(w, basis)
-        x = serial_linear_max(basis._matrices(w))
-        return slice_sum_vectors(x, basis) / math.sqrt(2.0 * basis.dim)
+    update = functools.partial(serial_update, basis=basis, mode=config.mode)
 
     def run(b1, b2):
         """One (value, converged, vectors) per sweep, to the own stop."""
@@ -538,6 +549,20 @@ def serial_restarts(correlations, config):
             reason = "max_iterations"
         results.append((iterations, reason, vectors))
     return results
+
+
+def werner_state(d, p):
+    """The Werner state p rho_anti + (1 - p) rho_sym, a checked state.
+
+    rho_anti = (I - SWAP)/(d(d-1)) and rho_sym = (I + SWAP)/(d(d+1)) are the
+    normalized projectors onto the antisymmetric and symmetric subspaces, so
+    the state commutes with every U x U and has <SWAP> = 1 - 2p.
+    """
+    # SWAP |i j> = |j i>: the identity with its two row indices exchanged
+    swap = np.eye(d * d).reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)
+    identity = np.eye(d * d)
+    rho = p * (identity - swap) / (d * (d - 1)) + (1.0 - p) * (identity + swap) / (d * (d + 1))
+    return validate_state(rho.astype(complex))
 
 
 def halve_bob_in_sweep(monkeypatch, sweep):

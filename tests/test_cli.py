@@ -328,6 +328,14 @@ def test_verify_unknown_suite(capsys):
     assert code == 1
 
 
+def test_verify_empty_suite_name_is_unknown(capsys):
+    # an empty name is a name, not the absence of --suite
+    code, out, err = run_cli(capsys, "verify", "--suite", "", "--dims", "2:2", "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError: unknown suite ''; available: ")
+
+
 def test_verify_detects_corrupted_basis(capsys, monkeypatch):
     def corrupted(d):
         fake = GellMannBasis(d)
@@ -841,6 +849,14 @@ def test_out_file_in_a_missing_directory_exits_one(capsys, tmp_path, argv, name)
     assert err.startswith(f"error: ValidationError: cannot write report to {path}: ")
     assert "Traceback" not in err
     assert not path.parent.exists()
+
+
+def test_empty_out_path_exits_one(capsys):
+    # an empty path names no file; the report does not go to stdout instead
+    code, out, err = run_cli(capsys, "bounds", "--state", "ghz", "--dim", "2", "--out", "")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValidationError: cannot write report to : ")
 
 
 # One process reuses the parser that main builds on its first call.

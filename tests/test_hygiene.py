@@ -8,7 +8,8 @@ no exported callable takes a ``basis`` parameter, no package module reaches
 into numpy's private modules, the CLI builds its parser on the first
 ``main`` call, once, and not at import, the public surface keeps the size
 ROADMAP.md records, each ``*_ATOL`` tolerance is assigned in one package
-module, and every module-level array of the package is read-only."""
+module and read by package code, and every module-level array of the
+package is read-only."""
 
 from __future__ import annotations
 
@@ -410,6 +411,47 @@ def test_tolerance_assigned_twice_is_reported():
         "b.py": "from a import Y_ATOL\nX_ATOL = 2e-10\ndef f():\n    Z_ATOL = 1.0\n",
     }
     assert _tolerance_homes(sources) == {"X_ATOL": ["a.py", "b.py"], "Y_ATOL": ["a.py"]}
+
+
+def _unread_tolerances(sources: dict[str, str]) -> list[str]:
+    """The module-level ``*_ATOL`` names that no source loads or reads as an attribute.
+
+    An import alone is not a read.  Reads by the tests do not count.
+    """
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in _tolerance_homes(sources) if name not in read)
+
+
+def test_every_tolerance_is_read_in_the_package():
+    # a tolerance that a change leaves without a reader is dead surface
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _unread_tolerances(sources) == []
+
+
+def test_unread_tolerance_is_reported():
+    sources = {
+        "a.py": (
+            "READ_ATOL = 1e-10\n"
+            "UNREAD_ATOL = 1e-12\n"
+            "IMPORTED_ATOL = 1.0\n"
+            "ATTRIBUTE_ATOL = 2.0\n"
+            "def f(x):\n"
+            "    return x < READ_ATOL\n"
+        ),
+        "b.py": (
+            "import a\n"
+            "from a import IMPORTED_ATOL\n"
+            "ANNOTATED_ATOL: float = 1.0\n"
+            "print(a.ATTRIBUTE_ATOL)\n"
+        ),
+    }
+    assert _unread_tolerances(sources) == ["ANNOTATED_ATOL", "IMPORTED_ATOL", "UNREAD_ATOL"]
 
 
 def _module_arrays(modules) -> dict[str, np.ndarray]:

@@ -19,6 +19,7 @@ from qchsh import (
     ghz_optimal_settings,
     ghz_state,
     horodecki_two_qubit,
+    max_admissible_norm,
     random_two_qudit_state,
     seesaw_maximize,
     validate_state,
@@ -59,8 +60,10 @@ from conftest import (
     random_search_max,
     random_unitary,
     serial_restarts,
+    serial_update,
     stencil_operands,
     traceless_linear_max,
+    werner_state,
 )
 
 ROOT2 = np.sqrt(2.0)
@@ -203,13 +206,11 @@ def test_plus_minus_stencil_equals_add_and_subtract(pairs):
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_vanishing_threshold_is_the_norm_itself(basis, mode, monkeypatch):
+@pytest.mark.parametrize("mode", ["closed-form"])
+def test_vanishing_threshold_is_the_norm_itself(basis, mode):
     # a direction whose norm is exactly DEGENERATE_NORM_ATOL vanishes; one
-    # whose norm is the next double above does not.  Its spectrum's spread,
-    # about 2e-14, is within LP_TIE_ATOL, which would zero it too: with no
-    # tie tolerance the vanishing test alone can zero a row.
-    monkeypatch.setattr(qchsh.optimizer, "LP_TIE_ATOL", 0.0)
+    # whose norm is the next double above does not.  Only closed-form mode
+    # tests the norm: exact mode leaves both to the LP's tie rule (below).
     b = basis(3)
     above = math.nextafter(DEGENERATE_NORM_ATOL, math.inf)
     directions = np.zeros((1, 2, b.size))
@@ -222,6 +223,46 @@ def test_vanishing_threshold_is_the_norm_itself(basis, mode, monkeypatch):
         ((at, past),) = _party_update(directions, b, mode)
     np.testing.assert_array_equal(at, np.zeros(b.size))
     assert is_admissible(past, b) and np.count_nonzero(past)
+
+
+def test_vanishing_norm_is_inside_the_lp_tie_tolerance():
+    """The exact update needs no norm test of its own.
+
+    By Lemma 1, ||w . L||_op <= sqrt(2(d-1)/d) ||w|| < sqrt(2) ||w||, so every
+    eigenvalue of w . L lies within 2 sqrt(2) ||w|| of its median.  While
+    2 sqrt(2) DEGENERATE_NORM_ATOL < LP_TIE_ATOL, a w of norm at most
+    DEGENERATE_NORM_ATOL has its whole spectrum tied with the median, the
+    LP gives mu = 0 and X = 0, and the update the zero vector.
+    """
+    assert 2.0 * math.sqrt(2.0) * DEGENERATE_NORM_ATOL < LP_TIE_ATOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.sampled_from([1.0, 3e-12, 1e-12, 1e-13, 1e-14, 0.0]), min_size=1,
+                    max_size=6),
+)
+def test_exact_update_zeroes_vanishing_rows_through_the_lp(d, seed, scales):
+    # at the program's own tolerances a zero row and a row of norm exactly
+    # DEGENERATE_NORM_ATOL come back as +0.0 bits, with no norm test in the
+    # exact update; every row, ordinary or small, has the bits of the
+    # one-row reference update, which keeps the norm test
+    b = build_gellmann_basis(d)
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((len(scales) + 1, 2, b.size))
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    directions[:-1] *= np.array(scales)[:, None, None]
+    # the last pair: a zero row, and a row along one axis of norm exactly the threshold
+    directions[-1] = 0.0
+    directions[-1, 1, rng.integers(b.size)] = DEGENERATE_NORM_ATOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _party_update(directions, b, "exact")
+    expected = np.array([[serial_update(w, b, "exact") for w in pair] for pair in directions])
+    np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+    assert not np.any(out[-1].view(np.int64))
 
 
 def test_linear_max_invariant_under_rotation(rng):
@@ -420,6 +461,42 @@ def test_seesaw_certifies_the_isotropic_family(d, p):
     assert "certified" in result.stop_reasons
     assert -UPPER_BOUND_ATOL <= result.bounds.upper - result.value <= config.tolerance
     assert result.bounds.upper == pytest.approx(p * ghz_chsh_maximum(d), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), p=st.floats(0.0, 1.0))
+def test_werner_states_attain_the_closed_form(d, p):
+    """A Werner state has T = c I, and the block settings attain its upper bound.
+
+    rho_W(p) commutes with every U x U, so T commutes with the adjoint action,
+    irreducible on traceless matrices, and Schur's lemma gives T = c I.  The
+    completeness relation sum_a L_a x L_a = 2 (SWAP - I/d) gives
+    tr T = 2 (<SWAP> - 1/d) = 2 (1 - 2p - 1/d), hence c.  Then
+    lam1 = lam2 = c**2, upper = d sqrt(2) m_d**2 |c|, and the block settings,
+    with Alice's pair negated when c < 0, reach it.
+    """
+    state = werner_state(d, p)
+    c = 2.0 * (1.0 - 2.0 * p - 1.0 / d) / (d * d - 1)
+    t = correlation_matrix(state)
+    assert np.max(np.abs(t.matrix - c * np.eye(d * d - 1))) <= 1e-14
+    attained = d * ROOT2 * max_admissible_norm(d) ** 2 * abs(c)
+    assert abs(chsh_bounds(t).upper - attained) <= 1e-12
+    blocks = ghz_optimal_settings(d)
+    sign = -1.0 if c < 0 else 1.0
+    alice = (TracelessObservable(sign * a.coefficients) for a in (blocks.a1, blocks.a2))
+    settings = ChshSettings(*alice, blocks.b1, blocks.b2)
+    assert abs(chsh_expectation_direct(state, settings) - attained) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_seesaw_certifies_werner_states(d):
+    # the see-saw reaches the Werner closed form and certifies it; with one
+    # restart 59 of these 77 points do not certify
+    config = SeesawConfig(restarts=4)
+    for p in [k / 10 for k in range(11)]:
+        result = seesaw_maximize(correlation_matrix(werner_state(d, p)), config)
+        assert "certified" in result.stop_reasons, p
+        assert -UPPER_BOUND_ATOL <= result.bounds.upper - result.value <= config.tolerance, p
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

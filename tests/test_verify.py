@@ -180,6 +180,11 @@ def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
     assert calls == []
 
 
+def test_empty_suite_list_runs_no_suite():
+    # only names=None means every suite
+    assert run_suites([], (2,), 5, 0) == []
+
+
 def _verify_lines(capsys, *argv):
     code = main(["verify", "--dims", "2:3", "--trials", "50", *argv])
     out = capsys.readouterr().out
