@@ -10,11 +10,11 @@ every later call in the process; importing the module builds nothing.
 JSON reports are written by ``_json_text`` straight from dicts, lists,
 numpy scalars and ndarrays, in the layout of ``json.dumps(..., indent=2)``:
 2-space indent, one scalar per line, ``","`` at line end and ``": "`` after
-keys.  A report, like the correlation CSV, is laid out once as one array of
-float cells and the list of separators around them: brackets, indents,
-keys, ints, bools, ``null`` and strings.  One ``_fill_g15`` call prints it,
-each cell from its exact 15-digit integer mantissa with ``%d`` (as JSON, or
-as ``%.15g`` in the CSV) and each zero from a table.
+keys.  A report, like the correlation and ghz-table CSVs, is laid out once
+as one array of float cells and the list of separators around them:
+brackets, indents, keys, ints, bools, ``null`` and strings.  One ``_fill_g15``
+call prints it, each cell from its exact 15-digit integer mantissa with
+``%d`` (as JSON, or as ``%.15g`` in a CSV) and each zero from a table.
 """
 
 from __future__ import annotations
@@ -316,12 +316,6 @@ def _correlation_csv(labels, matrix: np.ndarray) -> str:
     return _fill_g15(separators, matrix)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    return f"{value:.15g}"
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is not None:
         try:
@@ -470,9 +464,13 @@ def cmd_ghz_table(args) -> int:
             }
         )
     if args.output == "csv":
-        lines = [",".join(rows[0])]
-        lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        # no header, d or flag text holds a "%", which _fill_g15 would read as a directive
+        separators, cells = [",".join(rows[0]) + "\n"], []
+        for d, *floats, flag in (row.values() for row in rows):
+            separators[-1] += f"{d},"
+            separators += [","] * 4 + [f",{_scalar_text(flag)}\n"]
+            cells += floats
+        _emit(_fill_g15(separators, cells), args.out)
     else:
         _emit(_json_text({"rows": rows}), args.out)
     return 0

@@ -105,8 +105,7 @@ def suite_correlation_bound(dims, trials, seed) -> tuple[int, bool, str]:
     for d in dims:
         basis = build_gellmann_basis(d)
         # one admissible draw per d, which each of its three states meets
-        a = basis._boundary(rng.standard_normal((pairs, basis.size)))
-        b = basis._boundary(rng.standard_normal((pairs, basis.size)))
+        a, b = basis._boundary(rng.standard_normal((2, pairs, basis.size)))
         # kron(X_a, X_b) of the first pairs, X = sqrt(d/2) n . L
         x_a, x_b = np.sqrt(d / 2.0) * basis._matrices(np.stack((a[:4], b[:4])))
         kron = (x_a[:, :, None, :, None] * x_b[:, None, :, None, :]).reshape(-1, d * d, d * d)

@@ -257,6 +257,24 @@ def test_ghz_table_csv_bytes(capsys, mode):
     assert out == GHZ_TABLE_CSV
 
 
+@pytest.mark.parametrize("mode", ["exact", "closed-form"])
+def test_ghz_table_csv_agrees_with_json_cell_for_cell(capsys, mode):
+    # GHZ_TABLE_CSV pins d = 2..3 only; this covers every row of the default range
+    argv = ("ghz-table", "--dims", "2:8", "--restarts", "2", "--mode", mode)
+    rows = run_json(capsys, *argv)["rows"]
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header.split(",") == list(rows[0])
+    assert len(lines) == len(rows) == 7
+    for line, row in zip(lines, rows):
+        d, *floats, flag = line.split(",")
+        assert int(d) == row["d"]
+        assert floats == ["%.15g" % v for v in list(row.values())[1:-1]]
+        assert flag == ("true" if row["upper_improves_tsirelson"] else "false")
+    assert out.endswith("\n")
+
+
 def test_ghz_table_bad_range(capsys):
     code, _, _ = run_cli(capsys, "ghz-table", "--dims", "5")
     assert code == 1

@@ -8,8 +8,9 @@ no exported callable takes a ``basis`` parameter, no package module reaches
 into numpy's private modules, the CLI builds its parser on the first
 ``main`` call, once, and not at import, the public surface keeps the size
 ROADMAP.md records, each ``*_ATOL`` tolerance is assigned in one package
-module and read by package code, and every module-level array of the
-package is read-only."""
+module and read by package code, every module-level array of the
+package is read-only, and only ``cli._g15_cells`` and ``cli._scalar_text``
+format floats with a ``.15g`` spec."""
 
 from __future__ import annotations
 
@@ -452,6 +453,65 @@ def test_unread_tolerance_is_reported():
         ),
     }
     assert _unread_tolerances(sources) == ["ANNOTATED_ATOL", "IMPORTED_ATOL", "UNREAD_ATOL"]
+
+
+def _g15_formatters(sources: dict[str, str]) -> list[str]:
+    """``module: function (line n)`` of each ``.15g`` format in the sources.
+
+    A format is an f-string placeholder whose spec holds ``.15g`` or a
+    string constant holding ``%.15g`` on the left of ``%``.  Docstrings and
+    other bare strings are not formats.  ``function`` is the innermost
+    enclosing def, or ``<module>``.
+    """
+    def is_g15(node) -> bool:
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            return any(
+                isinstance(part, ast.Constant) and ".15g" in str(part.value)
+                for part in node.format_spec.values
+            )
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and isinstance(node.left, ast.Constant) and "%.15g" in str(node.left.value)
+        )
+
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if is_g15(node):
+            found.append(f"{module}: {function} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_one_g15_formatter():
+    # text at 15 significant digits has one implementation: _g15_cells and
+    # the fallback it shares with _scalar_text
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    allowed = ("cli.py: _g15_cells ", "cli.py: _scalar_text ")
+    assert [f for f in _g15_formatters(sources) if not f.startswith(allowed)] == []
+
+
+def test_g15_formatter_is_reported():
+    sources = {
+        "a.py": (
+            '"""Module docstring: "%.15g" % x."""\n'
+            "def cell(value):\n"
+            '    """Prints f"{value:.15g}"."""\n'
+            '    return f"{value:.15g}"\n'
+            'ROW = "%.15g,%.15g" % (1.0, 2.0)\n'
+            "def other(x):\n"
+            '    return f"{x:.3e}" + "%.12g" % x + "%s" % ".15g"\n'
+        ),
+        "b.py": "class C:\n    def m(self, x):\n        return f'{x:{w}.15g}'\n",
+    }
+    assert _g15_formatters(sources) == ["a.py: cell (line 4)", "a.py: <module> (line 5)",
+                                        "b.py: m (line 3)"]
 
 
 def _module_arrays(modules) -> dict[str, np.ndarray]:

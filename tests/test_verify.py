@@ -162,8 +162,8 @@ def test_correlation_bound_draws_its_admissible_pairs_once_per_dimension(monkeyp
 
     monkeypatch.setattr(GellMannBasis, "_operator_norms", counted)
     run_suites(["correlation-bound"], range(2, 7), 500, 0)
-    # one _boundary batch for a and one for b, whatever the number of states
-    assert calls == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+    # one _boundary batch for a and b together, whatever the number of states
+    assert calls == [2, 3, 4, 5, 6]
 
 
 def test_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
