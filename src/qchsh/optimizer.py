@@ -20,21 +20,20 @@ closed-form updates can lower it, and closed-form runs track nothing.
 
 All restarts of one ``seesaw_maximize`` call advance in lockstep on
 (restarts, 2, d**2-1) arrays.  ``_sweep`` is one sweep and holds nothing
-else: Alice's update, then Bob's, and the value after each.  An update
-stacks the ``+-`` directions of every live restart and makes one map to
-matrices, one batched eigensolver call, one LP, one rebuild
-``V diag(mu) V^H`` and one map back (exact mode), or one batched operator
-norm (closed-form mode).  The LP optimum of a spectrum with no tie beside
-its median is one fixed sign pattern; only the other rows go through the
-tie-share formula.  Matrix-vector products and dot products stay one BLAS
-call per row, so each restart gives bit for bit what it gives when run
-alone.  The LP's sign pattern, one read-only array per batch shape, and
-the slice its tie test reads are built once per shape (``_lp_pattern``); a
-batch with no tie beside a median gets that array itself.  The sums
-``u +- v`` of a pair are one matmul with a +-1 stencil (``_pair_products``),
-and every row dot product, the values and the closed-form vanishing test's
-squared norms alike, is one ``np.vecdot``.  The party updates hand the
-arrays they build straight to the basis's check-free map cores.
+else: Alice's update, then Bob's, and the value after Bob's (``_value``).
+An update stacks the ``+-`` directions of every live restart and makes one
+map to matrices, one batched eigensolver call, one LP, one rebuild
+``V diag(mu) V^H`` and one map back to coefficients (exact mode), or one
+batched operator norm (closed-form mode).  The LP optimum of a batch with
+no tie beside any median is one read-only sign pattern, built once per
+batch shape with the slice its tie test reads (``_lp_pattern``); a batch
+with a tie goes whole through the tie-share formula, which gives the other
+rows the pattern's bits.  Matrix-vector and dot products stay one BLAS call
+per row, so each restart gives bit for bit what it gives when run alone.
+The sums ``u +- v`` of a pair are one matmul with a +-1 stencil
+(``_pair_products``), and every row dot product is one ``np.vecdot``.  The
+party updates hand their arrays straight to the basis's check-free cores,
+which own the coefficient scale.
 
 The driver ``_run_restarts`` holds the rest: the starts, the fall check,
 the stop rules and the live batch.  Before the first sweep it takes T's
@@ -176,11 +175,10 @@ def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
     fall with i, so a row whose two entries beside t* are not tied with it
     has no tie but the odd-d median entry, and its optimum is the pattern
     (+1, ..., +1, -0.0, -1, ..., -1): the median's share of a zero sum is
-    -0.0 / 1.  When no row has a tie beside t*, the result is the shared
-    read-only pattern of lam's shape itself, the very bits the share formula
-    gives each such row; otherwise it is a new, writable copy of the pattern
-    in which only the rows with a tie go through the share formula.  Before
-    the correction mu holds only +-1 and 0, so their row sums are exact.
+    -0.0 / 1.  So when no row has a tie beside t*, the result is the shared
+    read-only pattern of lam's shape itself; otherwise it is the share
+    formula over every row, a new, writable array.  Before the correction mu
+    holds only +-1 and 0, so their row sums are exact.
     """
     lam = lam_descending
     d = lam.shape[-1]
@@ -191,19 +189,14 @@ def _lp_spectrum(lam_descending: np.ndarray) -> np.ndarray:
     else:
         t_star = 0.5 * (lam[..., half - 1 : half] + lam[..., half : half + 1])
     signs, beside = _lp_pattern(lam.shape)
-    ties_beside = np.abs(lam[..., beside] - t_star) < LP_TIE_ATOL
-    if not np.count_nonzero(ties_beside):
+    if not np.count_nonzero(np.abs(lam[..., beside] - t_star) < LP_TIE_ATOL):
         return signs
-    mu = signs.copy()
-    rows = ties_beside.any(axis=-1)
-    lam, t_star = lam[rows], t_star[rows]
     deviation = lam - t_star
     ties = np.abs(deviation) < LP_TIE_ATOL
     tied = np.where(deviation > 0, 1.0, -1.0)
     tied[ties] = 0.0
     share = -tied.sum(axis=-1, keepdims=True) / np.maximum(ties.sum(axis=-1, keepdims=True), 1)
-    mu[rows] = np.where(ties, share, tied)
-    return mu
+    return np.where(ties, share, tied)
 
 
 def _linear_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,9 +250,7 @@ def _party_update(directions: np.ndarray, basis: GellMannBasis, mode: str) -> np
     w = directions.reshape(-1, basis.size)
     if mode == "exact":
         x, _, _ = _linear_max(basis._matrices(w))
-        out = basis._vectors(x)
-        out /= math.sqrt(2.0 * basis.dim)
-        return out.reshape(directions.shape)
+        return basis._coefficients(x).reshape(directions.shape)
     vanishing = np.sqrt(np.vecdot(w, w)) <= DEGENERATE_NORM_ATOL
     if np.count_nonzero(vanishing):
         out = np.zeros_like(w)
@@ -323,21 +314,24 @@ def _deterministic_init(
     return basis._boundary(np.stack((v1 + v2, v1 - v2))), False
 
 
+def _value(a: np.ndarray, alice_in: np.ndarray, basis: GellMannBasis) -> np.ndarray:
+    """The value (d/2) <a1, T(b1 + b2)> + (d/2) <a2, T(b1 - b2)> of every restart."""
+    return 0.5 * basis.dim * np.vecdot(a, alice_in).sum(axis=-1)
+
+
 def _sweep(
     t: np.ndarray, t_transposed: np.ndarray, alice_in: np.ndarray, basis: GellMannBasis, mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One sweep of every live restart: Alice's update, then Bob's.
 
     Takes each restart's T(b1 +- b2); returns the new pairs a and b, the
-    next T(b1 +- b2), and the values after Alice's update and after Bob's.
-    Writes into none of its arguments.
+    next T(b1 +- b2), and the value after Bob's update; only the exact fall
+    check reads the value after Alice's.  Writes into none of its arguments.
     """
-    half = 0.5 * basis.dim
     a = _party_update(alice_in, basis, mode)
-    after_alice = half * np.vecdot(a, alice_in).sum(axis=-1)
     b = _party_update(_pair_products(t_transposed, a), basis, mode)
     alice_next = _pair_products(t, b)
-    return a, b, alice_next, after_alice, half * np.vecdot(a, alice_next).sum(axis=-1)
+    return a, b, alice_next, _value(a, alice_next, basis)
 
 
 def _run_restarts(
@@ -353,8 +347,8 @@ def _run_restarts(
     ``stop_reason`` indexes STOP_REASONS: a restart stopped by both rules in
     the same sweep reads converged, and one that runs out of sweeps reads
     max_iterations.  In exact mode a live restart whose value falls by more
-    than 1e-12 after Alice's update or after Bob's raises NumericalError at
-    that sweep, naming the first such restart.  Every row is computed on
+    than 1e-12 after Alice's update (formed here) or after Bob's raises
+    NumericalError at that sweep, naming the first such restart.  Every row is computed on
     its own, so a restart's result does not depend on how many restarts run
     beside it, up to the sweep at which the batch certifies.
 
@@ -380,10 +374,9 @@ def _run_restarts(
         # before sweep 1 every comparison with the previous value is False, and fmax skips it
         previous = np.full(len(b), np.nan)
         for iteration in range(1, last + 1):
-            a, b, alice_in, after_alice, value = _sweep(
-                t, t_transposed, alice_in, basis, config.mode
-            )
+            a, b, alice_next, value = _sweep(t, t_transposed, alice_in, basis, config.mode)
             if config.mode == "exact":
+                after_alice = _value(a, alice_in, basis)
                 fall = np.fmax(previous - after_alice, after_alice - value)
                 if np.count_nonzero(fall > 1e-12):
                     row = int(np.argmax(fall > 1e-12))
@@ -395,7 +388,7 @@ def _run_restarts(
             # np.count_nonzero tests a small mask in a fraction of the time of .any()
             certified = np.count_nonzero(np.abs(value) >= certified_at) > 0
             stop = done | (certified or iteration == last)
-            previous = value
+            alice_in, previous = alice_next, value
             if np.count_nonzero(stop):
                 leaving = active[stop]
                 iterations[leaving] = iteration

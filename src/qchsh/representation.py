@@ -22,8 +22,8 @@ Euclidean norm among admissible vectors is 1 for even d and sqrt((d-1)/d)
 for odd d.
 
 Each way of the map has one public, checked path: ``TracelessObservable``
-takes n to X, ``expand_observable`` X to n.  The basis holds only the
-check-free cores behind them.
+takes n to X, ``expand_observable`` X to n.  The basis holds the check-free
+cores behind them, and alone applies the scales sqrt(d/2) and 1/sqrt(2 d).
 
 d alone fixes the basis, so no function takes one: each looks up the one
 ``GellMannBasis`` that ``build_gellmann_basis`` shares per d.
@@ -120,10 +120,11 @@ class GellMannBasis:
     there; each map adds +0 at the end to make that so, which leaves every
     other value as it is.
 
-    The maps, ``_operator_norms`` and ``_boundary`` (the one rescale onto
-    the admissible boundary) check nothing: the see-saw and ``verify`` call
-    them on finite arrays they build.  The checked paths,
-    ``TracelessObservable`` and ``expand_observable``, refuse a NaN or an
+    The maps, their scaled forms ``_observables`` (n to X) and
+    ``_coefficients`` (X to n, the package's one reader of ``_vectors``),
+    ``_operator_norms`` and ``_boundary`` (the one rescale onto the
+    admissible boundary) check nothing: the see-saw and ``verify`` call them
+    on finite arrays they build.  The checked paths refuse a NaN or an
     infinity: the einsum spreads one through its zero products to every
     entry, while the cores keep it in the entries it reaches and, in
     ``_vectors``, put a NaN in its stencil partner.
@@ -217,6 +218,16 @@ class GellMannBasis:
         out += 0.0
         return out
 
+    def _observables(self, n: np.ndarray) -> np.ndarray:
+        """The observables ``X = sqrt(d/2) * (n . L)`` of a float64 ``n[..., d**2-1]``."""
+        return np.sqrt(self.dim / 2.0) * self._matrices(n)
+
+    def _coefficients(self, x: np.ndarray) -> np.ndarray:
+        """The coefficients ``n_j = tr[X L_j] / sqrt(2 d)`` of a C-contiguous ``x[..., d, d]``."""
+        out = self._vectors(x)
+        out /= math.sqrt(2.0 * self.dim)
+        return out
+
     def _pair_leading(self, x: np.ndarray) -> np.ndarray:
         """Pairings ``out[a, ...] = sum_{i,j} x[i, j, ...] L_a[j, i]`` of ``x[d, d, ...]``.
 
@@ -307,8 +318,7 @@ class TracelessObservable:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """The read-only matrix ``sqrt(d/2) * (n . L)``, built on first read."""
-        basis = build_gellmann_basis(self.dim)
-        matrix = np.sqrt(basis.dim / 2.0) * basis._matrices(self.coefficients)
+        matrix = build_gellmann_basis(self.dim)._observables(self.coefficients)
         matrix.setflags(write=False)
         return matrix
 
@@ -377,8 +387,7 @@ def expand_observable(matrix: np.ndarray) -> np.ndarray:
     ``sqrt(d/2) * (n . L)`` reproduces X.
     """
     x = symmetrized_traceless(matrix, "observable")
-    basis = build_gellmann_basis(len(x))
-    return basis._vectors(x) / np.sqrt(2.0 * basis.dim)
+    return build_gellmann_basis(len(x))._coefficients(x)
 
 
 def max_admissible_norm(d: int) -> float:

@@ -72,14 +72,13 @@ def suite_roundtrip(dims, trials, seed) -> tuple[int, bool, str]:
     count = min(trials, 2000)
     for d in dims:
         basis = build_gellmann_basis(d)
-        scale = np.sqrt(2.0 * d)
         g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
         x = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
         traces = np.einsum("tkk->t", x) / d
         x -= traces[:, None, None] * np.eye(d)
         # the sum of g and its swapped conjugate need not be C-contiguous
-        n = basis._vectors(np.ascontiguousarray(x)) / scale
-        back = np.sqrt(d / 2.0) * basis._matrices(n)
+        n = basis._coefficients(np.ascontiguousarray(x))
+        back = basis._observables(n)
         matrix_err = float(np.max(np.abs(back - x)))
         if matrix_err > 1e-10:
             return checks, False, f"d={d}: reconstruction error {matrix_err:.3e}"
@@ -89,8 +88,7 @@ def suite_roundtrip(dims, trials, seed) -> tuple[int, bool, str]:
         if norm_err > 1e-10:
             return checks, False, f"d={d}: norm identity residual {norm_err:.3e}"
         vec = rng.standard_normal((count, basis.size))
-        mats = np.sqrt(d / 2.0) * basis._matrices(vec)
-        vec_back = basis._vectors(mats) / scale
+        vec_back = basis._coefficients(basis._observables(vec))
         vector_err = float(np.max(np.abs(vec_back - vec)))
         if vector_err > 1e-10:
             return checks, False, f"d={d}: vector round-trip error {vector_err:.3e}"
@@ -106,8 +104,8 @@ def suite_correlation_bound(dims, trials, seed) -> tuple[int, bool, str]:
         basis = build_gellmann_basis(d)
         # one admissible draw per d, which each of its three states meets
         a, b = basis._boundary(rng.standard_normal((2, pairs, basis.size)))
-        # kron(X_a, X_b) of the first pairs, X = sqrt(d/2) n . L
-        x_a, x_b = np.sqrt(d / 2.0) * basis._matrices(np.stack((a[:4], b[:4])))
+        # kron(X_a, X_b) of the first pairs
+        x_a, x_b = basis._observables(np.stack((a[:4], b[:4])))
         kron = (x_a[:, :, None, :, None] * x_b[:, None, :, None, :]).reshape(-1, d * d, d * d)
         for _ in range(3):
             state = random_two_qudit_state(d, seed=int(rng.integers(2**31)))

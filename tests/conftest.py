@@ -565,18 +565,22 @@ def werner_state(d, p):
     return validate_state(rho.astype(complex))
 
 
-def halve_bob_in_sweep(monkeypatch, sweep):
-    """Patch the see-saw so that Bob's update in the given sweep returns half its vectors.
+def halve_update_in_sweep(monkeypatch, party, sweep):
+    """Patch the see-saw so that one party's update ("alice" or "bob") in the
+    given sweep returns half its vectors.
 
-    The value is linear in Bob's vectors, so that sweep's value falls to half
-    of the value after Alice's update.
+    The value is linear in each party's vectors.  A halved Bob update halves
+    that sweep's value against the value after Alice's update; a halved Alice
+    update halves the value after it against the previous sweep's value.
     """
     update = optimizer._party_update
     calls = itertools.count(1)
+    # each sweep updates Alice, then Bob
+    planted = {"alice": 2 * sweep - 1, "bob": 2 * sweep}[party]
 
     def halved(directions, basis, mode):
         out = update(directions, basis, mode)
-        return 0.5 * out if next(calls) == 2 * sweep else out
+        return 0.5 * out if next(calls) == planted else out
 
     monkeypatch.setattr(optimizer, "_party_update", halved)
 

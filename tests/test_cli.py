@@ -20,7 +20,7 @@ import qchsh.optimizer
 import qchsh.verify
 from conftest import (
     correlation_csv_oracle,
-    halve_bob_in_sweep,
+    halve_update_in_sweep,
     load_state_file_oracle,
     patch_ghz_blocks,
     plain_mask,
@@ -151,7 +151,7 @@ def test_optimize_above_the_upper_bound_exits_two(capsys, monkeypatch):
 
 def test_optimize_with_a_falling_exact_sweep_exits_two(capsys, monkeypatch):
     # exact party updates cannot lower the value, so a fall is a numerical fault
-    halve_bob_in_sweep(monkeypatch, 2)
+    halve_update_in_sweep(monkeypatch, "bob", 2)
     code, out, err = run_cli(capsys, "optimize", "--state", "random:7", "--dim", "3",
                              "--restarts", "2")
     assert code == 2

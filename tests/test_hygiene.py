@@ -4,13 +4,14 @@ without a placeholder in the package modules or the tests, every name that
 exported class is used by some package module other than ``__init__.py``,
 each private module-level name is read by another part of the package,
 the optimizer reads states only through the correlation matrix it is given,
-no exported callable takes a ``basis`` parameter, no package module reaches
-into numpy's private modules, the CLI builds its parser on the first
-``main`` call, once, and not at import, the public surface keeps the size
-ROADMAP.md records, each ``*_ATOL`` tolerance is assigned in one package
-module and read by package code, every module-level array of the
-package is read-only, and only ``cli._g15_cells`` and ``cli._scalar_text``
-format floats with a ``.15g`` spec."""
+only ``representation.py`` reads the unscaled ``_vectors`` core, no exported
+callable takes a ``basis`` parameter, no package module reaches into numpy's
+private modules, the CLI builds its parser on the first ``main`` call, once,
+and not at import, the public surface keeps the size ROADMAP.md records,
+each ``*_ATOL`` tolerance is assigned in one package module and read by
+package code, every module-level array of the package is read-only, and only
+``cli._g15_cells`` and ``cli._scalar_text`` format floats with a ``.15g``
+spec."""
 
 from __future__ import annotations
 
@@ -221,6 +222,43 @@ def test_optimizer_takes_correlations_not_states():
     assert [node.module for node in imports if node.module == "states"] == []
     names = {alias.name for node in imports for alias in node.names}
     assert "correlation_matrix" not in names
+
+
+def _vector_readers(sources: dict[str, str]) -> list[str]:
+    """The modules other than ``representation.py`` that read ``_vectors``.
+
+    The basis owns the coefficient scale: every other module takes X to n
+    through ``GellMannBasis._coefficients``, which divides by sqrt(2 d).
+    """
+    return sorted(
+        module
+        for module, source in sources.items()
+        if module != "representation.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "_vectors"
+            or isinstance(node, ast.Name) and node.id == "_vectors"
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_only_the_basis_reads_the_unscaled_vector_map():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _vector_readers(sources) == []
+
+
+def test_vector_reader_is_reported():
+    sources = {
+        "representation.py": (
+            "class GellMannBasis:\n"
+            "    def _coefficients(self, x):\n"
+            "        return self._vectors(x) / 2.0\n"
+        ),
+        "optimizer.py": "def update(basis, x):\n    return basis._vectors(x)\n",
+        "verify.py": "n = basis._coefficients(x)\nvectors = basis.vectors\n",
+        "cli.py": "from representation import _vectors\nn = _vectors\n",
+    }
+    assert _vector_readers(sources) == ["cli.py", "optimizer.py"]
 
 
 def _private_numpy_paths(source: str) -> list[str]:

@@ -49,7 +49,7 @@ from qchsh.optimizer import (
 )
 
 from conftest import (
-    halve_bob_in_sweep,
+    halve_update_in_sweep,
     is_admissible,
     lp_spectrum_oracle,
     patch_ghz_blocks,
@@ -536,7 +536,7 @@ def test_seesaw_certificate_consistency(basis):
 def test_closed_form_runs_may_fall(monkeypatch):
     # a falling sweep is a fault only in exact mode (see test_cli); closed-form
     # updates can lower the value, so the run returns
-    halve_bob_in_sweep(monkeypatch, 2)
+    halve_update_in_sweep(monkeypatch, "bob", 2)
     t = correlation_matrix(random_two_qudit_state(3, 7))
     result = seesaw_maximize(t, SeesawConfig(mode="closed-form", restarts=2))
     assert result.bounds.lower <= result.value <= result.bounds.upper
@@ -571,11 +571,8 @@ def test_negative_winner_has_alices_pair_negated(monkeypatch):
     assert result.value == pytest.approx(chsh_expectation_direct(state, result.settings), abs=1e-12)
 
 
-@pytest.mark.parametrize("sweep", [1, 2])
-def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch, sweep):
-    # Bob's halved update is the fall, and the run stops at its sweep: sweep 1
-    # has no previous value, but Bob's value must still reach Alice's
-    halve_bob_in_sweep(monkeypatch, sweep)
+def _counted_pair_products(monkeypatch) -> list:
+    """Patch ``_pair_products`` to record the shape of each call's pairs."""
     calls = []
     pair_products = qchsh.optimizer._pair_products
 
@@ -584,10 +581,47 @@ def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch, sweep):
         return pair_products(t, pairs)
 
     monkeypatch.setattr(qchsh.optimizer, "_pair_products", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", [1, 2])
+def test_exact_run_raises_at_the_sweep_that_falls(monkeypatch, sweep):
+    # Bob's halved update is the fall, and the run stops at its sweep: sweep 1
+    # has no previous value, but Bob's value must still reach Alice's
+    halve_update_in_sweep(monkeypatch, "bob", sweep)
+    calls = _counted_pair_products(monkeypatch)
     t = correlation_matrix(random_two_qudit_state(3, 7))
     with pytest.raises(NumericalError, match="restart 0 is not monotone.*allowed 1e-12"):
         seesaw_maximize(t, SeesawConfig(restarts=2))
     # the starts, then two products per sweep up to the one that falls
+    assert len(calls) == 1 + 2 * sweep
+
+
+def _result_bits(result):
+    return (
+        result.value.hex(), result.iterations_per_restart, result.stop_reasons,
+        [obs.coefficients.tobytes() for obs in result.settings.all],
+    )
+
+
+def test_halved_alice_update_in_sweep_one_changes_nothing(monkeypatch):
+    # sweep 1 has no previous value to fall from; the LP ignores the scale of
+    # its target, so Bob's response is the same, and sweep 2 restores Alice
+    t = correlation_matrix(random_two_qudit_state(3, 7))
+    expected = _result_bits(seesaw_maximize(t, SeesawConfig(restarts=2)))
+    halve_update_in_sweep(monkeypatch, "alice", 1)
+    assert _result_bits(seesaw_maximize(t, SeesawConfig(restarts=2))) == expected
+
+
+@pytest.mark.parametrize("sweep", [2, 3])
+def test_exact_run_raises_when_alices_update_falls(monkeypatch, sweep):
+    # the value after Alice's halved update falls below the previous sweep's,
+    # and the run stops at that sweep, once Bob's update has run
+    halve_update_in_sweep(monkeypatch, "alice", sweep)
+    calls = _counted_pair_products(monkeypatch)
+    t = correlation_matrix(random_two_qudit_state(3, 7))
+    with pytest.raises(NumericalError, match="restart 0 is not monotone.*allowed 1e-12"):
+        seesaw_maximize(t, SeesawConfig(restarts=2))
     assert len(calls) == 1 + 2 * sweep
 
 

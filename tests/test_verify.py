@@ -8,14 +8,16 @@ correlation matrices that ``correlation-bound`` catches through its direct
 form.
 """
 
+import numpy as np
 import pytest
 
 import qchsh.bounds
+import qchsh.optimizer
 import qchsh.verify
 from qchsh.cli import main
 from qchsh.correlation import CorrelationMatrix
 from qchsh.errors import ValidationError
-from qchsh.representation import GellMannBasis
+from qchsh.representation import GellMannBasis, build_gellmann_basis
 from qchsh.verify import SUITES, SuiteResult, run_suites
 
 
@@ -150,6 +152,20 @@ def test_correlation_bound_on_a_wrong_t(monkeypatch, fault):
     plant, result = WRONG_T[fault]
     plant(monkeypatch)
     assert run_suites(["correlation-bound"], range(2, 7), 500, 0) == [result]
+
+
+def test_roundtrip_checks_the_seesaws_own_coefficient_map(monkeypatch):
+    # the see-saw's exact update and roundtrip read X -> n through the one
+    # scaled core, so a wrong scale there reaches both
+    directions = np.random.default_rng(0).standard_normal((2, 2, 8))
+    basis = build_gellmann_basis(3)
+    right = qchsh.optimizer._party_update(directions, basis, "exact")
+    _scaled_method(monkeypatch, "_coefficients", 1.001)
+    assert run_suites(["roundtrip"], range(2, 7), 500, 0) == [
+        SuiteResult("roundtrip", 1500, False, "d=3: reconstruction error 3.196e-03")
+    ]
+    planted = qchsh.optimizer._party_update(directions, basis, "exact")
+    assert planted.tobytes() == (1.001 * right).tobytes()
 
 
 def test_correlation_bound_draws_its_admissible_pairs_once_per_dimension(monkeypatch):
